@@ -367,9 +367,11 @@ def _command_attest(args: argparse.Namespace) -> int:
     system = get_artifact_cache().get_system(args.device)
     provisioned, record = provision_device(system, "cli-board", seed=args.seed)
     if args.tamper:
-        frame = system.partition.static_frame_list()[0]
-        provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
-        print(f"(tampered static frame {frame})")
+        bit = system.first_unmasked_static_bit()
+        provisioned.board.fpga.memory.flip_bit(
+            bit.frame_index, bit.word_index, bit.bit_index
+        )
+        print(f"(tampered static frame {bit.frame_index})")
     verifier = SachaVerifier(
         record.system, record.mac_key, DeterministicRng(args.seed + 1)
     )
@@ -499,8 +501,10 @@ def _command_metrics(args: argparse.Namespace) -> int:
             system, f"metrics-demo-{int(tamper)}", seed=args.seed + int(tamper)
         )
         if tamper:
-            frame = system.partition.static_frame_list()[0]
-            provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
+            bit = system.first_unmasked_static_bit()
+            provisioned.board.fpga.memory.flip_bit(
+                bit.frame_index, bit.word_index, bit.bit_index
+            )
         verifier = SachaVerifier(
             record.system, record.mac_key, DeterministicRng(args.seed + 10)
         )

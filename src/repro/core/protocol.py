@@ -50,6 +50,10 @@ from repro.utils.rng import DeterministicRng
 
 _log = obs_log.get_logger(__name__)
 
+#: Stands in for a per-frame span when frame spans are off: one shared,
+#: reusable no-op context instead of one object per frame.
+_NO_SPAN = contextlib.nullcontext()
+
 
 @dataclass
 class SessionOptions:
@@ -116,14 +120,20 @@ def run_attestation(
     """Execute one full SACHa attestation."""
     rng = rng or DeterministicRng(0)
     options = options if options is not None else SessionOptions()
-    trace = TraceRecorder(enabled=options.record_trace)
+    tracing = options.record_trace
+    trace = TraceRecorder(enabled=tracing)
     model = ActionTimingModel(verifier.system.device)
     device = verifier.system.device
+    # Table-3 durations, resolved once per run.  Each step still adds
+    # them to the sim clock one action at a time, in protocol order, so
+    # the accumulated float is the same as summing action by action.
+    durations = model.all_actions_ns()
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = (
+        durations[action] for action in ProtocolAction
+    )
+    masked_send_ns = model.masked_readback_send_ns()
+    masked_ack_ns = model.masked_ack_ns()
     elapsed = 0.0
-
-    def tick(action: ProtocolAction) -> None:
-        nonlocal elapsed
-        elapsed += model.action_ns(action)
 
     registry = get_registry()
     obs_on = registry.enabled
@@ -155,12 +165,7 @@ def run_attestation(
             "sacha_attestation_duration_seconds",
             "Simulated end-to-end duration of one attestation run",
         )
-    if obs_on and options.span_frames:
-        frame_span = lambda idx: span(  # noqa: E731
-            "readback", clock=clock, registry=registry, frame=idx
-        )
-    else:
-        frame_span = lambda idx: contextlib.nullcontext()  # noqa: E731
+    frame_spans = obs_on and options.span_frames
 
     with span(
         "attestation", clock=clock, registry=registry, device=device.name
@@ -172,13 +177,14 @@ def run_attestation(
             config_ns = 0.0
             for command in config_commands:
                 start = elapsed
-                tick(ProtocolAction.A1)
+                elapsed += a1
                 prover.handle_command(command)
-                tick(ProtocolAction.A2)
+                elapsed += a2
                 config_ns += elapsed - start
-                trace.record(
-                    start, "ICAP_config", "vrf->prv", f"frame {command.frame_index}"
-                )
+                if tracing:
+                    trace.record(
+                        start, "ICAP_config", "vrf->prv", f"frame {command.frame_index}"
+                    )
 
         # The dynamic partition now runs the configured application.
         registers = prover.board.fpga.registers
@@ -201,28 +207,38 @@ def run_attestation(
             if options.mask_at_prover:
                 for command in verifier.masked_readback_commands(plan):
                     start = elapsed
-                    elapsed += model.masked_readback_send_ns()
+                    elapsed += masked_send_ns
                     if first:
-                        tick(ProtocolAction.A5)
+                        elapsed += a5
                         trace.record(elapsed, "MAC_init", "prv")
                         first = False
-                    with frame_span(command.frame_index):
+                    with (
+                        span(
+                            "readback",
+                            clock=clock,
+                            registry=registry,
+                            frame=command.frame_index,
+                        )
+                        if frame_spans
+                        else _NO_SPAN
+                    ):
                         ack = prover.handle_command(command)
                         if not isinstance(ack, MaskedReadbackAck):
                             raise ProtocolError(
                                 f"prover returned {type(ack).__name__} to "
                                 "masked readback"
                             )
-                        tick(ProtocolAction.A4)
-                        tick(ProtocolAction.A6)
-                        elapsed += model.masked_ack_ns()
+                        elapsed += a4
+                        elapsed += a6
+                        elapsed += masked_ack_ns
                     readback_ns += elapsed - start
-                    trace.record(
-                        start,
-                        "ICAP_readback_masked",
-                        "vrf->prv",
-                        f"frame {command.frame_index}",
-                    )
+                    if tracing:
+                        trace.record(
+                            start,
+                            "ICAP_readback_masked",
+                            "vrf->prv",
+                            f"frame {command.frame_index}",
+                        )
             elif options.readback_batch_frames > 1:
                 frame_bytes = verifier.system.device.frame_bytes
                 phy = GigabitPhy()
@@ -233,9 +249,9 @@ def run_attestation(
                     plan, options.readback_batch_frames
                 ):
                     start = elapsed
-                    tick(ProtocolAction.A3)
+                    elapsed += a3
                     if first:
-                        tick(ProtocolAction.A5)
+                        elapsed += a5
                         trace.record(elapsed, "MAC_init", "prv")
                         first = False
                     response = prover.handle_command(
@@ -249,8 +265,8 @@ def run_attestation(
                             "ranged readback"
                         )
                     for offset in range(batch_count):
-                        tick(ProtocolAction.A4)
-                        tick(ProtocolAction.A6)
+                        elapsed += a4
+                        elapsed += a6
                         responses.append(
                             ReadbackResponse(
                                 frame_index=batch_start + offset,
@@ -272,21 +288,31 @@ def run_attestation(
                     ) * phy.ns_per_byte
                     readback_ns += elapsed - start
                     readback_commands += 1
-                    trace.record(
-                        start,
-                        "ICAP_readback_range",
-                        "vrf->prv",
-                        f"frames {batch_start}..{batch_start + batch_count - 1}",
-                    )
+                    if tracing:
+                        trace.record(
+                            start,
+                            "ICAP_readback_range",
+                            "vrf->prv",
+                            f"frames {batch_start}..{batch_start + batch_count - 1}",
+                        )
             else:
                 for frame_index in plan:
                     start = elapsed
-                    tick(ProtocolAction.A3)
+                    elapsed += a3
                     if first:
-                        tick(ProtocolAction.A5)
+                        elapsed += a5
                         trace.record(elapsed, "MAC_init", "prv")
                         first = False
-                    with frame_span(frame_index):
+                    with (
+                        span(
+                            "readback",
+                            clock=clock,
+                            registry=registry,
+                            frame=frame_index,
+                        )
+                        if frame_spans
+                        else _NO_SPAN
+                    ):
                         response = prover.handle_command(
                             IcapReadbackCommand(frame_index)
                         )
@@ -295,27 +321,28 @@ def run_attestation(
                                 f"prover returned {type(response).__name__} "
                                 "to ICAP_readback"
                             )
-                        tick(ProtocolAction.A4)
-                        tick(ProtocolAction.A6)
-                        tick(ProtocolAction.A8)
+                        elapsed += a4
+                        elapsed += a6
+                        elapsed += a8
                     readback_ns += elapsed - start
                     responses.append(response)
-                    trace.record(
-                        start, "ICAP_readback", "vrf->prv", f"frame {frame_index}"
-                    )
+                    if tracing:
+                        trace.record(
+                            start, "ICAP_readback", "vrf->prv", f"frame {frame_index}"
+                        )
 
         # -- checksum exchange (Figure 9, bottom) ------------------------------
         with span("checksum", clock=clock, registry=registry):
             start = elapsed
-            tick(ProtocolAction.A9)
+            elapsed += a9
             checksum_response = prover.handle_command(MacChecksumCommand())
             if not isinstance(checksum_response, MacChecksumResponse):
                 raise ProtocolError(
                     f"prover returned {type(checksum_response).__name__} to "
                     "MAC_checksum"
                 )
-            tick(ProtocolAction.A7)
-            tick(ProtocolAction.A10)
+            elapsed += a7
+            elapsed += a10
             checksum_ns = elapsed - start
             trace.record(start, "MAC_checksum", "vrf->prv")
             trace.record(elapsed, "MAC_response", "prv->vrf")

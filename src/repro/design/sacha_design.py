@@ -32,6 +32,7 @@ from repro.fpga.partitions import (
     column_floorplan,
     sacha_virtex6_floorplan,
 )
+from repro.fpga.registers import RegisterBit
 
 
 def build_static_design() -> Design:
@@ -176,6 +177,24 @@ class SachaSystemDesign:
                 self.app_impl.mask()
             )
         return self._combined_mask
+
+    def first_unmasked_static_bit(self) -> RegisterBit:
+        """The first static bit ``Msk`` does not hide: the tamper target.
+
+        Scans static frames, then words, then bits, all ascending.  A
+        masked bit belongs to a storage element and is excluded from the
+        verifier's comparison, so flipping one is (correctly) accepted;
+        a demonstration tamper must flip a bit the mask leaves visible.
+        """
+        mask = self.combined_mask()
+        for frame_index in self.partition.static_frame_list():
+            words = mask.frame_mask(frame_index)
+            for word_index in range(len(words) // 4):
+                word = int.from_bytes(words[4 * word_index : 4 * word_index + 4], "big")
+                if word != 0xFFFFFFFF:
+                    lowest_clear = (~word & (word + 1)).bit_length() - 1
+                    return RegisterBit(frame_index, word_index, lowest_clear)
+        raise PlacementError(f"{self.device.name}: every static bit is masked")
 
     # -- boot image -----------------------------------------------------------
 

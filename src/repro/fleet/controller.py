@@ -182,10 +182,12 @@ class FleetController:
                 ),
             )
         if device.tampered:
-            # The registry models a compromised device: flip one static
-            # frame bit after boot, exactly like the single-device CLI.
-            frame = provisioned.system.partition.static_frame_list()[0]
-            provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
+            # The registry models a compromised device: flip one unmasked
+            # static bit after boot, exactly like the single-device CLI.
+            bit = provisioned.system.first_unmasked_static_bit()
+            provisioned.board.fpga.memory.flip_bit(
+                bit.frame_index, bit.word_index, bit.bit_index
+            )
         simulator = Simulator()
         fault_model = (
             FaultModel(self._profile, rng.fork("faults"))

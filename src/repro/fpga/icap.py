@@ -12,8 +12,9 @@ frame bytes and tallies the 32-bit-word transactions it would take on the
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Deque, Iterator, List, Optional
 
 import numpy as np
 
@@ -28,17 +29,28 @@ WRITE_OVERHEAD_WORDS = 16
 #: readback command sequence plus the pipeline pad frame the silicon
 #: flushes before real data appears.
 READBACK_OVERHEAD_WORDS = 24
+#: Entries kept in the recent-operations log.  A full-device attestation
+#: performs ~55k ICAP operations, and a board may be attested any number
+#: of times, so the log keeps only the latest; the counters stay exact.
+OPERATION_LOG_SIZE = 256
 
 
 @dataclass
 class IcapStats:
-    """Transaction counters for the cycle/timing model."""
+    """Transaction counters for the cycle/timing model.
+
+    The ``frames_*``/``words_*`` counters cover every operation since the
+    ICAP was created; ``operations`` holds only the most recent
+    :data:`OPERATION_LOG_SIZE` entries, oldest first.
+    """
 
     frames_written: int = 0
     frames_read: int = 0
     words_written: int = 0
     words_read: int = 0
-    operations: List[str] = field(default_factory=list)
+    operations: Deque[str] = field(
+        default_factory=lambda: deque(maxlen=OPERATION_LOG_SIZE)
+    )
 
     def record(self, operation: str) -> None:
         self.operations.append(operation)

@@ -27,13 +27,15 @@ property tests enforce it):
     Delegates the fold to the platform AES (OpenSSL via the optional
     ``cryptography`` package) using the CBC identity: CBC-encrypting the
     buffer with IV = state yields the chain state as the last ciphertext
-    block.  Orders of magnitude faster; gated on import, never required.
+    block.  A chain folded frame by frame streams through one open CBC
+    encryptor.  Orders of magnitude faster; gated on import, never
+    required.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.aes import BLOCK_SIZE, SBOX, Aes, encryption_tables, expand_round_keys
 from repro.errors import ReproError
@@ -248,7 +250,19 @@ class TableCipher:
 
 
 class NativeCipher:
-    """Platform AES (OpenSSL through ``cryptography``): CBC-identity fold."""
+    """Platform AES (OpenSSL through ``cryptography``): CBC-identity fold.
+
+    The chain streams through one open CBC encryptor.  Continuing a CBC
+    chain from state S is the same as opening a new encryptor with
+    IV = S, so when ``fold`` is handed back the exact state object it
+    last returned (an identity check: the cipher holds that object, so
+    its identity cannot be recycled) it keeps feeding the open
+    encryptor; any other state — a branch from an older state, another
+    chain under the same key — opens a fresh one.  Either way the result
+    is byte-identical; the stream only skips the per-call encryptor
+    construction that otherwise dwarfs the AES work on frame-sized
+    folds.
+    """
 
     name = BACKEND_NATIVE
 
@@ -256,6 +270,8 @@ class NativeCipher:
         if not _HAVE_CRYPTOGRAPHY:  # pragma: no cover - guarded by resolver
             raise ReproError("the 'cryptography' package is not available")
         self._algorithm = _ossl_algorithms.AES(bytes(key))
+        self._encryptor: Any = None
+        self._chain: Optional[bytes] = None
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
@@ -271,12 +287,16 @@ class NativeCipher:
             return state
         # CBC with IV = state computes c_i = E(c_{i-1} XOR m_i): exactly
         # the CMAC chain, so the final ciphertext block IS the new state.
-        encryptor = _OsslCipher(
-            self._algorithm, _ossl_modes.CBC(bytes(state))
-        ).encryptor()
-        ciphertext = encryptor.update(bytes(buffer))
+        encryptor = self._encryptor
+        if encryptor is None or state is not self._chain:
+            encryptor = _OsslCipher(
+                self._algorithm, _ossl_modes.CBC(bytes(state))
+            ).encryptor()
+            self._encryptor = encryptor
+        chain = encryptor.update(buffer)[-BLOCK_SIZE:]
+        self._chain = chain
         _count_fold(self.name, length // BLOCK_SIZE)
-        return ciphertext[-BLOCK_SIZE:]
+        return chain
 
 
 CipherLike = Union[ReferenceCipher, TableCipher, NativeCipher]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import get_artifact_cache
 from repro.cli import build_parser, main
 
 
@@ -36,6 +37,19 @@ class TestCommands:
         ) == 0  # exit 0: detection behaved as expected
         out = capsys.readouterr().out
         assert "REJECTED" in out
+
+    def test_attest_tampered_sim_medium(self, capsys):
+        """SIM-MEDIUM masks bit (frame 0, word 0, bit 0): --tamper must
+        flip a visible bit and be rejected at that frame."""
+        assert main(
+            ["attest", "--device", "SIM-MEDIUM", "--seed", "7", "--tamper"]
+        ) == 0
+        out = capsys.readouterr().out
+        frame = get_artifact_cache().get_system(
+            "SIM-MEDIUM"
+        ).first_unmasked_static_bit().frame_index
+        assert f"(tampered static frame {frame})" in out
+        assert f"REJECTED: configuration mismatch in 1 frame(s) [{frame}]" in out
 
     def test_trace(self, capsys):
         assert main(["trace", "--device", "SIM-SMALL"]) == 0

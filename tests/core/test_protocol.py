@@ -114,6 +114,34 @@ class TestTiming:
         )
 
 
+class TestSimClockExactness:
+    """The sim clock is the paper's time axis: each path's breakdown must
+    equal, to the last bit, what the per-action accumulation produced."""
+
+    @pytest.mark.parametrize(
+        "options, readback_ns",
+        [
+            (SessionOptions(), 10_212_600.0),
+            (SessionOptions(readback_batch_frames=16), 6_460_272.0),
+            (SessionOptions(mask_at_prover=True), 10_371_576.0),
+        ],
+        ids=["per-frame", "batched", "mask-at-prover"],
+    )
+    def test_sim_medium_breakdown_is_exact(
+        self, provisioned_medium, verifier_medium, options, readback_ns
+    ):
+        device, _ = provisioned_medium
+        result = run_attestation(
+            device.prover, verifier_medium, DeterministicRng(6), options
+        )
+        assert result.report.accepted
+        timing = result.report.timing
+        assert timing.config_ns == 631_728.0
+        assert timing.readback_ns == readback_ns
+        assert timing.checksum_ns == 952.0
+        assert timing.network_overhead_ns == 0.0
+
+
 class TestTrace:
     def test_trace_shape_matches_figure9(self, provisioned_small, verifier_small):
         device, _ = provisioned_small

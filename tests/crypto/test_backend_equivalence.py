@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.protocol import run_attestation
+from repro.core.provisioning import provision_device
+from repro.core.verifier import SachaVerifier
 from repro.crypto.cmac import AesCmac, aes_cmac
-from repro.perf.backends import available_backends, get_cipher
+from repro.design.sacha_design import build_sacha_system
+from repro.fpga.device import SIM_MEDIUM
+from repro.perf.backends import available_backends, get_cipher, native_available
+from repro.perf.config import configured
+from repro.utils.rng import DeterministicRng
 
 BACKENDS = available_backends()
 
@@ -70,3 +77,93 @@ def test_fold_equals_block_chain(backend):
         block = buffer[offset : offset + 16]
         state = cipher.encrypt_block(bytes(a ^ b for a, b in zip(state, block)))
     assert folded == state
+
+
+# -- the native backend's streaming CBC chain ----------------------------------
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="the native backend needs 'cryptography'"
+)
+
+#: One step of a fold program: advance chain 0 or 1 from its latest state,
+#: branch from an older state, fold from an equal-valued copy of the
+#: latest state, or encrypt a raw block between folds.
+fold_steps = st.tuples(
+    st.sampled_from(["advance", "branch", "copy", "encrypt"]),
+    st.integers(min_value=0, max_value=1_000),
+    st.binary(max_size=96),
+)
+
+
+@needs_native
+@settings(max_examples=100, deadline=None)
+@given(key=keys, steps=st.lists(fold_steps, max_size=24))
+def test_native_stream_equals_table_under_any_fold_order(key, steps):
+    """The streamed chain continues only from the state it last returned;
+    every other state — a branch, the other chain, an equal copy — must
+    give the same bytes as the stateless table backend."""
+    native = get_cipher(key, "native")
+    table = get_cipher(key, "table")
+    heads = [(bytes(16), bytes(16)), (bytes(16), bytes(16))]
+    history = list(heads)
+    for kind, pick, data in steps:
+        if kind == "encrypt":
+            block = data[:16].ljust(16, b"\0")
+            assert native.encrypt_block(block) == table.encrypt_block(block)
+            continue
+        blocks = data[: len(data) // 16 * 16]
+        head = pick % 2
+        native_state, table_state = (
+            history[pick % len(history)] if kind == "branch" else heads[head]
+        )
+        if kind == "copy":
+            native_state = bytes(bytearray(native_state))
+        native_state = native.fold(native_state, memoryview(blocks))
+        table_state = table.fold(table_state, blocks)
+        assert native_state == table_state
+        if kind != "branch":
+            heads[head] = (native_state, table_state)
+        history.append((native_state, table_state))
+
+
+@needs_native
+@settings(max_examples=100, deadline=None)
+@given(
+    key=keys,
+    steps=st.lists(
+        st.tuples(st.integers(0, 1), st.binary(max_size=700)), max_size=12
+    ),
+)
+def test_interleaved_macs_agree_with_table(key, steps):
+    """Two MACs under one key, updated in random interleaved chunks, tag
+    exactly as the table backend and one-shot CMAC do."""
+    tags = {}
+    for backend in ("native", "table"):
+        macs = (AesCmac(key, backend=backend), AesCmac(key, backend=backend))
+        for which, chunk in steps:
+            macs[which].update(chunk)
+        tags[backend] = tuple(mac.finalize() for mac in macs)
+    assert tags["native"] == tags["table"]
+    for which in (0, 1):
+        message = b"".join(chunk for index, chunk in steps if index == which)
+        assert tags["native"][which] == aes_cmac(key, message, backend="table")
+
+
+@needs_native
+def test_sim_medium_attestation_tags_identical_across_backends():
+    """A full SIM-MEDIUM protocol run tags byte-identically on the
+    streamed native chain and on the table backend."""
+    system = build_sacha_system(SIM_MEDIUM)
+    results = {}
+    for backend in ("native", "table"):
+        with configured(aes_backend=backend):
+            provisioned, record = provision_device(system, "prv-eq", seed=4243)
+            verifier = SachaVerifier(
+                record.system, record.mac_key, DeterministicRng(78)
+            )
+            results[backend] = run_attestation(
+                provisioned.prover, verifier, DeterministicRng(6)
+            )
+    assert results["native"].report.accepted
+    assert results["table"].report.accepted
+    assert results["native"].tag == results["table"].tag

@@ -13,7 +13,7 @@ from repro.design.sacha_design import (
 )
 from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.device import SIM_MEDIUM, SIM_SMALL, XC6VLX240T
-from repro.fpga.registers import LiveRegisterFile
+from repro.fpga.registers import LiveRegisterFile, RegisterBit
 
 
 class TestImplement:
@@ -117,6 +117,28 @@ class TestSachaSystem:
         b = system.golden_memory(b"\x02" * 8)
         differing = a.differing_frames(b)
         assert differing == system.partition.nonce_frame_list()
+
+    @pytest.mark.parametrize(
+        "part, expected",
+        # SIM-SMALL keeps the historical (frame, 0, 0) target, so fleet
+        # pins do not move; SIM-MEDIUM masks bit 0 and moves to bit 1.
+        [(SIM_SMALL, RegisterBit(0, 0, 0)), (SIM_MEDIUM, RegisterBit(0, 0, 1))],
+    )
+    def test_first_unmasked_static_bit(self, part, expected):
+        """The tamper target is the first static bit, in frame/word/bit
+        order, that the combined mask leaves visible."""
+        system = build_sacha_system(part)
+        mask = system.combined_mask()
+        bit = system.first_unmasked_static_bit()
+        assert bit == expected
+        assert bit.frame_index == system.partition.static_frame_list()[0]
+        assert not mask.is_masked(bit)
+        for word_index in range(bit.word_index + 1):
+            last = bit.bit_index if word_index == bit.word_index else 32
+            for bit_index in range(last):
+                assert mask.is_masked(
+                    RegisterBit(bit.frame_index, word_index, bit_index)
+                )
 
     def test_wrong_nonce_size_rejected(self):
         system = build_sacha_system(SIM_SMALL)

@@ -137,6 +137,21 @@ class TestVerdictsAndExitCodes:
             assert row.verdict == "reject"
             assert row.mismatched_frames != ()
 
+    def test_tampered_sim_medium_device_rejected_at_its_frame(self, tmp_path):
+        """SIM-MEDIUM masks bit (frame 0, word 0, bit 0); the controller
+        must tamper a bit the mask leaves visible, so the sweep rejects."""
+        with FleetStore(tmp_path / "fleet.db") as store:
+            _enroll(store, 1, part="SIM-MEDIUM")
+            _enroll(store, 1, prefix="bad", tampered=True, part="SIM-MEDIUM")
+            result = FleetController(store).attest(seed=7)
+            assert result.accepted == ["dev-0000"]
+            assert result.rejected == ["bad-0001"]
+            system = materialize_device("SIM-MEDIUM", "bad-0001", seed=101)[0].system
+            frame = system.first_unmasked_static_bit().frame_index
+            (outcome,) = [o for o in result.outcomes if o.device_id == "bad-0001"]
+            assert outcome.report.mismatched_frames == [frame]
+            assert store.last_outcomes()["bad-0001"].mismatched_frames == (frame,)
+
     def test_key_mismatch_is_inconclusive_and_exits_two(self, tmp_path):
         """A corrupted registry key row folds into INCONCLUSIVE — worse
         than REJECT for the exit code, because nothing was learned."""

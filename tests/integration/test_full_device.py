@@ -4,11 +4,15 @@ These move all 28,488 real frames through the real AES-CMAC; one run
 takes tens of seconds of wall-clock.  Deselect with ``-m 'not slow'``.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.protocol import SessionOptions, run_attestation
+from repro.core.prover import SachaProver
 from repro.core.provisioning import provision_device
 from repro.core.verifier import SachaVerifier
+from repro.crypto.cmac import AesCmac
 from repro.design.sacha_design import build_sacha_system
 from repro.fpga.device import XC6VLX240T
 from repro.timing.network import LAB_NETWORK
@@ -42,6 +46,40 @@ class TestFullDevice:
         # Paper durations from the accumulated action model.
         assert report.timing.theoretical_ns / 1e9 == pytest.approx(1.443, abs=0.002)
         assert report.timing.total_ns / 1e9 == pytest.approx(28.5, abs=0.01)
+
+    def test_per_frame_protocol_and_exact_sim_clock(self, full_setup, monkeypatch):
+        """Default options run the paper's per-frame protocol: one
+        ICAP_readback command and one prover MAC update per frame, and
+        the sim clock lands exactly on Table 4's 1.443 s."""
+        _, provisioned, verifier = full_setup
+        commands = Counter()
+        mac_updates = []
+        handle_command = SachaProver.handle_command
+        update = AesCmac.update
+
+        def counting_handle_command(self, command):
+            commands[type(command).__name__] += 1
+            return handle_command(self, command)
+
+        def counting_update(self, data):
+            mac_updates.append(len(data))
+            return update(self, data)
+
+        monkeypatch.setattr(SachaProver, "handle_command", counting_handle_command)
+        monkeypatch.setattr(AesCmac, "update", counting_update)
+        result = run_attestation(
+            provisioned.prover, verifier, DeterministicRng(3), SessionOptions()
+        )
+        assert result.report.accepted
+        assert commands["IcapReadbackCommand"] == 28_488
+        assert len(mac_updates) == 28_488
+        assert set(mac_updates) == {XC6VLX240T.frame_bytes}
+        timing = result.report.timing
+        assert timing.config_ns == 282_216_000.0
+        assert timing.readback_ns == 1_159_917_528.0
+        assert timing.checksum_ns == 952.0
+        assert timing.total_ns == 1_442_134_480.0
+        assert timing.total_ns / 1e9 == pytest.approx(1.443, abs=0.001)
 
     def test_static_tamper_detected_at_scale(self, full_setup):
         system, provisioned, verifier = full_setup

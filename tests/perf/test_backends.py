@@ -33,8 +33,10 @@ class TestResolution:
 
     def test_auto_prefers_native_else_table(self):
         expected = "native" if native_available() else "table"
-        assert resolve_backend_name("auto") == expected
-        assert resolve_backend_name(None) == expected
+        # Both follow the process config, which REPRO_AES_BACKEND may pin.
+        with configured(aes_backend="auto"):
+            assert resolve_backend_name("auto") == expected
+            assert resolve_backend_name(None) == expected
 
     def test_none_follows_process_config(self):
         with configured(aes_backend="reference"):
