@@ -59,7 +59,7 @@ from repro.errors import NetworkError, ProtocolError
 from repro.core.prover import SachaProver
 from repro.core.report import AttestationReport, FailureReason
 from repro.core.verifier import SachaVerifier
-from repro.net.arq import ArqTuning
+from repro.net.arq import ArqLink, ArqTuning
 from repro.net.batch import pack_config_commands, pack_readback_plan
 from repro.net.channel import Channel, Endpoint
 from repro.net.ethernet import ETHERTYPE_SACHA, EthernetFrame, MacAddress
@@ -297,8 +297,6 @@ class NetworkAttestationSession:
         :class:`ResequencerLink` pairs so sequence numbers restart.
         """
         if self._reliable:
-            from repro.net.arq import ArqLink
-
             tuning = self._effective_tuning()
             self._verifier_port = ArqLink(
                 self._simulator,
@@ -346,6 +344,23 @@ class NetworkAttestationSession:
             "session_link_failure", phase=self._phase.value, error=str(error)
         )
 
+    def _unlink_ports(self) -> None:
+        """Drop the references that close reference cycles through the
+        session once its simulation has drained.
+
+        Endpoints hold their port's receive hook, ports hold the
+        session's delivery handlers and an ARQ link its give-up callback.
+        Left linked, a finished session and its sweep buffers (~25 MiB on
+        a XC6VLX240T) wait for the cyclic GC; unlinked, reference
+        counting frees them as soon as the caller lets go.
+        """
+        ports = (self._verifier_port, self._prover_port)
+        for port in (self.verifier_endpoint, self.prover_endpoint) + ports:
+            port.handler = None
+        for port in ports:
+            if isinstance(port, ArqLink):
+                port.on_give_up = None
+
     def _count(self, name: str, help_text: str, **labels: str) -> None:
         registry = get_registry()
         if registry.enabled:
@@ -391,6 +406,7 @@ class NetworkAttestationSession:
                         failure = self._run_attempt()
                 if failure is None:
                     break
+        self._unlink_ports()
         if registry.enabled:
             registry.counter(
                 "sacha_session_attempts_total",
@@ -519,9 +535,8 @@ class NetworkAttestationSession:
         """
         self._mac_stream = self._verifier.mac_stream()
         registry = get_registry()
-        config_commands = self._verifier.config_commands(self._nonce)
-        self._config_steps = len(config_commands)
-        config_batches = pack_config_commands(config_commands)
+        config_indices, config_frames = self._verifier.config_schedule(self._nonce)
+        self._config_steps = len(config_indices)
         self._plan = self._verifier.readback_plan()
         self._phase = _Phase.READBACK
         readback_batches = pack_readback_plan(self._plan, self._batch_frames)
@@ -533,7 +548,7 @@ class NetworkAttestationSession:
             payloads.append(
                 TraceHelloCommand(bytes.fromhex(self._trace_id)).encode()
             )
-        payloads.extend(batch.encode() for batch in config_batches)
+        payloads.extend(pack_config_commands(config_indices, config_frames))
         payloads.extend(batch.encode() for batch in readback_batches)
         payloads.append(MacChecksumCommand().encode())
         self._send_burst_to_prover(payloads)
@@ -543,9 +558,7 @@ class NetworkAttestationSession:
                 "Frames moved through batched commands, by kind",
                 labels=("kind",),
             )
-            counter.inc(
-                sum(len(b.frame_indices) for b in config_batches), kind="config"
-            )
+            counter.inc(self._config_steps, kind="config")
             counter.inc(len(self._plan), kind="readback")
             registry.histogram(
                 "sacha_net_batch_size_frames",

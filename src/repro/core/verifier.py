@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,25 +130,36 @@ class SachaVerifier:
         nonce — two separate configuration steps, covering the *entire*
         DynMem.
         """
-        commands: List[IcapConfigCommand] = []
-        app_impl = self.system.app_impl
-        for frame_index in app_impl.region_frames:
-            commands.append(
-                IcapConfigCommand(
-                    frame_index=frame_index,
-                    data=app_impl.frame_content[frame_index],
-                )
-            )
+        indices, rows = self._config_frames(nonce)
+        return [
+            IcapConfigCommand(frame_index=frame_index, data=data)
+            for frame_index, data in zip(indices, rows)
+        ]
+
+    def config_schedule(self, nonce: bytes) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`config_commands` as arrays: (frame indices, frame rows).
+
+        One ``(frame_bytes,)`` uint8 row of content per index, in the
+        same order — what the pipelined transport packs into batches
+        without a message object per frame.
+        """
+        indices, rows = self._config_frames(nonce)
+        frames = np.frombuffer(b"".join(rows), dtype=np.uint8)
+        return (
+            np.asarray(indices, dtype=np.int64),
+            frames.reshape(len(indices), self.system.device.frame_bytes),
+        )
+
+    def _config_frames(self, nonce: bytes) -> Tuple[List[int], List[bytes]]:
+        """Frame indices and contents of the configuration, in order."""
         from repro.design.bitgen import nonce_frame_content
 
-        for frame_index in self.system.partition.nonce_frame_list():
-            commands.append(
-                IcapConfigCommand(
-                    frame_index=frame_index,
-                    data=nonce_frame_content(nonce, self.system.device),
-                )
-            )
-        return commands
+        app_impl = self.system.app_impl
+        app_frames = app_impl.region_frames
+        nonce_frames = self.system.partition.nonce_frame_list()
+        rows = [app_impl.frame_content[frame_index] for frame_index in app_frames]
+        rows += [nonce_frame_content(nonce, self.system.device)] * len(nonce_frames)
+        return app_frames + nonce_frames, rows
 
     def readback_plan(self) -> List[int]:
         """The frame sequence for the full-configuration readback."""

@@ -113,10 +113,11 @@ class Icap:
         — same memory contents, same register invalidation, same word
         accounting — but the frame contents land in the configuration
         array as a single fancy-indexed assignment instead of one
-        reshape/copy per frame.
+        reshape/copy per frame.  A batch is a handful of frames (four per
+        Ethernet payload on the XC6VLX240T), so the indices are checked
+        as plain ints rather than through numpy reductions.
         """
-        indices = np.asarray(frame_indices, dtype=np.intp)
-        count = len(indices)
+        count = len(frame_indices)
         device = self._memory.device
         if count == 0:
             return
@@ -125,17 +126,17 @@ class Icap:
                 f"{len(data)} bytes do not hold {count} frames of "
                 f"{device.frame_bytes} bytes"
             )
-        if int(indices.min()) < 0 or int(indices.max()) >= device.total_frames:
+        if min(frame_indices) < 0 or max(frame_indices) >= device.total_frames:
             raise IcapError("frame index out of range in bulk write")
         if self._protected_frames:
-            for frame_index in indices:
+            for frame_index in frame_indices:
                 if int(frame_index) in self._protected_frames:
                     raise IcapError(f"frame {frame_index} is write-protected")
-        self._memory.frames_array()[indices] = np.frombuffer(
-            data, dtype=">u4"
-        ).reshape(count, device.words_per_frame)
+        self._memory.frames_array()[np.asarray(frame_indices, dtype=np.intp)] = (
+            np.frombuffer(data, dtype=">u4").reshape(count, device.words_per_frame)
+        )
         if self._registers is not None:
-            for frame_index in indices:
+            for frame_index in frame_indices:
                 self._registers.forget_frame(int(frame_index))
         self.stats.frames_written += count
         self.stats.words_written += count * (

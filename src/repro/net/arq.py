@@ -60,6 +60,8 @@ opaque payloads — so it slots under the unmodified SACHa session.
 from __future__ import annotations
 
 import hmac
+import struct
+import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
@@ -68,10 +70,9 @@ from repro.errors import NetworkError
 from repro.net.channel import Endpoint
 from repro.net.ethernet import EthernetFrame, MacAddress
 from repro.obs import log as obs_log
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.spans import current_span
 from repro.sim.events import Event, Simulator
-from repro.utils.crc import Crc32
 from repro.utils.rng import DeterministicRng
 
 _log = obs_log.get_logger(__name__)
@@ -86,8 +87,11 @@ _TYPE_ACK = 0x02
 #: wire format byte-identical).
 _TYPE_DATA_SOLICIT = 0x03
 
-_HEADER_BYTES = 5  # type(1) + sequence(4)
-_CRC_BYTES = 4
+_HEADER = struct.Struct(">BI")  # type(1) + sequence(4)
+#: IEEE 802.3 CRC-32 (``zlib.crc32``), little-endian like the Ethernet FCS.
+_CRC = struct.Struct("<I")
+_HEADER_BYTES = _HEADER.size
+_CRC_BYTES = _CRC.size
 
 #: Per-frame ARQ framing cost; the batch codec subtracts this from the
 #: Ethernet MTU when sizing payloads.
@@ -158,17 +162,20 @@ class ArqTuning:
 
 
 def _encode(frame_type: int, sequence: int, payload: bytes = b"") -> bytes:
-    body = bytes([frame_type]) + sequence.to_bytes(4, "big") + payload
-    return body + Crc32().update(body).digest_bytes()
+    body = _HEADER.pack(frame_type, sequence) + payload
+    return body + _CRC.pack(zlib.crc32(body))
 
 
-def _decode(data: bytes):
+def _decode(data: bytes) -> Tuple[int, int, bytes]:
+    """``(type, sequence, payload)`` of one ARQ frame; NetworkError if bad."""
     if len(data) < _HEADER_BYTES + _CRC_BYTES:
         raise NetworkError("truncated ARQ frame")
-    body, crc = data[:-_CRC_BYTES], data[-_CRC_BYTES:]
-    if not hmac.compare_digest(Crc32().update(body).digest_bytes(), crc):
+    view = memoryview(data)
+    crc = _CRC.pack(zlib.crc32(view[:-_CRC_BYTES]))
+    if not hmac.compare_digest(crc, view[-_CRC_BYTES:]):
         raise NetworkError("ARQ frame CRC mismatch")
-    return body[0], int.from_bytes(body[1:5], "big"), body[5:]
+    frame_type, sequence = _HEADER.unpack_from(data)
+    return frame_type, sequence, data[_HEADER_BYTES:-_CRC_BYTES]
 
 
 class _InFlight:
@@ -328,8 +335,10 @@ class ArqLink:
         registry = get_registry()
         active = current_span() if registry.enabled else None
         window = self.cwnd
-        while self._send_queue and len(self._in_flight) < window:
-            payload = self._send_queue.popleft()
+        queue = self._send_queue
+        in_flight = self._in_flight
+        while queue and len(in_flight) < window:
+            payload = queue.popleft()
             sequence = self._next_tx_sequence
             self._next_tx_sequence += 1
             if self._window == 1:
@@ -338,14 +347,12 @@ class ArqLink:
                 # Solicit an ACK from the frame that fills the window or
                 # drains the queue — the burst cannot grow past it, so
                 # one cumulative ACK covers the whole burst.
-                filling = len(self._in_flight) + 1 >= window
+                filling = len(in_flight) + 1 >= window
                 frame_type = (
-                    _TYPE_DATA_SOLICIT
-                    if filling or not self._send_queue
-                    else _TYPE_DATA
+                    _TYPE_DATA_SOLICIT if filling or not queue else _TYPE_DATA
                 )
             entry = _InFlight(_encode(frame_type, sequence, payload))
-            self._in_flight[sequence] = entry
+            in_flight[sequence] = entry
             self.payloads_sent += 1
             if active is not None:
                 active.add_event(
@@ -356,16 +363,14 @@ class ArqLink:
                 )
             self._transmit(sequence, entry)
             pumped += 1
-        if pumped:
-            if registry.enabled:
-                registry.counter(
-                    "sacha_arq_payloads_total",
-                    "Distinct payloads entered into ARQ transmission",
-                ).inc(pumped)
-            self._observe_in_flight()
+        if pumped and registry.enabled:
+            registry.counter(
+                "sacha_arq_payloads_total",
+                "Distinct payloads entered into ARQ transmission",
+            ).inc(pumped)
+            self._observe_in_flight(registry)
 
-    def _observe_in_flight(self) -> None:
-        registry = get_registry()
+    def _observe_in_flight(self, registry: MetricsRegistry) -> None:
         if registry.enabled:
             registry.gauge(
                 "sacha_arq_in_flight",
@@ -384,10 +389,7 @@ class ArqLink:
         entry.last_tx_ns = self._simulator.now_ns
         self._endpoint.send(
             EthernetFrame(
-                destination=self._peer_mac,
-                source=self._endpoint.mac,
-                ethertype=ETHERTYPE_ARQ,
-                payload=entry.encoded,
+                self._peer_mac, self._endpoint.mac, ETHERTYPE_ARQ, entry.encoded
             )
         )
         entry.timeout_event = self._simulator.schedule(
@@ -600,10 +602,10 @@ class ArqLink:
                 )
         self._endpoint.send(
             EthernetFrame(
-                destination=self._peer_mac,
-                source=self._endpoint.mac,
-                ethertype=ETHERTYPE_ARQ,
-                payload=_encode(_TYPE_ACK, sequence),
+                self._peer_mac,
+                self._endpoint.mac,
+                ETHERTYPE_ARQ,
+                _encode(_TYPE_ACK, sequence),
             )
         )
 
@@ -614,14 +616,11 @@ class ArqLink:
             # layers see a frame shaped like the original.
             self.handler(
                 EthernetFrame(
-                    destination=self._endpoint.mac,
-                    source=self._peer_mac,
-                    ethertype=ETHERTYPE_ARQ,
-                    payload=payload,
+                    self._endpoint.mac, self._peer_mac, ETHERTYPE_ARQ, payload
                 )
             )
 
-    def _update_rtt(self, sample_ns: float) -> None:
+    def _update_rtt(self, sample_ns: float, registry: MetricsRegistry) -> None:
         """Fold one clean round-trip sample into SRTT/RTTVAR (RFC 6298)."""
         tuning = self._tuning
         if self._srtt_ns is None:
@@ -634,7 +633,6 @@ class ArqLink:
         self._rto_ns = tuning.clamp(
             self._srtt_ns + tuning.rttvar_weight * self._rttvar_ns
         )
-        registry = get_registry()
         if registry.enabled:
             registry.gauge(
                 "sacha_arq_rto_seconds",
@@ -647,13 +645,15 @@ class ArqLink:
             return  # acknowledges something we never sent: bogus/stale
         # Cumulative: retire every in-flight payload up to the acked
         # sequence (the map iterates in transmit = sequence order).
+        registry = get_registry()
+        in_flight = self._in_flight
         acked = 0
         clean = True
-        while self._in_flight:
-            first = next(iter(self._in_flight))
+        while in_flight:
+            first = next(iter(in_flight))
             if first > sequence:
                 break
-            entry = self._in_flight.pop(first)
+            entry = in_flight.pop(first)
             if entry.timeout_event is not None:
                 entry.timeout_event.cancel()
                 entry.timeout_event = None
@@ -663,13 +663,14 @@ class ArqLink:
             # payload this ACK names directly (an ACK of a retransmission
             # or an implicit confirmation is ambiguous).
             if first == sequence and entry.retries == 0:
-                self._update_rtt(self._simulator.now_ns - entry.last_tx_ns)
+                sample_ns = self._simulator.now_ns - entry.last_tx_ns
+                self._update_rtt(sample_ns, registry)
             acked += 1
         if not acked:
             return  # stale ACK
         if self._tuning.adaptive:
             self._cwnd_on_ack(acked, clean)
-        self._observe_in_flight()
+        self._observe_in_flight(registry)
         self._pump()
 
     @property

@@ -11,11 +11,11 @@ their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.ethernet import EthernetFrame, MacAddress
-from repro.net.faults import Delivery, FaultModel
+from repro.net.faults import FaultModel
 from repro.net.phy import GigabitPhy
 from repro.obs import log as obs_log
 from repro.obs.metrics import get_registry
@@ -119,7 +119,8 @@ class Channel:
         self._loss_probability = loss_probability
         self._rng = rng
         self._fault_model = fault_model
-        self._endpoints: List[Endpoint] = []
+        # sender -> (peer, direction, event label), resolved in connect().
+        self._routes: Dict[Endpoint, Tuple[Endpoint, str, str]] = {}
         self._taps: List[NetworkTap] = []
         self.frames_dropped = 0
 
@@ -132,25 +133,25 @@ class Channel:
         return self._fault_model
 
     def connect(self, left: Endpoint, right: Endpoint) -> None:
-        if self._endpoints:
+        if self._routes:
             raise NetworkError("channel already has endpoints")
         left.attach(self)
         right.attach(self)
-        self._endpoints = [left, right]
+        for sender, peer in ((left, right), (right, left)):
+            direction = f"{sender.name}->{peer.name}"
+            self._routes[sender] = (peer, direction, f"deliver {direction}")
 
     def add_tap(self, tap: NetworkTap) -> None:
         """Register an adversary/observer tap on the channel."""
         self._taps.append(tap)
 
-    def _peer(self, sender: Endpoint) -> Endpoint:
-        if sender not in self._endpoints:
-            raise NetworkError(f"endpoint {sender.name} is not on this channel")
-        left, right = self._endpoints
-        return right if sender is left else left
-
     def transmit(self, sender: Endpoint, frame: EthernetFrame) -> None:
-        peer = self._peer(sender)
-        direction = f"{sender.name}->{peer.name}"
+        try:
+            peer, direction, label = self._routes[sender]
+        except KeyError:
+            raise NetworkError(
+                f"endpoint {sender.name} is not on this channel"
+            ) from None
         registry = get_registry()
         obs_on = registry.enabled
         if obs_on:
@@ -182,21 +183,25 @@ class Channel:
                         time_ns=self._simulator.now_ns,
                     )
                 return
-        if self._fault_model is not None:
-            deliveries = self._fault_model.perturb(
-                self._simulator.now_ns, direction, frame
+        if self._fault_model is None:
+            # Fault-free link: one copy, no extra delay.
+            delay = self._phy.serialization_ns(frame) + self._latency.sample_ns(
+                self._rng
             )
-            if not deliveries:
-                self.frames_dropped += 1
-                if obs_on:
-                    _log.debug(
-                        "frame_faulted_away",
-                        direction=direction,
-                        time_ns=self._simulator.now_ns,
-                    )
-                return
-        else:
-            deliveries = [Delivery(frame)]
+            self._schedule_delivery(peer, frame, delay, direction, label, obs_on)
+            return
+        deliveries = self._fault_model.perturb(
+            self._simulator.now_ns, direction, frame
+        )
+        if not deliveries:
+            self.frames_dropped += 1
+            if obs_on:
+                _log.debug(
+                    "frame_faulted_away",
+                    direction=direction,
+                    time_ns=self._simulator.now_ns,
+                )
+            return
         for delivery in deliveries:
             delivered = delivery.frame
             delay = (
@@ -204,15 +209,22 @@ class Channel:
                 + self._latency.sample_ns(self._rng)
                 + delivery.extra_delay_ns
             )
-            if obs_on:
-                registry.histogram(
-                    "sacha_net_latency_seconds",
-                    "One-way frame delivery latency (serialization + latency model)",
-                    labels=("direction",),
-                    buckets=(1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0),
-                ).observe(delay / 1e9, direction=direction)
-            self._simulator.schedule(
-                delay,
-                lambda f=delivered: peer.deliver(f),
-                label=f"deliver {direction}",
-            )
+            self._schedule_delivery(peer, delivered, delay, direction, label, obs_on)
+
+    def _schedule_delivery(
+        self,
+        peer: Endpoint,
+        frame: EthernetFrame,
+        delay: float,
+        direction: str,
+        label: str,
+        obs_on: bool,
+    ) -> None:
+        if obs_on:
+            get_registry().histogram(
+                "sacha_net_latency_seconds",
+                "One-way frame delivery latency (serialization + latency model)",
+                labels=("direction",),
+                buckets=(1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0),
+            ).observe(delay / 1e9, direction=direction)
+        self._simulator.schedule(delay, lambda: peer.deliver(frame), label=label)

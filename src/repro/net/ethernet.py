@@ -9,6 +9,7 @@ ethertype.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple, Type, TypeVar
 
 from repro.errors import NetworkError
 from repro.utils.crc import Crc32
@@ -20,6 +21,8 @@ HEADER_BYTES = 14  # dst(6) + src(6) + ethertype(2)
 FCS_BYTES = 4
 PREAMBLE_BYTES = 8  # preamble(7) + SFD(1)
 IFG_BYTES = 12  # inter-frame gap, counted in byte times
+#: Byte times a frame occupies on the wire beyond its (padded) payload.
+_FRAMING_BYTES = PREAMBLE_BYTES + HEADER_BYTES + FCS_BYTES + IFG_BYTES
 
 
 @dataclass(frozen=True)
@@ -55,28 +58,50 @@ class MacAddress:
         return ":".join(f"{byte:02x}" for byte in self.to_bytes())
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
-    """An Ethernet II frame with computed FCS.
+_Frame = TypeVar("_Frame", bound="EthernetFrame")
 
-    ``payload`` is the raw upper-layer payload *before* minimum-size
-    padding; padding is applied on serialization and stripped on parse is
-    not possible (receivers must know their payload length — the SACHa
-    wire format is self-delimiting, so this matches reality).
-    """
 
+class _FrameFields(NamedTuple):
     destination: MacAddress
     source: MacAddress
     ethertype: int
     payload: bytes
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.ethertype <= 0xFFFF:
-            raise NetworkError(f"ethertype {self.ethertype:#x} out of range")
-        if len(self.payload) > MAX_PAYLOAD:
+
+class EthernetFrame(_FrameFields):
+    """An Ethernet II frame with computed FCS.
+
+    ``payload`` is the raw upper-layer payload *before* minimum-size
+    padding; padding is applied on serialization and cannot be stripped
+    on parse (receivers must know their payload length — the SACHa wire
+    format is self-delimiting, so this matches reality).
+
+    A frame is an immutable value: a named tuple, validated on
+    construction, so the tens of thousands of frames of one networked
+    attestation cost one tuple each.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        destination: MacAddress,
+        source: MacAddress,
+        ethertype: int,
+        payload: bytes,
+    ) -> "EthernetFrame":
+        if not 0 <= ethertype <= 0xFFFF:
+            raise NetworkError(f"ethertype {ethertype:#x} out of range")
+        if len(payload) > MAX_PAYLOAD:
             raise NetworkError(
-                f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD}"
+                f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}"
             )
+        return tuple.__new__(cls, (destination, source, ethertype, payload))
+
+    @classmethod
+    def _make(cls: Type[_Frame], iterable: Iterable[Any]) -> _Frame:
+        # ``_replace`` builds through here: keep it behind the checks.
+        return cls(*iterable)
 
     def padded_payload(self) -> bytes:
         if len(self.payload) < MIN_PAYLOAD:
@@ -109,10 +134,4 @@ class EthernetFrame:
 
     def wire_bytes(self) -> int:
         """Total byte times on the wire including preamble and IFG."""
-        return (
-            PREAMBLE_BYTES
-            + HEADER_BYTES
-            + len(self.padded_payload())
-            + FCS_BYTES
-            + IFG_BYTES
-        )
+        return _FRAMING_BYTES + max(len(self.payload), MIN_PAYLOAD)

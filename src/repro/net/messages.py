@@ -445,7 +445,7 @@ def decode_command(data: bytes) -> Command:
             )
         indices = np.frombuffer(data, dtype=">u4", count=count, offset=7)
         return IcapReadbackBatchCommand(
-            base_slot=base_slot, frame_indices=tuple(int(i) for i in indices)
+            base_slot=base_slot, frame_indices=tuple(indices.tolist())
         )
     if opcode == OPCODE_ICAP_CONFIG_BATCH:
         if len(data) < 3:
@@ -459,7 +459,7 @@ def decode_command(data: bytes) -> Command:
         if header_end + 4 + length > len(data):
             raise WireFormatError("truncated batched ICAP_config payload")
         return IcapConfigBatchCommand(
-            frame_indices=tuple(int(i) for i in indices),
+            frame_indices=tuple(indices.tolist()),
             data=data[header_end + 4 : header_end + 4 + length],
         )
     if opcode == OPCODE_TRACE_HELLO:

@@ -3,26 +3,35 @@
 The SACHa protocol is a long strictly-ordered sequence of actions spread
 over three clock domains and a network; the scheduler advances a single
 nanosecond clock through scheduled callbacks.  It is deliberately small:
-a heap of (time, sequence, callback) entries, deterministic tie-breaking
-by insertion order, and cancellation support for timeouts.
+a heap of ``(time, sequence, event)`` tuples, deterministic tie-breaking
+by insertion order, and cancellation support for timeouts.  A networked
+full-device attestation schedules ~50k events, so the heap holds plain
+tuples (compared in C, never reaching the event) and events are slotted.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.  Ordered by (time, sequence number)."""
+    """A scheduled callback, at ``time_ns``; ``sequence`` breaks ties."""
 
-    time_ns: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time_ns", "sequence", "callback", "label", "cancelled")
+
+    def __init__(
+        self,
+        time_ns: float,
+        sequence: int,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> None:
+        self.time_ns = time_ns
+        self.sequence = sequence
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running when its time arrives."""
@@ -38,7 +47,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._now_ns: float = 0.0
         self._sequence = 0
         self._running = False
@@ -53,9 +62,11 @@ class Simulator:
         """Schedule ``callback`` to run ``delay_ns`` from the current time."""
         if delay_ns < 0:
             raise ValueError(f"cannot schedule {delay_ns} ns in the past")
-        event = Event(self._now_ns + delay_ns, self._sequence, callback, label)
-        self._sequence += 1
-        heapq.heappush(self._queue, event)
+        time_ns = self._now_ns + delay_ns
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time_ns, sequence, callback, label)
+        heapq.heappush(self._queue, (time_ns, sequence, event))
         return event
 
     def schedule_at(
@@ -77,16 +88,17 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
+        queue = self._queue
+        pop = heapq.heappop
         try:
-            while self._queue:
-                event = self._queue[0]
-                if until_ns is not None and event.time_ns > until_ns:
+            while queue:
+                if until_ns is not None and queue[0][0] > until_ns:
                     self._now_ns = until_ns
                     break
-                heapq.heappop(self._queue)
+                time_ns, _, event = pop(queue)
                 if event.cancelled:
                     continue
-                self._now_ns = event.time_ns
+                self._now_ns = time_ns
                 event.callback()
         finally:
             self._running = False
@@ -94,11 +106,11 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def peek_next_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
-        for event in sorted(self._queue):
+        for time_ns, _, event in sorted(self._queue):
             if not event.cancelled:
-                return event.time_ns
+                return time_ns
         return None

@@ -1,5 +1,9 @@
 """Integration tests: the protocol as real traffic on the simulated wire."""
 
+import gc
+import tracemalloc
+import weakref
+
 import pytest
 
 from repro.core.net_session import NetworkAttestationSession
@@ -440,3 +444,57 @@ class TestCumulativeConfigAcks:
         result = session.run()
         assert result.report.verdict is Verdict.INCONCLUSIVE
         assert "config_unacked" in result.report.failure_reason
+
+
+class TestFinishedSessionMemory:
+    """A finished session is freed by reference counting.
+
+    Its ports and handlers link back to it, so without unlinking, each
+    session and its sweep buffers live until a gen-2 collection; a hot
+    path that allocates fewer GC-tracked objects collects later and
+    holds more sessions at once.  With the cyclic GC off, neither the
+    session nor its buffers may add up with the number of sessions run.
+    """
+
+    @staticmethod
+    def _run(provisioned_medium, seed):
+        provisioned, record = provisioned_medium
+        simulator = Simulator()
+        session = NetworkAttestationSession(
+            simulator,
+            Channel(simulator, LatencyModel(base_ns=5_000.0)),
+            provisioned.prover,
+            SachaVerifier(record.system, record.mac_key, DeterministicRng(seed)),
+            DeterministicRng(seed + 1),
+            reliable=True,
+        )
+        assert session.run().report.accepted
+        return weakref.ref(session)
+
+    def test_session_freed_without_the_cyclic_gc(self, provisioned_medium):
+        self._run(provisioned_medium, 1)  # warm the shared golden caches
+        gc.collect()
+        gc.disable()
+        try:
+            assert self._run(provisioned_medium, 2)() is None
+        finally:
+            gc.enable()
+
+    def test_traced_memory_does_not_grow_with_sessions(self, provisioned_medium):
+        self._run(provisioned_medium, 1)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            self._run(provisioned_medium, 2)
+            after_one, _ = tracemalloc.get_traced_memory()
+            for seed in range(3, 9):
+                self._run(provisioned_medium, seed)
+            after_seven, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # What stays behind is the caller's channel and simulator, which
+        # link to each other (~4 KiB); a retained SIM-MEDIUM session with
+        # its responses and readback plan is ~130 KiB.
+        assert (after_seven - after_one) / 6 < 16 * 1024

@@ -1,0 +1,95 @@
+"""Whole-session wire pins for the networked attestation.
+
+The ARQ fingerprints in ``tests/properties/test_property_arq.py`` cover
+bare ARQ exchanges.  These cover complete SIM-MEDIUM sessions over the
+reliable transport: configuration batches, readback batches, ConfigAcks,
+response fragments, ARQ ACKs and the tag.  A change that only makes the
+simulated network cheaper to run must leave every one of them as it is:
+
+* a SHA-256 over every ``(direction, payload)`` the channel carries,
+  taken by a tap, so lost frames count too;
+* the final simulator clock;
+* ``frames_sent`` of both endpoints;
+* the MAC tag.
+
+The pins were captured from the stack as it was before its per-frame
+host cost was cut (tuple event heap, named-tuple frames, ``struct`` ARQ
+codec, numpy config-batch packer), so they prove that rewrite changed
+no byte, timestamp or RNG draw.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.core.net_session import NetworkAttestationSession
+from repro.core.verifier import SachaVerifier
+from repro.net.arq import ArqTuning
+from repro.net.channel import Channel, LatencyModel
+from repro.net.faults import FaultModel, FaultProfile
+from repro.obs.metrics import MetricsRegistry, use_context_registry
+from repro.sim.events import Simulator
+from repro.utils.rng import DeterministicRng
+
+LINK = LatencyModel(base_ns=5_000.0)
+
+#: name -> (window, batch, loss, (wire sha256, final now_ns,
+#: verifier frames_sent, prover frames_sent, tag hex)).
+SESSION_PINS = {
+    "pipelined-clean": (8, 256, 0.0, (
+        "1b3cda842a3ec36e0e9369c95ebba8d4350bc1394afe9c57d33248454c5e7f5b",
+        51496.0, 22, 16, "fb36bc5dba08ec50e1eccf652b2deec7",
+    )),
+    "pipelined-lossy": (8, 256, 0.05, (
+        "6b1a84bcf82349f406dda44e156b0b83cf26bdec627f6db6ffe4ae08bb40bd65",
+        2226656.79064352, 40, 35, "fb36bc5dba08ec50e1eccf652b2deec7",
+    )),
+    "lockstep-clean": (1, 1, 0.0, (
+        "6e762ac0cf4439588bb80c40447c79a7ae442d98a50645f08691af5d29a54df7",
+        5719736.0, 792, 792, "fb36bc5dba08ec50e1eccf652b2deec7",
+    )),
+}
+
+
+def session_fingerprint(provisioned_medium, window, batch, loss):
+    """Run one seeded session and fingerprint everything it put on the wire."""
+    provisioned, record = provisioned_medium
+    rng = DeterministicRng(2019)
+    simulator = Simulator()
+    faults = FaultModel(FaultProfile(loss_probability=loss), rng.fork("faults"))
+    channel = Channel(simulator, LINK, fault_model=faults if loss else None)
+    wire = hashlib.sha256()
+
+    def tap(time_ns, direction, frame):
+        wire.update(direction.encode())
+        wire.update(len(frame.payload).to_bytes(2, "big"))
+        wire.update(frame.payload)
+
+    channel.add_tap(tap)
+    session = NetworkAttestationSession(
+        simulator,
+        channel,
+        provisioned.prover,
+        SachaVerifier(record.system, record.mac_key, rng.fork("verifier")),
+        rng.fork("session"),
+        reliable=True,
+        arq_tuning=ArqTuning(window=window, adaptive=True),
+        readback_batch_frames=batch,
+        max_attempts=3,
+    )
+    with use_context_registry(MetricsRegistry(enabled=False)):
+        result = session.run()
+    assert result.report.accepted
+    return (
+        wire.hexdigest(),
+        simulator.now_ns,
+        result.frames_sent_by_verifier,
+        result.frames_sent_by_prover,
+        session.tag.hex(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SESSION_PINS))
+def test_session_wire_matches_pin(provisioned_medium, name):
+    window, batch, loss, pinned = SESSION_PINS[name]
+    assert session_fingerprint(provisioned_medium, window, batch, loss) == pinned

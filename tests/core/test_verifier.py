@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.cache import get_artifact_cache
 from repro.core.orders import ExplicitOrder
 from repro.core.protocol import run_attestation
 from repro.core.verifier import SachaVerifier, VerifierPolicy
 from repro.errors import ProtocolError, VerificationError
-from repro.net.messages import ReadbackResponse
+from repro.net.batch import pack_config_commands
+from repro.net.messages import IcapConfigCommand, ReadbackResponse, decode_command
 from repro.utils.rng import DeterministicRng
 
 
@@ -37,6 +39,26 @@ class TestChallengeConstruction:
         nonce = verifier_medium.new_nonce()
         commands = verifier_medium.config_commands(nonce)
         assert commands[-1].data.startswith(nonce)
+
+    @pytest.mark.parametrize(
+        "part", ["SIM-MEDIUM", pytest.param("XC6VLX240T", marks=pytest.mark.slow)]
+    )
+    def test_config_batches_decode_to_config_commands(self, part):
+        """The pipelined transport's batches carry config_commands exactly."""
+        system = get_artifact_cache().get_system(part)
+        verifier = SachaVerifier(system, bytes(16), DeterministicRng(5))
+        nonce = verifier.new_nonce()
+        frame_bytes = system.device.frame_bytes
+        batches = [
+            decode_command(payload)
+            for payload in pack_config_commands(*verifier.config_schedule(nonce))
+        ]
+        frames = [
+            IcapConfigCommand(index, batch.data[k * frame_bytes : (k + 1) * frame_bytes])
+            for batch in batches
+            for k, index in enumerate(batch.frame_indices)
+        ]
+        assert frames == verifier.config_commands(nonce)
 
     def test_nonces_are_fresh(self, verifier_medium):
         assert verifier_medium.new_nonce() != verifier_medium.new_nonce()

@@ -1,5 +1,6 @@
 """Unit tests for MTU-aware batch packing and the batched wire messages."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WireFormatError
@@ -17,7 +18,6 @@ from repro.net.batch import (
 from repro.net.ethernet import MAX_PAYLOAD
 from repro.net.messages import (
     IcapConfigBatchCommand,
-    IcapConfigCommand,
     IcapReadbackBatchCommand,
     ReadbackBatchResponse,
     decode_command,
@@ -40,11 +40,9 @@ class TestCapacityMath:
         plan = list(range(1000))
         for command in pack_readback_plan(plan, batch_frames=10_000):
             assert len(command.encode()) <= arq_payload_capacity()
-        commands = [
-            IcapConfigCommand(i, bytes(FRAME_BYTES)) for i in range(20)
-        ]
-        for batch in pack_config_commands(commands):
-            assert len(batch.encode()) <= arq_payload_capacity()
+        frames = np.zeros((20, FRAME_BYTES), dtype=np.uint8)
+        for payload in pack_config_commands(range(20), frames):
+            assert len(payload) <= arq_payload_capacity()
         for fragment in fragment_readback_data(
             0, bytes(FRAME_BYTES * 50), FRAME_BYTES
         ):
@@ -83,28 +81,33 @@ class TestPackReadbackPlan:
 
 class TestPackConfigCommands:
     def test_round_trips_and_preserves_order(self):
-        commands = [
-            IcapConfigCommand(i, bytes([i]) * FRAME_BYTES) for i in range(9)
-        ]
-        batches = pack_config_commands(commands)
-        assert len(batches) > 1  # 324-byte frames: 4 per MTU payload
-        rebuilt_indices = [
-            index for b in batches for index in b.frame_indices
-        ]
-        assert rebuilt_indices == [c.frame_index for c in commands]
-        rebuilt_data = b"".join(b.data for b in batches)
-        assert rebuilt_data == b"".join(c.data for c in commands)
-        for batch in batches:
-            assert decode_command(batch.encode()) == batch
+        indices = [40, 3, 17, 8, 0, 25, 6, 31, 12]
+        frames = np.array(
+            [[i] * FRAME_BYTES for i in indices], dtype=np.uint8
+        )
+        payloads = pack_config_commands(indices, frames)
+        assert len(payloads) > 1  # 324-byte frames: 4 per MTU payload
+        batches = [decode_command(payload) for payload in payloads]
+        assert [i for b in batches for i in b.frame_indices] == indices
+        assert b"".join(b.data for b in batches) == frames.tobytes()
+        for batch, payload in zip(batches, payloads):
+            # Byte-identical to the message class's own encoder.
+            assert batch.encode() == payload
 
     def test_unequal_frame_sizes_rejected(self):
         with pytest.raises(WireFormatError):
             pack_config_commands(
-                [IcapConfigCommand(0, bytes(8)), IcapConfigCommand(1, bytes(9))]
+                [0, 1], [np.zeros(8, np.uint8), np.zeros(9, np.uint8)]
             )
+        with pytest.raises(WireFormatError):
+            pack_config_commands([0, 1], np.zeros((3, 8), np.uint8))
 
     def test_empty_input_is_empty_output(self):
-        assert pack_config_commands([]) == []
+        assert pack_config_commands([], np.zeros((0, FRAME_BYTES), np.uint8)) == []
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(WireFormatError):
+            pack_config_commands([1 << 32], np.zeros((1, 8), np.uint8))
 
 
 class TestFragmentReadbackData:
