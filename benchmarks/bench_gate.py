@@ -60,9 +60,10 @@ OBS_OVERHEAD_PAIR = (
 )
 
 #: On a 5 % lossy link the adaptive pipelined transport must stay at
-#: least this much faster than the lockstep fallback — the headroom
-#: that justifies keeping pipelining on under faults.  Compared within
-#: one run (same machine, same load), like the obs-overhead pair.
+#: least this much faster than the one-frame stop-and-wait shape
+#: (window 1, batch 1) — the headroom that justifies keeping pipelining
+#: on under faults.  Compared within one run (same machine, same load),
+#: like the obs-overhead pair.
 NET_DEGRADATION_SPEEDUP = 2.0
 NET_DEGRADATION_PAIR = (
     "benchmarks/bench_net_attestation.py::test_net_adaptive_lossy_attestation",
@@ -225,7 +226,7 @@ def check_obs_overhead(current: Dict[str, object]) -> List[str]:
 
 
 def check_net_degradation(current: Dict[str, object]) -> List[str]:
-    """Adaptive-vs-lockstep speedup on the lossy link, within this run."""
+    """Adaptive-vs-stop-and-wait speedup on the lossy link, within this run."""
     benches: Dict[str, Dict[str, float]] = current["benchmarks"]  # type: ignore[assignment]
     adaptive_name, lockstep_name = NET_DEGRADATION_PAIR
     adaptive = benches.get(adaptive_name)

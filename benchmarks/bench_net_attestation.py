@@ -1,24 +1,29 @@
-"""End-to-end networked attestation: stop-and-wait vs the pipelined path.
+"""End-to-end networked attestation: one-frame stop-and-wait vs pipelined.
 
 Every command and response crosses the simulated Ethernet channel with
 the ARQ transport underneath — this measures the *wall-clock* cost of
 driving the event loop, not the simulated protocol duration.  The
-stop-and-wait shape (window=1, one readback per round trip) is the
-paper's original transport; the pipelined defaults (window=8, 256-frame
-readback batches) stream the whole command schedule ahead of the
-responses.  Both must produce byte-identical MAC tags: the transport
-shape is invisible to the protocol's cryptography.
+session has one state machine, parameterized by (window, batch).  The
+stop-and-wait legs run window 1 and batch 1: one-index
+``ICAP_readback_batch`` commands, one payload in flight, the paper's
+per-frame exchange.  The pipelined legs run the defaults (window 8,
+256-frame readback batches) and stream the whole command schedule ahead
+of the responses.  Both must produce byte-identical MAC tags: the
+transport shape is invisible to the protocol's cryptography.
 
 The pipelined benchmark is the gated number for the networked hot path;
-the stop-and-wait benchmark pins the legacy shape so a regression in
-either transport is caught independently.
+the stop-and-wait benchmark gates the per-payload cost of the same
+state machine, so a regression in either shape is caught independently.
 
 The degradation legs measure the same attestation under a fault
-profile: a 5 % lossy link (adaptive AIMD window vs the lockstep
-fallback a deployment would otherwise drop to) and a mid-run outage.
-``bench_gate.py`` enforces that the adaptive pipelined transport stays
-at least twice as fast as lockstep on the lossy link — the headroom
-that justifies keeping pipelining on under faults at all.
+profile: a 5 % lossy link (adaptive AIMD window vs the one-frame
+stop-and-wait shape a deployment could otherwise drop to) and a mid-run
+outage.  ``bench_gate.py`` enforces that the adaptive pipelined
+transport stays at least twice as fast as the stop-and-wait shape on
+the lossy link — the headroom that justifies keeping pipelining on
+under faults at all.  The stop-and-wait legs keep their historical
+``lockstep``/``stop_and_wait`` names so they compare against the
+committed baseline.
 """
 
 import pytest
@@ -121,11 +126,11 @@ def test_net_pipelined_attestation(benchmark):
 
 def test_net_adaptive_lossy_attestation(benchmark):
     """The degradation headline: pipelined transport with the AIMD
-    window over a 5 % lossy link.  Gated against the lockstep leg below
-    (must stay >= 2x faster) and against the clean-link baseline.
+    window over a 5 % lossy link.  Gated against the stop-and-wait leg
+    below (must stay >= 2x faster) and against the clean-link baseline.
 
     Also asserts faults stay invisible to the crypto: the tag equals the
-    clean-link lockstep tag for the same seeds.
+    clean-link stop-and-wait tag for the same seeds.
     """
     result, tag = _bench_session(
         benchmark, window=8, batch=256, rounds=10,
@@ -140,8 +145,8 @@ def test_net_adaptive_lossy_attestation(benchmark):
 
 
 def test_net_lockstep_lossy_attestation(benchmark):
-    """The fallback a deployment would drop to under sustained loss:
-    stop-and-wait, one frame per round trip, same 5 % lossy link."""
+    """The shape a deployment could drop to under sustained loss:
+    window 1, batch 1, one payload per round trip, same 5 % lossy link."""
     result, _ = _bench_session(
         benchmark, window=1, batch=1, rounds=5, profile=LOSSY,
     )

@@ -7,20 +7,32 @@ latency — and shows:
 
 * how the end-to-end duration scales with per-hop latency (why the
   paper measures 28.5 s against a 1.443 s theoretical bound);
-* a man-in-the-middle tap that rewrites one readback response being
-  caught by the MAC comparison.
+* a man-in-the-middle tap that rewrites one readback response, fixing
+  up the link CRC so the link layer accepts it, being caught by the MAC
+  comparison on both the ARQ and the raw transport.
 
 Run:  python examples/network_attestation.py
 """
 
+import zlib
+
 from repro import DeterministicRng, SIM_SMALL, build_sacha_system
 from repro.core import NetworkAttestationSession, SachaVerifier, provision_device
+from repro.net.arq import ETHERTYPE_ARQ
 from repro.net.channel import Channel, LatencyModel
-from repro.net.ethernet import EthernetFrame
+from repro.net.messages import OPCODE_READBACK_BATCH_RESPONSE
+from repro.net.resequencer import ETHERTYPE_RSQ
 from repro.sim.events import Simulator
 
+#: Link header bytes before the SACHa message, by ethertype: ARQ
+#: type(1) + sequence(4), resequencer sequence(4).  Both links end each
+#: frame with a little-endian CRC-32 over header and message.
+LINK_HEADER_BYTES = {ETHERTYPE_ARQ: 5, ETHERTYPE_RSQ: 4}
+#: opcode(1) + base_slot(4) + count(2) + length(4) before the frame data.
+BATCH_RESPONSE_HEADER_BYTES = 11
 
-def run_session(latency_ns: float, seed: int = 11, tap=None):
+
+def run_session(latency_ns: float, seed: int = 11, tap=None, reliable=True):
     system = build_sacha_system(SIM_SMALL)
     provisioned, record = provision_device(system, "net-board", seed=seed)
     simulator = Simulator()
@@ -28,14 +40,12 @@ def run_session(latency_ns: float, seed: int = 11, tap=None):
     if tap is not None:
         channel.add_tap(tap)
     verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(seed + 1))
-    # Pin the lockstep shape (one command frame per configuration or
-    # readback step, headerless SACHa payloads on the wire).  It is the
-    # shape the paper's timing argument describes, and it lets the MITM
-    # tap below parse raw frames directly.  The default transport now
-    # pipelines batched commands through a resequencing buffer instead.
+    # One frame per readback command and, over the ARQ, one payload in
+    # flight at a time: every step waits a round trip, the shape the
+    # paper's timing argument describes.
     session = NetworkAttestationSession(
         simulator, channel, provisioned.prover, verifier, DeterministicRng(seed + 2),
-        readback_batch_frames=1,
+        reliable=reliable, arq_window=1, readback_batch_frames=1,
     )
     return session.run()
 
@@ -56,24 +66,35 @@ def main() -> None:
     )
 
     print("\n=== Man-in-the-middle rewriting one response ===\n")
-    state = {"rewritten": False}
+    for transport, reliable in (("ARQ", True), ("raw", False)):
+        state = {"rewritten": False}
 
-    def mitm(time_ns, direction, frame):
-        if direction == "prv->vrf" and not state["rewritten"]:
-            payload = bytearray(frame.payload)
-            if payload and payload[0] == 0x81 and len(payload) > 10:
-                payload[9] ^= 0x80
+        def mitm(time_ns, direction, frame):
+            header = LINK_HEADER_BYTES[frame.ethertype]
+            body = bytearray(frame.payload[:-4])
+            data = header + BATCH_RESPONSE_HEADER_BYTES
+            if (
+                direction == "prv->vrf"
+                and not state["rewritten"]
+                and len(body) > data
+                and body[header] == OPCODE_READBACK_BATCH_RESPONSE
+            ):
+                body[data] ^= 0x80
                 state["rewritten"] = True
-                print(f"  [tap] flipped a bit in a readback response at t={time_ns:.0f} ns")
-                return EthernetFrame(
-                    frame.destination, frame.source, frame.ethertype, bytes(payload)
+                print(
+                    f"  [tap] flipped a bit in a readback response at "
+                    f"t={time_ns:.0f} ns and fixed up the link CRC"
                 )
-        return None
+                crc = zlib.crc32(body).to_bytes(4, "little")
+                return frame._replace(payload=bytes(body) + crc)
+            return None
 
-    result = run_session(10_000.0, seed=22, tap=mitm)
-    verdict = "attested (BAD!)" if result.report.accepted else "REJECTED, as it must be"
-    print(f"  verdict with MITM: {verdict}")
-    print(f"  MAC valid: {result.report.mac_valid}")
+        result = run_session(10_000.0, seed=22, tap=mitm, reliable=reliable)
+        verdict = (
+            "attested (BAD!)" if result.report.accepted else "REJECTED, as it must be"
+        )
+        print(f"  {transport} verdict with MITM: {verdict}")
+        print(f"  {transport} MAC valid: {result.report.mac_valid}\n")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@
 #
 #   attest_smoke.sh --name NAME --grep-metric PATTERN
 #                   [--expect PATTERN]       (default: ATTESTED)
+#                   [--device PART]          (default: SIM-SMALL)
 #                   [--seed N]               (default: 7)
 #                   [--global-flags "..."]   (before the subcommand)
 #                   [--attest-flags "..."]   (after it)
@@ -16,13 +17,14 @@ set -euo pipefail
 
 name=""
 expect="ATTESTED"
+device="SIM-SMALL"
 grep_metric=""
 seed="7"
 global_flags=""
 attest_flags=""
 
 usage() {
-    sed -n '2,15p' "$0" >&2
+    sed -n '2,16p' "$0" >&2
     exit 64
 }
 
@@ -30,6 +32,7 @@ while [[ $# -gt 0 ]]; do
     case "$1" in
         --name) name="$2"; shift 2 ;;
         --expect) expect="$2"; shift 2 ;;
+        --device) device="$2"; shift 2 ;;
         --grep-metric) grep_metric="$2"; shift 2 ;;
         --seed) seed="$2"; shift 2 ;;
         --global-flags) global_flags="$2"; shift 2 ;;
@@ -45,7 +48,7 @@ prom="/tmp/attest-${name}.prom"
 
 # shellcheck disable=SC2086  # flag strings are intentionally word-split
 python -m repro $global_flags \
-    attest --device SIM-SMALL --seed "$seed" $attest_flags \
+    attest --device "$device" --seed "$seed" $attest_flags \
     --metrics-out "$prom" | tee "$out"
 
 grep -q "$expect" "$out"

@@ -1022,14 +1022,15 @@ def e18_full_batching(
     batch_sizes: Tuple[int, ...] = (1, 4, 16, 64, 256, 1024),
     network: NetworkModel = LAB_NETWORK,
 ) -> FullBatchingResult:
-    """Batch *both* phases (config per E7, readback per the range
-    command) and watch the 28.5 s networked duration collapse toward the
-    ICAP-bound floor.
+    """Batch *both* phases (config per E7, readback per
+    ``ICAP_readback_batch``) and watch the 28.5 s networked duration
+    collapse toward the ICAP-bound floor.
 
-    Functional correctness of readback batching (detection + frame
-    localization preserved) is exercised by
-    ``tests/core/test_batched_readback.py``; this sweep is the analytic
-    paper-scale projection.
+    The sweep is analytic: it projects the paper-scale duration from the
+    Table-3 action model and runs no protocol.  Readback batching itself
+    runs in the networked session; its correctness (completeness,
+    detection and frame localization at every batch size) is exercised
+    by ``tests/core/test_batched_readback.py``.
     """
     import math
 

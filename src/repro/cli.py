@@ -200,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="readback frames per batched command; 1 = per-frame lockstep "
+        help="frame indices per ICAP_readback_batch command in networked "
+        "runs; 1 = the paper's per-frame readback step "
         "(default: REPRO_READBACK_BATCH_FRAMES or 256)",
     )
     perf.add_argument(

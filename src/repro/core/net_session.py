@@ -9,33 +9,28 @@ verifier is a state machine driven by deliveries.  Adversary taps on the
 channel see (and may rewrite) every frame — this is the path the
 man-in-the-middle attacks use.
 
-Two transport shapes exist:
+There is one transport shape, parameterized by (window, batch): the
+configuration is packed into MTU-sized ``ICAP_config_batch`` commands,
+the readback plan into ``ICAP_readback_batch`` commands of up to
+``readback_batch_frames`` indices (``repro.net.batch``), and the whole
+schedule is streamed as one burst ahead of the responses.  The sliding-
+window ARQ keeps up to ``window`` payloads in flight, each config batch
+is confirmed by one cumulative :class:`~repro.net.messages.ConfigAck`,
+and the verifier folds the expected MAC incrementally as response
+fragments arrive.  A batch of one frame is the paper's per-frame
+exchange; CMAC is chunking-invariant, so the tag does not depend on the
+shape.  The plan-ordered fragment cursor keeps the MAC stream aligned.
 
-* the **legacy lockstep** loop (``readback_batch_frames <= 1``): one
-  readback command per response round trip, preserved byte-identically
-  so seeded determinism tests pin it;
-* the **pipelined** path (the default): configuration and readback
-  commands are batched to the MTU (``repro.net.batch``) and all streamed
-  ahead of the responses, the sliding-window ARQ keeps several payloads
-  in flight, each config batch is confirmed by one cumulative
-  :class:`~repro.net.messages.ConfigAck`, and the verifier folds the
-  expected MAC incrementally as response fragments arrive.  The readback
-  sweep is order-insensitive on the verifier side (Section 6.1), which
-  is what makes pipelining safe: the plan-ordered fragment cursor keeps
-  the MAC stream aligned.
-
-Pipelining needs in-order delivery, not reliability: the raw channel
+Streaming needs in-order delivery, not reliability: the raw channel
 delivers each frame after its own serialization delay, so a burst of
 mixed-size frames arrives out of order (a small checksum command
-overtakes a large readback batch).  Over ARQ (``reliable=True``) the
+overtakes a large config batch).  Over ARQ (``reliable=True``) the
 sliding window restores order; on a raw channel the session interposes
-a :class:`~repro.net.resequencer.ResequencerLink` — a bounded
-reorder/dedup buffer with no retransmission — so ``reliable=False``
-runs pipeline too, and duplication/reordering fault profiles are safe
-on raw channels (a lost frame leaves a permanent gap that drains the
-simulation and fails the attempt toward ``inconclusive``).  A raw
-lockstep session on a dup/reorder-free channel keeps the original
-headerless wire format byte-identically.
+a :class:`~repro.net.resequencer.ResequencerLink` — a reorder/dedup
+buffer with no retransmission — sized to hold every payload one attempt
+can send, so duplication/reordering fault profiles are safe on raw
+channels too (a lost frame leaves a permanent gap that drains the
+simulation and fails the attempt toward ``inconclusive``).
 
 The session degrades gracefully instead of raising out of the event
 loop.  Undecodable frames (bit corruption or truncation from the fault
@@ -67,11 +62,7 @@ from repro.net.messages import (
     Command,
     ConfigAck,
     IcapConfigBatchCommand,
-    IcapConfigCommand,
     IcapReadbackBatchCommand,
-    IcapReadbackCommand,
-    IcapReadbackMaskedCommand,
-    IcapReadbackRangeCommand,
     MacChecksumCommand,
     MacChecksumResponse,
     ReadbackBatchResponse,
@@ -84,6 +75,7 @@ from repro.net.messages import (
 from repro.obs import log as obs_log
 from repro.obs.metrics import MetricsRegistry, get_registry, use_context_registry
 from repro.obs.spans import span
+from repro.net.resequencer import ResequencerLink
 from repro.obs.trace import trace_context, trace_id_from_nonce
 from repro.perf import get_config
 from repro.sim.events import Simulator
@@ -95,16 +87,10 @@ VERIFIER_MAC = MacAddress.from_string("02:00:00:00:00:01")
 PROVER_MAC = MacAddress.from_string("02:00:00:00:00:02")
 
 
-#: Span names for prover-side command handling, by command kind.  Kinds
-#: that implement the same protocol phase share a name so phase
-#: breakdowns aggregate naturally.
+#: Span names for prover-side command handling, by protocol phase.
 _PROVER_SPAN_NAMES = {
-    IcapConfigCommand: "prover_config",
     IcapConfigBatchCommand: "prover_config",
-    IcapReadbackCommand: "prover_readback",
     IcapReadbackBatchCommand: "prover_readback",
-    IcapReadbackMaskedCommand: "prover_readback",
-    IcapReadbackRangeCommand: "prover_readback",
     MacChecksumCommand: "prover_checksum",
 }
 
@@ -205,14 +191,13 @@ class NetworkAttestationSession:
         self.verifier_endpoint = Endpoint("vrf", VERIFIER_MAC)
         self.prover_endpoint = Endpoint("prv", PROVER_MAC)
         channel.connect(self.verifier_endpoint, self.prover_endpoint)
-        self._verifier_port = self.verifier_endpoint
-        self._prover_port = self.prover_endpoint
+        self._verifier_port: Union[ArqLink, ResequencerLink]
+        self._prover_port: Union[ArqLink, ResequencerLink]
         self._install_ports()
 
         self._phase = _Phase.IDLE
         self._nonce = b""
         self._plan: List[int] = []
-        self._plan_cursor = 0
         self._config_steps = 0
         self._responses: List[ReadbackResponse] = []
         self._tag: Optional[bytes] = None
@@ -246,37 +231,6 @@ class NetworkAttestationSession:
 
     # -- transport plumbing --------------------------------------------------------
 
-    @property
-    def _resequenced(self) -> bool:
-        """Whether raw channels get the reorder/dedup buffer.
-
-        A raw pipelined burst needs in-order delivery, and a raw channel
-        under duplication/reordering faults needs exactly-once delivery —
-        both are the resequencer's job (a duplicated or reordered
-        readback would otherwise desynchronize the incremental MAC into
-        a false reject).  A raw *lockstep* session on a dup/reorder-free
-        channel keeps the original headerless wire format, which the
-        seeded determinism fingerprints pin.
-        """
-        if self._reliable:
-            return False
-        if self._batch_frames > 1:
-            return True
-        model = self._channel.fault_model
-        if model is None:
-            return False
-        profile = model.profile
-        return (
-            profile.duplication_probability > 0
-            or profile.reorder_probability > 0
-        )
-
-    @property
-    def _pipelined(self) -> bool:
-        """Batching streams safely over any in-order transport: the ARQ
-        sliding window, or the resequencer above a raw channel."""
-        return self._batch_frames > 1 and (self._reliable or self._resequenced)
-
     def _effective_tuning(self) -> ArqTuning:
         if self._arq_tuning is not None:
             return self._arq_tuning
@@ -293,8 +247,8 @@ class NetworkAttestationSession:
         In reliable mode every attempt gets fresh ARQ links on both
         endpoints: sequence numbers and RTT estimators restart together,
         so a retry is indistinguishable from a brand-new session to the
-        peer.  Resequenced raw mode likewise gets fresh
-        :class:`ResequencerLink` pairs so sequence numbers restart.
+        peer.  Raw mode likewise gets fresh :class:`ResequencerLink`
+        pairs so sequence numbers restart.
         """
         if self._reliable:
             tuning = self._effective_tuning()
@@ -318,22 +272,28 @@ class NetworkAttestationSession:
                 rng=self._rng.fork("arq-prv"),
                 on_give_up=self._on_link_failure,
             )
-        elif self._resequenced:
-            from repro.net.resequencer import ResequencerLink
-
+        else:
+            # The raw channel delays each frame by its own serialization
+            # time, so the small commands at the end of a burst overtake
+            # the config batches sent before them, and the tag overtakes
+            # a fragment burst's tail.  Nothing retransmits, so the
+            # reorder window must hold every payload one attempt can
+            # send either way: at most one per configured frame and one
+            # per read-back frame, plus the trace hello and the checksum.
+            # Only displaced payloads are ever buffered.
+            system = self._verifier.system
+            depth = (
+                system.partition.dynamic_frame_count
+                + system.device.total_frames
+                + 2
+            )
             self._verifier_port = ResequencerLink(
-                self.verifier_endpoint, PROVER_MAC
+                self.verifier_endpoint, PROVER_MAC, depth
             )
             self._prover_port = ResequencerLink(
-                self.prover_endpoint, VERIFIER_MAC
+                self.prover_endpoint, VERIFIER_MAC, depth
             )
-        else:
-            self._verifier_port = self.verifier_endpoint
-            self._prover_port = self.prover_endpoint
-        if self._pipelined:
-            self._verifier_port.handler = self._on_verifier_delivery_pipelined
-        else:
-            self._verifier_port.handler = self._on_verifier_delivery
+        self._verifier_port.handler = self._on_verifier_delivery
         self._prover_port.handler = self._on_prover_delivery
 
     def _on_link_failure(self, error: NetworkError) -> None:
@@ -453,7 +413,6 @@ class NetworkAttestationSession:
         self._link_failure = None
         self._prover_trace_id = None
         self._responses = []
-        self._plan_cursor = 0
         self._tag = None
         self._expected_tag = None
         self._rx_buffers = []
@@ -470,11 +429,7 @@ class NetworkAttestationSession:
             self._prover.abort_run()
         self._install_ports()
         self._phase = _Phase.CONFIG
-
-        if self._pipelined:
-            self._run_attempt_pipelined()
-        else:
-            self._run_attempt_lockstep()
+        self._send_schedule()
 
         self._simulator.run()
         self._harvest_retransmissions()
@@ -491,7 +446,7 @@ class NetworkAttestationSession:
                 detail="simulation drained before the checksum exchange; "
                 "a message was lost",
             )
-        if self._pipelined and self._config_acked < self._config_steps:
+        if self._config_acked < self._config_steps:
             # The tag arrived but the cumulative ConfigAcks do not cover
             # the configuration: on a transport without retransmission a
             # config frame may be gone, and a MAC over a misconfigured
@@ -502,33 +457,13 @@ class NetworkAttestationSession:
                 detail=f"cumulative ConfigAcks cover {self._config_acked} of "
                 f"{self._config_steps} configuration frames",
             )
-        if self._pipelined:
-            self._finish_pipelined()
+        self._finish_sweep()
         return None
 
-    def _run_attempt_lockstep(self) -> None:
-        """The legacy per-frame loop: one readback in flight at a time.
-
-        Byte- and telemetry-identical to the original stop-and-wait
-        session; seeded determinism fingerprints pin it.
-        """
-        self._send_trace_hello()
-        # Fire-and-forget configuration commands; in-order delivery on the
-        # point-to-point channel guarantees they are applied before the
-        # readbacks that follow.
-        commands = self._verifier.config_commands(self._nonce)
-        self._config_steps = len(commands)
-        for command in commands:
-            self._send_to_prover(command.encode())
-
-        self._plan = self._verifier.readback_plan()
-        self._phase = _Phase.READBACK
-        self._send_next_readback()
-
-    def _run_attempt_pipelined(self) -> None:
+    def _send_schedule(self) -> None:
         """Stream every command up front; responses fold as they arrive.
 
-        In-order delivery (ARQ, or the lossless point-to-point channel)
+        In-order delivery (ARQ, or the resequencer on a raw channel)
         guarantees the prover sees config → readbacks → checksum in
         order, so the whole command schedule can be enqueued before the
         first response returns — the sliding window keeps the pipe full.
@@ -568,7 +503,7 @@ class NetworkAttestationSession:
                 float(max((len(b.frame_indices) for b in readback_batches), default=0))
             )
 
-    def _finish_pipelined(self) -> None:
+    def _finish_sweep(self) -> None:
         """Materialize per-frame responses from the reassembled sweep.
 
         Each response's ``data`` is a zero-copy ``memoryview`` slice of
@@ -597,65 +532,13 @@ class NetworkAttestationSession:
         for port in (self._verifier_port, self._prover_port):
             self.total_retransmissions += getattr(port, "retransmissions", 0)
 
-    def _send_next_readback(self) -> None:
-        if self._plan_cursor < len(self._plan):
-            frame_index = self._plan[self._plan_cursor]
-            self._send_to_prover(IcapReadbackCommand(frame_index).encode())
-        else:
-            self._phase = _Phase.CHECKSUM
-            self._send_to_prover(MacChecksumCommand().encode())
-
     def _on_verifier_delivery(self, frame: EthernetFrame) -> None:
         try:
             response = decode_response(frame.payload)
         except NetworkError:
-            # Corrupted in flight on a raw (non-ARQ) channel: drop it and
-            # let the drained-simulation path fail the attempt.
-            self.undecodable_frames += 1
-            self._count(
-                "sacha_session_undecodable_frames_total",
-                "Frames the session dropped because they failed to decode",
-                side="verifier",
-            )
-            return
-        if isinstance(response, ReadbackResponse):
-            if (
-                self._phase is not _Phase.READBACK
-                or self._plan_cursor >= len(self._plan)
-                or response.frame_index != self._plan[self._plan_cursor]
-            ):
-                # A duplicate or reordered copy; the expected-index check
-                # keeps the MAC stream aligned with the plan.
-                self.unexpected_frames += 1
-                self._count(
-                    "sacha_session_unexpected_frames_total",
-                    "Out-of-phase or duplicate responses the session ignored",
-                    side="verifier",
-                )
-                return
-            self._responses.append(response)
-            self._plan_cursor += 1
-            self._send_next_readback()
-            return
-        if isinstance(response, MacChecksumResponse):
-            if self._phase is not _Phase.CHECKSUM:
-                self.unexpected_frames += 1
-                self._count(
-                    "sacha_session_unexpected_frames_total",
-                    "Out-of-phase or duplicate responses the session ignored",
-                    side="verifier",
-                )
-                return
-            self._tag = response.tag
-            self._phase = _Phase.DONE
-            self._end_ns = self._simulator.now_ns
-            return
-        self.unexpected_frames += 1
-
-    def _on_verifier_delivery_pipelined(self, frame: EthernetFrame) -> None:
-        try:
-            response = decode_response(frame.payload)
-        except NetworkError:
+            # Both links drop frames that fail their CRC, so this is a
+            # frame rewritten with a valid CRC: drop it and let the
+            # drained-simulation path fail the attempt.
             self.undecodable_frames += 1
             self._count(
                 "sacha_session_undecodable_frames_total",
@@ -717,32 +600,6 @@ class NetworkAttestationSession:
             self._end_ns = self._simulator.now_ns
             return
         self.unexpected_frames += 1
-
-    def _send_trace_hello(self) -> None:
-        """Announce the attempt's trace id — only when telemetry is on.
-
-        The disabled path sends nothing, keeping its wire sequence
-        byte-identical to the pre-telemetry protocol.
-        """
-        if get_registry().enabled and self._trace_id:
-            self._send_to_prover(
-                TraceHelloCommand(bytes.fromhex(self._trace_id)).encode()
-            )
-
-    def _send_to_prover(self, payload: bytes) -> None:
-        if self._link_failure is not None:
-            return
-        try:
-            self._verifier_port.send(
-                EthernetFrame(
-                    destination=PROVER_MAC,
-                    source=VERIFIER_MAC,
-                    ethertype=ETHERTYPE_SACHA,
-                    payload=payload,
-                )
-            )
-        except NetworkError as error:
-            self._on_link_failure(error)
 
     def _send_burst_to_prover(self, payloads: List[bytes]) -> None:
         if self._link_failure is not None:
@@ -814,14 +671,9 @@ class NetworkAttestationSession:
                 self._handle_prover_command(command)
 
     def _handle_prover_command(self, command: Command) -> None:
-        app_frames = self._verifier.system.app_impl.region_frames
-        if isinstance(command, IcapConfigCommand):
-            self._prover.handle_command(command)
-            if command.frame_index == app_frames[-1]:
-                self._scramble_after_app_config()
-            return
         if isinstance(command, IcapConfigBatchCommand):
             self._prover.handle_command(command)
+            app_frames = self._verifier.system.app_impl.region_frames
             if app_frames and app_frames[-1] in command.frame_indices:
                 self._scramble_after_app_config()
             # One cumulative ack per batch: the return path costs one

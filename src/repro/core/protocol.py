@@ -22,27 +22,13 @@ from repro.core.verifier import SachaVerifier
 from repro.obs import log as obs_log
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
-from repro.net.ethernet import (
-    FCS_BYTES,
-    HEADER_BYTES,
-    IFG_BYTES,
-    MAX_PAYLOAD,
-    PREAMBLE_BYTES,
-)
 from repro.net.messages import (
     IcapReadbackCommand,
-    IcapReadbackRangeCommand,
     MacChecksumCommand,
     MacChecksumResponse,
     MaskedReadbackAck,
-    ReadbackRangeResponse,
     ReadbackResponse,
 )
-from repro.net.phy import GigabitPhy
-
-#: Wire header of a ``ReadbackRangeResponse``: opcode(1) + start(4) +
-#: length(4) — see ``repro.net.messages``.
-RANGE_RESPONSE_HEADER_BYTES = 9
 from repro.sim.tracing import TraceRecorder
 from repro.timing.model import ActionCounts, ActionTimingModel, ProtocolAction
 from repro.timing.network import IDEAL_NETWORK, NetworkModel
@@ -72,10 +58,6 @@ class SessionOptions:
     #: readback; the prover masks before MACing and returns no frame
     #: content.  Similar communication latency, no tamper localization.
     mask_at_prover: bool = False
-    #: Batch consecutive readbacks into one command/response round trip
-    #: (the optimization the E7 ablation motivates).  1 = the paper's
-    #: one-frame-per-packet protocol.  Incompatible with mask_at_prover.
-    readback_batch_frames: int = 1
     #: Emit one observability span per readback step (28k+ spans on a
     #: full XC6VLX240T run — phase spans alone are the default).  Only
     #: takes effect while the active metrics registry is enabled.
@@ -91,24 +73,6 @@ class SessionResult:
     plan: List[int] = field(default_factory=list)
     responses: List[ReadbackResponse] = field(default_factory=list)
     tag: bytes = b""
-
-
-def _contiguous_batches(plan, batch_frames):
-    """Split a plan into (start, count) runs of consecutive indices."""
-    batches = []
-    position = 0
-    while position < len(plan):
-        start = plan[position]
-        count = 1
-        while (
-            position + count < len(plan)
-            and count < batch_frames
-            and plan[position + count] == start + count
-        ):
-            count += 1
-        batches.append((start, count))
-        position += count
-    return batches
 
 
 def run_attestation(
@@ -197,12 +161,7 @@ def run_attestation(
         plan = verifier.readback_plan()
         responses: List[ReadbackResponse] = []
         readback_ns = 0.0
-        readback_commands = 0
         first = True
-        if options.mask_at_prover and options.readback_batch_frames > 1:
-            raise ProtocolError(
-                "readback batching is incompatible with prover-side masking"
-            )
         with span("readback", clock=clock, registry=registry, frames=len(plan)):
             if options.mask_at_prover:
                 for command in verifier.masked_readback_commands(plan):
@@ -238,62 +197,6 @@ def run_attestation(
                             "ICAP_readback_masked",
                             "vrf->prv",
                             f"frame {command.frame_index}",
-                        )
-            elif options.readback_batch_frames > 1:
-                frame_bytes = verifier.system.device.frame_bytes
-                phy = GigabitPhy()
-                per_frame_overhead = (
-                    PREAMBLE_BYTES + HEADER_BYTES + FCS_BYTES + IFG_BYTES
-                )
-                for batch_start, batch_count in _contiguous_batches(
-                    plan, options.readback_batch_frames
-                ):
-                    start = elapsed
-                    elapsed += a3
-                    if first:
-                        elapsed += a5
-                        trace.record(elapsed, "MAC_init", "prv")
-                        first = False
-                    response = prover.handle_command(
-                        IcapReadbackRangeCommand(
-                            start_index=batch_start, count=batch_count
-                        )
-                    )
-                    if not isinstance(response, ReadbackRangeResponse):
-                        raise ProtocolError(
-                            f"prover returned {type(response).__name__} to a "
-                            "ranged readback"
-                        )
-                    for offset in range(batch_count):
-                        elapsed += a4
-                        elapsed += a6
-                        responses.append(
-                            ReadbackResponse(
-                                frame_index=batch_start + offset,
-                                data=response.data[
-                                    offset * frame_bytes : (offset + 1) * frame_bytes
-                                ],
-                            )
-                        )
-                    # One serialization for the whole batch (A8 amortized):
-                    # the ranged response spans as many MTU-sized Ethernet
-                    # frames as its payload needs, each paying the full
-                    # preamble/header/FCS/IFG overhead at PHY line rate.
-                    payload_bytes = (
-                        RANGE_RESPONSE_HEADER_BYTES + batch_count * frame_bytes
-                    )
-                    fragments = -(-payload_bytes // MAX_PAYLOAD)
-                    elapsed += (
-                        payload_bytes + fragments * per_frame_overhead
-                    ) * phy.ns_per_byte
-                    readback_ns += elapsed - start
-                    readback_commands += 1
-                    if tracing:
-                        trace.record(
-                            start,
-                            "ICAP_readback_range",
-                            "vrf->prv",
-                            f"frames {batch_start}..{batch_start + batch_count - 1}",
                         )
             else:
                 for frame_index in plan:
@@ -350,7 +253,7 @@ def run_attestation(
         # -- verdict ----------------------------------------------------------
         counts = ActionCounts(
             config_steps=len(config_commands),
-            readback_steps=readback_commands or len(plan),
+            readback_steps=len(plan),
         )
         network_ns = options.network.overhead_ns(counts)
         if options.mask_at_prover:

@@ -27,11 +27,9 @@ from repro.net.messages import (
     IcapReadbackBatchCommand,
     IcapReadbackCommand,
     IcapReadbackMaskedCommand,
-    IcapReadbackRangeCommand,
     MacChecksumCommand,
     MacChecksumResponse,
     MaskedReadbackAck,
-    ReadbackRangeResponse,
     ReadbackResponse,
     Response,
     TraceHelloCommand,
@@ -170,9 +168,6 @@ class SachaProver:
         if isinstance(command, IcapReadbackMaskedCommand):
             self.handle_readback_masked(command.frame_index, command.mask)
             return MaskedReadbackAck(frame_index=command.frame_index)
-        if isinstance(command, IcapReadbackRangeCommand):
-            data = self.handle_readback_range(command.start_index, command.count)
-            return ReadbackRangeResponse(start_index=command.start_index, data=data)
         if isinstance(command, MacChecksumCommand):
             return MacChecksumResponse(tag=self.handle_checksum())
         if isinstance(command, TraceHelloCommand):
@@ -197,23 +192,6 @@ class SachaProver:
         data = self.board.fpga.icap.readback_frame(frame_index)
         self._mac.update(data)
         self.readbacks_handled += 1
-        return data
-
-    def handle_readback_range(self, start_index: int, count: int) -> bytes:
-        """Batched readback: ``count`` consecutive frames, one response.
-
-        The ICAP performs one bulk sweep over the range and the MAC folds
-        the whole buffer in one update — byte-identical to ``count``
-        per-frame readback/update steps, without materializing ``count``
-        separate frame copies.
-        """
-        if count < 1:
-            raise ProtocolError(f"batch count must be positive, got {count}")
-        if self._mac is None:
-            self._mac = self._new_checksum()
-        data = self.board.fpga.icap.readback_range(start_index, count)
-        self._mac.update(data)
-        self.readbacks_handled += count
         return data
 
     def handle_config_batch(

@@ -175,13 +175,12 @@ class Icap:
         buffer = bytearray(self._memory.read_frames(start_index, count))
         if self._registers is not None:
             frame_bytes = self._memory.device.frame_bytes
-            for frame_index in self._registers.frames_with_registers():
-                if start_index <= frame_index < start_index + count:
-                    self._registers.overlay_into(
-                        frame_index,
-                        buffer,
-                        (frame_index - start_index) * frame_bytes,
-                    )
+            for frame_index in self._registers.frames_with_registers(
+                start_index, start_index + count
+            ):
+                self._registers.overlay_into(
+                    frame_index, buffer, (frame_index - start_index) * frame_bytes
+                )
         self.stats.frames_read += count
         self.stats.words_read += count * (
             self._memory.device.words_per_frame + READBACK_OVERHEAD_WORDS

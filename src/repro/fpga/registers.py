@@ -130,9 +130,20 @@ class LiveRegisterFile:
             return []
         return sorted(frame.items())
 
-    def frames_with_registers(self) -> List[int]:
-        """Indices of frames holding at least one declared register."""
-        return sorted(index for index, frame in self._frames.items() if frame)
+    def frames_with_registers(self, start: int, stop: int) -> List[int]:
+        """Indices in ``[start, stop)`` of frames holding at least one
+        declared register, ascending.
+
+        Walks whichever is shorter, the range or the register file, so a
+        one-frame readback costs one lookup on a part with a thousand
+        register-bearing frames.
+        """
+        frames = self._frames
+        if stop - start <= len(frames):
+            return [index for index in range(start, stop) if frames.get(index)]
+        return sorted(
+            index for index, frame in frames.items() if frame and start <= index < stop
+        )
 
     def overlay_frame(self, frame_index: int, frame_data: bytes) -> bytes:
         """Substitute live values into a frame's configuration bytes.

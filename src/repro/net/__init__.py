@@ -26,11 +26,9 @@ from repro.net.messages import (
     IcapConfigCommand,
     IcapReadbackCommand,
     IcapReadbackMaskedCommand,
-    IcapReadbackRangeCommand,
     MacChecksumCommand,
     MacChecksumResponse,
     MaskedReadbackAck,
-    ReadbackRangeResponse,
     ReadbackResponse,
     decode_command,
     decode_response,
@@ -58,11 +56,9 @@ __all__ = [
     "IcapConfigCommand",
     "IcapReadbackCommand",
     "IcapReadbackMaskedCommand",
-    "IcapReadbackRangeCommand",
     "MacChecksumCommand",
     "MacChecksumResponse",
     "MaskedReadbackAck",
-    "ReadbackRangeResponse",
     "ReadbackResponse",
     "decode_command",
     "decode_response",

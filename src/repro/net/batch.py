@@ -1,11 +1,11 @@
-"""MTU-aware batch packing for the pipelined attestation hot path.
+"""MTU-aware batch packing for the networked attestation session.
 
-The stop-and-wait protocol moves one Python message object per frame:
-28,488 readback commands, 28,488 responses and one ACK for each on a
-XC6VLX240T.  This module sizes and builds the batched equivalents —
-each carrying as many frames as fit one Ethernet payload after the ARQ
-layer's 9-byte framing — so the wire path is bounded by throughput, not
-by per-message overhead.
+The paper's per-frame protocol moves one message per frame: 28,488
+readback commands and 28,488 responses on a XC6VLX240T.  This module
+sizes and builds the batched commands and responses the networked
+session sends instead — each carrying as many frames as fit one
+Ethernet payload after the ARQ layer's 9-byte framing — so the wire
+path is bounded by throughput, not by per-message overhead.
 
 Capacity math is explicit and testable: every helper takes the channel
 MTU (``repro.net.ethernet.MAX_PAYLOAD`` by default) and subtracts the
@@ -205,19 +205,22 @@ def fragment_readback_data(
 
 
 def contiguous_runs(indices: Sequence[int]) -> List[range]:
-    """Maximal runs of consecutive frame indices, vectorized.
+    """Maximal runs of consecutive frame indices.
 
     The default readback plan is an offset sweep — one or two contiguous
     runs per batch — so the prover can serve a batch with a handful of
-    bulk ICAP range reads instead of per-frame gathers.
+    bulk ICAP range reads instead of per-frame gathers.  A plain loop:
+    batches are at most a few hundred indices, below where numpy's
+    set-up cost pays off.
     """
+    runs: List[range] = []
     if not len(indices):
-        return []
-    array = np.asarray(indices, dtype=np.int64)
-    breaks = np.nonzero(np.diff(array) != 1)[0] + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [len(array)]))
-    return [
-        range(int(array[s]), int(array[s]) + int(e - s))
-        for s, e in zip(starts, ends)
-    ]
+        return runs
+    start = previous = indices[0]
+    for index in indices[1:]:
+        if index != previous + 1:
+            runs.append(range(start, previous + 1))
+            start = index
+        previous = index
+    runs.append(range(start, previous + 1))
+    return runs

@@ -8,13 +8,18 @@ Three commands travel verifier → prover (Section 6.1 of the paper):
 3. ``MAC_checksum`` — finalize the MAC and return the tag.
 
 Two responses travel prover → verifier: the frame content for each
-readback, and the final MAC tag.  A *cumulative* ``ConfigAck`` confirms
-configuration progress: one ack per batched config command, carrying
-the total number of frames applied so far in the run — the return path
-costs one frame per batch instead of one per config frame, mirroring
-how the ARQ's solicited cumulative ACKs trim the forward path.  The
-paper's lockstep protocol fire-and-forgets per-frame configuration
-commands and sends no acks, keeping that wire sequence byte-identical.
+readback, and the final MAC tag.  These per-frame messages are what the
+in-memory :func:`~repro.core.protocol.run_attestation` exchanges.
+
+The networked session moves the same protocol in batches:
+``ICAP_config_batch`` and ``ICAP_readback_batch`` carry many frames per
+command (one index is the paper's per-frame step), the prover answers a
+readback batch with MTU-sized ``ReadbackBatchResponse`` fragments, and a
+*cumulative* ``ConfigAck`` confirms configuration progress: one ack per
+batched config command, carrying the total number of frames applied so
+far in the run — the return path costs one frame per batch instead of
+one per config frame, mirroring how the ARQ's solicited cumulative ACKs
+trim the forward path.
 
 Every message is self-delimiting: 1 opcode byte, fixed-size fields, and a
 2-byte length prefix before variable data.
@@ -33,7 +38,6 @@ OPCODE_ICAP_CONFIG = 0x01
 OPCODE_ICAP_READBACK = 0x02
 OPCODE_MAC_CHECKSUM = 0x03
 OPCODE_ICAP_READBACK_MASKED = 0x04
-OPCODE_ICAP_READBACK_RANGE = 0x05
 OPCODE_ICAP_READBACK_BATCH = 0x06
 OPCODE_ICAP_CONFIG_BATCH = 0x07
 OPCODE_TRACE_HELLO = 0x08
@@ -41,7 +45,6 @@ OPCODE_CONFIG_ACK = 0x80
 OPCODE_READBACK_RESPONSE = 0x81
 OPCODE_MAC_RESPONSE = 0x82
 OPCODE_MASKED_READBACK_ACK = 0x83
-OPCODE_READBACK_RANGE_RESPONSE = 0x84
 OPCODE_READBACK_BATCH_RESPONSE = 0x85
 
 _OPCODE_NAMES = {
@@ -49,7 +52,6 @@ _OPCODE_NAMES = {
     OPCODE_ICAP_READBACK: "ICAP_readback",
     OPCODE_MAC_CHECKSUM: "MAC_checksum",
     OPCODE_ICAP_READBACK_MASKED: "ICAP_readback_masked",
-    OPCODE_ICAP_READBACK_RANGE: "ICAP_readback_range",
     OPCODE_ICAP_READBACK_BATCH: "ICAP_readback_batch",
     OPCODE_ICAP_CONFIG_BATCH: "ICAP_config_batch",
     OPCODE_TRACE_HELLO: "TraceHello",
@@ -57,7 +59,6 @@ _OPCODE_NAMES = {
     OPCODE_READBACK_RESPONSE: "ReadbackResponse",
     OPCODE_MAC_RESPONSE: "MacChecksumResponse",
     OPCODE_MASKED_READBACK_ACK: "MaskedReadbackAck",
-    OPCODE_READBACK_RANGE_RESPONSE: "ReadbackRangeResponse",
     OPCODE_READBACK_BATCH_RESPONSE: "ReadbackBatchResponse",
 }
 
@@ -154,31 +155,6 @@ class IcapReadbackMaskedCommand:
             bytes([OPCODE_ICAP_READBACK_MASKED])
             + self.frame_index.to_bytes(4, "big")
             + _encode_blob(self.mask, OPCODE_ICAP_READBACK_MASKED)
-        )
-
-
-@dataclass(frozen=True)
-class IcapReadbackRangeCommand:
-    """Batched readback: ``count`` consecutive frames from ``start_index``.
-
-    A forward-looking optimization the E7 ablation motivates: the
-    28,488 readback round trips dominate the networked duration, and
-    contiguous plans batch naturally.  Responses above the Ethernet MTU
-    are assumed fragmented/jumbo by the transport.
-    """
-
-    start_index: int
-    count: int
-
-    def encode(self) -> bytes:
-        if self.start_index < 0 or self.start_index > 0xFFFFFFFF:
-            raise WireFormatError(f"frame index {self.start_index} out of range")
-        if not 1 <= self.count <= 0xFFFF:
-            raise WireFormatError(f"batch count {self.count} out of range")
-        return (
-            bytes([OPCODE_ICAP_READBACK_RANGE])
-            + self.start_index.to_bytes(4, "big")
-            + self.count.to_bytes(2, "big")
         )
 
 
@@ -327,22 +303,6 @@ class MaskedReadbackAck:
 
 
 @dataclass(frozen=True)
-class ReadbackRangeResponse:
-    """Concatenated content of a batched readback."""
-
-    start_index: int
-    data: bytes
-
-    def encode(self) -> bytes:
-        return (
-            bytes([OPCODE_READBACK_RANGE_RESPONSE])
-            + self.start_index.to_bytes(4, "big")
-            + len(self.data).to_bytes(4, "big")
-            + self.data
-        )
-
-
-@dataclass(frozen=True)
 class ReadbackBatchResponse:
     """One MTU-sized fragment of a batched readback.
 
@@ -389,7 +349,6 @@ Command = Union[
     IcapReadbackCommand,
     IcapReadbackBatchCommand,
     IcapReadbackMaskedCommand,
-    IcapReadbackRangeCommand,
     MacChecksumCommand,
     TraceHelloCommand,
 ]
@@ -397,7 +356,6 @@ Response = Union[
     ConfigAck,
     MaskedReadbackAck,
     ReadbackBatchResponse,
-    ReadbackRangeResponse,
     ReadbackResponse,
     MacChecksumResponse,
 ]
@@ -426,13 +384,6 @@ def decode_command(data: bytes) -> Command:
         frame_index = int.from_bytes(data[1:5], "big")
         blob, _ = _decode_blob(data, 5, OPCODE_ICAP_READBACK_MASKED)
         return IcapReadbackMaskedCommand(frame_index, blob)
-    if opcode == OPCODE_ICAP_READBACK_RANGE:
-        if len(data) < 7:
-            raise WireFormatError("truncated ranged ICAP_readback")
-        return IcapReadbackRangeCommand(
-            start_index=int.from_bytes(data[1:5], "big"),
-            count=int.from_bytes(data[5:7], "big"),
-        )
     if opcode == OPCODE_ICAP_READBACK_BATCH:
         if len(data) < 7:
             raise WireFormatError("truncated batched ICAP_readback")
@@ -487,14 +438,6 @@ def decode_response(data: bytes) -> Response:
         if len(data) < 5:
             raise WireFormatError("truncated masked-readback ack")
         return MaskedReadbackAck(int.from_bytes(data[1:5], "big"))
-    if opcode == OPCODE_READBACK_RANGE_RESPONSE:
-        if len(data) < 9:
-            raise WireFormatError("truncated ranged readback response")
-        start_index = int.from_bytes(data[1:5], "big")
-        length = int.from_bytes(data[5:9], "big")
-        if 9 + length > len(data):
-            raise WireFormatError("truncated ranged readback payload")
-        return ReadbackRangeResponse(start_index, data[9 : 9 + length])
     if opcode == OPCODE_READBACK_BATCH_RESPONSE:
         if len(data) < 11:
             raise WireFormatError("truncated batched readback response")

@@ -19,12 +19,15 @@ reorder/dedup buffer above a raw channel endpoint.
   the attempt toward ``inconclusive`` — fail-safe, never a wrong
   verdict (the MAC transcript simply never completes).
 
-This is what lets a ``reliable=False`` session keep the pipelined
-transport (PR 5) instead of falling back to lockstep: pipelining only
-needs in-order exactly-once delivery, not retransmission.  The layer
-presents the same ``send`` / ``send_many`` / ``handler`` surface as
-:class:`~repro.net.arq.ArqLink`, so the session uses either
-interchangeably.
+Every ``reliable=False`` session runs over this layer: the session
+streams its whole command schedule as one burst, and a raw channel
+delivers each frame after its own serialization delay, so small frames
+overtake large ones.  Streaming only needs in-order exactly-once
+delivery, not retransmission.  The session sizes ``depth`` to the most
+payloads one attempt can send, so no payload is displaced beyond the
+buffer.  The layer presents the same ``send`` / ``send_many`` /
+``handler`` surface as :class:`~repro.net.arq.ArqLink`, so the session
+uses either interchangeably.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ _CRC_BYTES = 4
 #: ARQ transport (the batch codec's MTU math) always fit here too.
 RSQ_OVERHEAD_BYTES = _HEADER_BYTES + _CRC_BYTES
 
-#: Default reorder/dedup buffer capacity, in frames.  Bounds memory and
-#: the tolerated reorder displacement; the fault model's reordering is
-#: a bounded extra delay, so displacements are small compared to this.
+#: Default reorder/dedup buffer capacity, in frames: the tolerated
+#: reorder displacement.  The attestation session passes its own depth,
+#: sized to every payload of one attempt.
 DEFAULT_DEPTH = 256
 
 

@@ -62,10 +62,10 @@ class ReproConfig:
     #: timeouts and regrows additively on clean ACKs.  The window starts
     #: at the ceiling, so clean links behave identically either way.
     arq_adaptive: bool = True
-    #: Frames per batched readback command in the pipelined networked
-    #: session.  ``1`` keeps the legacy per-frame command/await/response
-    #: loop (byte-identical to it); larger values pack many frames per
-    #: ARQ payload and stream commands ahead of responses.
+    #: Frame indices per ``ICAP_readback_batch`` command in the networked
+    #: session.  ``1`` sends the paper's per-frame readback step as a
+    #: one-index batch; larger values pack many frames per payload.  The
+    #: MAC tag is the same for every value.
     readback_batch_frames: int = 256
     #: Master switch for the content-addressed artifact cache: with it on,
     #: devices of the same part share one memoized system build (golden

@@ -3,17 +3,29 @@
 import gc
 import tracemalloc
 import weakref
+import zlib
 
 import pytest
 
 from repro.core.net_session import NetworkAttestationSession
 from repro.core.provisioning import provision_device
+from repro.core.report import Verdict
 from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
 from repro.errors import ProtocolError
 from repro.fpga.device import SIM_SMALL
+from repro.net.arq import ETHERTYPE_ARQ
+from repro.net.batch import frames_per_config_batch
 from repro.net.channel import Channel, LatencyModel
 from repro.net.ethernet import EthernetFrame
+from repro.net.messages import (
+    OPCODE_READBACK_BATCH_RESPONSE,
+    IcapConfigCommand,
+    IcapReadbackBatchCommand,
+    IcapReadbackCommand,
+    decode_command,
+)
+from repro.net.resequencer import ETHERTYPE_RSQ, ResequencerLink
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
@@ -26,9 +38,8 @@ def _session(latency_ns=1_000.0, seed=50, tamper=None):
     simulator = Simulator()
     channel = Channel(simulator, LatencyModel(base_ns=latency_ns))
     verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(seed + 1))
-    # Pin the raw *lockstep* shape: these tests assert legacy wire
-    # specifics (per-frame counts, headerless SACHa payloads on the tap).
-    # The raw default (batch > 1) now pipelines through the resequencer.
+    # The paper's per-frame readback: one-index batch commands on the raw
+    # channel, reordered and deduplicated by the resequencer.
     session = NetworkAttestationSession(
         simulator, channel, provisioned.prover, verifier, DeterministicRng(seed + 2),
         readback_batch_frames=1,
@@ -47,10 +58,12 @@ class TestHonestNetworkRun:
         result = session.run()
         total_frames = SIM_SMALL.total_frames
         dynamic = session._verifier.system.partition.dynamic_frame_count
-        # verifier: configs + readbacks + checksum command
-        assert result.frames_sent_by_verifier == dynamic + total_frames + 1
-        # prover: one response per readback + the final tag
-        assert result.frames_sent_by_prover == total_frames + 1
+        config_batches = -(-dynamic // frames_per_config_batch(SIM_SMALL.frame_bytes))
+        # verifier: config batches + one readback per frame + checksum
+        assert result.frames_sent_by_verifier == config_batches + total_frames + 1
+        # prover: one ConfigAck per config batch + one response fragment
+        # per readback + the final tag
+        assert result.frames_sent_by_prover == config_batches + total_frames + 1
 
     def test_duration_grows_with_latency(self):
         fast, _ = _session(latency_ns=100.0)
@@ -101,9 +114,8 @@ class TestReliableSession:
         simulator = Simulator()
         channel = Channel(simulator, LatencyModel(base_ns=1_000.0))
         verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(51))
-        # Pin the lockstep shape (window=1, batch=1) so the comparison
-        # isolates transport overhead; the pipelined default would send
-        # *fewer* frames than the raw baseline by batching commands.
+        # Same (window=1, batch=1) shape as the raw baseline, so the
+        # comparison isolates transport overhead.
         reliable = NetworkAttestationSession(
             simulator, channel, provisioned.prover, verifier,
             DeterministicRng(52), reliable=True,
@@ -125,29 +137,35 @@ class TestNetworkAdversaries:
         assert not result.report.accepted
 
     def test_mitm_frame_rewrite_detected(self):
-        """A tap that rewrites one readback response corrupts the MAC
-        stream — the verifier rejects."""
-        session, channel = _session()
-        rewritten = [0]
+        """A tap that flips one data byte of a readback response and
+        fixes up the link CRC-32 gets its frame accepted by the link
+        layer, on the raw and on the ARQ transport; the MAC comparison,
+        not the CRC, rejects it."""
+        for reliable in (False, True):
+            session, channel = _reliable_session(8, 256, reliable=reliable)
+            rewritten = [0]
 
-        def mitm(time_ns, direction, frame):
-            if direction == "prv->vrf" and not rewritten[0]:
-                payload = bytearray(frame.payload)
-                if payload and payload[0] == 0x81 and len(payload) > 10:
-                    payload[8] ^= 0xFF
+            def mitm(time_ns, direction, frame):
+                header = {ETHERTYPE_ARQ: 5, ETHERTYPE_RSQ: 4}[frame.ethertype]
+                body = bytearray(frame.payload[:-4])
+                if (
+                    direction == "prv->vrf"
+                    and not rewritten[0]
+                    and len(body) > header + 11
+                    and body[header] == OPCODE_READBACK_BATCH_RESPONSE
+                ):
+                    body[header + 11] ^= 0xFF  # first data byte
                     rewritten[0] = 1
-                    return EthernetFrame(
-                        frame.destination,
-                        frame.source,
-                        frame.ethertype,
-                        bytes(payload),
-                    )
-            return None
+                    crc = zlib.crc32(body).to_bytes(4, "little")
+                    return frame._replace(payload=bytes(body) + crc)
+                return None
 
-        channel.add_tap(mitm)
-        result = session.run()
-        assert rewritten[0] == 1
-        assert not result.report.accepted
+            channel.add_tap(mitm)
+            result = session.run()
+            assert rewritten[0] == 1, reliable
+            assert result.report.verdict is Verdict.REJECT, reliable
+            assert not result.report.mac_valid, reliable
+            assert session.undecodable_frames == 0, reliable
 
     def test_eavesdropper_learns_no_key_material(self):
         """Everything on the wire is configuration data and the MAC; the
@@ -209,9 +227,9 @@ class TestPipelinedTransport:
         assert len(nonces) == 1
 
     def test_pipelined_moves_far_fewer_frames(self):
-        lockstep, _ = _reliable_session(1, 1)
+        one_frame, _ = _reliable_session(1, 1)
         pipelined, _ = _reliable_session(8, 256)
-        slow = lockstep.run()
+        slow = one_frame.run()
         fast = pipelined.run()
         assert slow.report.accepted and fast.report.accepted
         assert (
@@ -221,34 +239,61 @@ class TestPipelinedTransport:
 
     def test_raw_channel_pipelines_through_resequencer(self):
         """Pipelining needs in-order delivery, not reliability: on a raw
-        channel the session interposes the resequencer and keeps the
-        batched streaming transport instead of falling back to lockstep."""
-        from repro.net.resequencer import ResequencerLink
-
+        channel the session interposes the resequencer and streams the
+        batched transport."""
         session, _ = _reliable_session(8, 256, reliable=False)
-        assert session._pipelined
-        assert session._resequenced
+        assert isinstance(session._verifier_port, ResequencerLink)
         result = session.run()
         assert result.report.accepted
         assert isinstance(session._verifier_port, ResequencerLink)
         total_frames = SIM_SMALL.total_frames
         dynamic = session._verifier.system.partition.dynamic_frame_count
-        # Far fewer frames than the lockstep loop's one-per-frame counts.
+        # Far fewer frames than one command per configured and read frame.
         assert result.frames_sent_by_verifier < (dynamic + total_frames + 1) / 4
 
-    def test_raw_lockstep_on_clean_channel_stays_headerless(self):
-        """A raw lockstep session without dup/reorder faults keeps the
-        original wire format: SACHa payloads, no resequencer header."""
+    def test_raw_one_frame_batches_ride_the_resequencer(self):
+        """A raw session at batch 1 sends the same wire as any other
+        batch size: resequencer frames carrying one-index batch
+        commands, never a headerless per-frame SACHa payload."""
         session, channel = _reliable_session(1, 1, reliable=False)
-        opcodes = []
-        channel.add_tap(
-            lambda t, d, frame: opcodes.append(frame.payload[0]) or None
+        ethertypes = set()
+        commands = []
+
+        def tap(time_ns, direction, frame):
+            ethertypes.add(frame.ethertype)
+            if direction == "vrf->prv":
+                # sequence(4) + SACHa message + CRC-32(4)
+                commands.append(decode_command(frame.payload[4:-4]))
+
+        channel.add_tap(tap)
+        result = session.run()
+        assert result.report.accepted
+        assert ethertypes == {ETHERTYPE_RSQ}
+        readbacks = [c for c in commands if isinstance(c, IcapReadbackBatchCommand)]
+        assert [len(c.frame_indices) for c in readbacks] == [1] * SIM_SMALL.total_frames
+        assert not any(
+            isinstance(c, (IcapConfigCommand, IcapReadbackCommand)) for c in commands
         )
-        assert not session._resequenced
-        assert session.run().report.accepted
-        # Every tapped payload starts with a SACHa opcode byte, not a
-        # resequencer sequence header.
-        assert set(opcodes) <= {0x01, 0x02, 0x03, 0x81, 0x82}
+
+    def test_raw_one_frame_batches_on_sim_medium(self, provisioned_medium):
+        """289 one-index commands overtake the config batches sent before
+        them; the reorder window holds every payload of the attempt, so
+        none is dropped as overflow."""
+        provisioned, record = provisioned_medium
+        simulator = Simulator()
+        session = NetworkAttestationSession(
+            simulator,
+            Channel(simulator, LatencyModel(base_ns=5_000.0)),
+            provisioned.prover,
+            SachaVerifier(record.system, record.mac_key, DeterministicRng(5)),
+            DeterministicRng(6),
+            readback_batch_frames=1,
+        )
+        result = session.run()
+        assert result.report.accepted
+        assert result.attempts == 1
+        assert session._prover_port.overflow_dropped == 0
+        assert session._verifier_port.overflow_dropped == 0
 
     def test_out_of_plan_fragment_is_ignored(self):
         """A fragment that is not the next contiguous plan slice cannot
@@ -263,7 +308,7 @@ class TestPipelinedTransport:
         rogue = ReadbackBatchResponse(
             base_slot=5, frame_count=1, data=bytes(frame_bytes)
         )
-        session._on_verifier_delivery_pipelined(
+        session._on_verifier_delivery(
             EthernetFrame(
                 destination=session.verifier_endpoint.mac,
                 source=session.prover_endpoint.mac,
@@ -284,7 +329,7 @@ class TestPipelinedTransport:
         session._plan = [0, 1, 2, 3]
         session._rx_slot = 0
         before = session.unexpected_frames
-        session._on_verifier_delivery_pipelined(
+        session._on_verifier_delivery(
             EthernetFrame(
                 destination=session.verifier_endpoint.mac,
                 source=session.prover_endpoint.mac,
@@ -336,7 +381,7 @@ class TestFaultCompatibility:
             FaultProfile(duplication_probability=0.1)
         )
         session = self._build(simulator, channel, reliable=False)
-        assert session._resequenced
+        assert isinstance(session._verifier_port, ResequencerLink)
         assert session.run().report.accepted
 
     def test_reorder_on_raw_channel_resequenced(self):
@@ -346,7 +391,7 @@ class TestFaultCompatibility:
             FaultProfile(reorder_probability=0.1, reorder_extra_ns=1e5)
         )
         session = self._build(simulator, channel, reliable=False)
-        assert session._resequenced
+        assert isinstance(session._verifier_port, ResequencerLink)
         assert session.run().report.accepted
 
     def test_same_faults_allowed_over_arq(self):
@@ -431,19 +476,22 @@ class TestCumulativeConfigAcks:
         assert session._config_steps > 0
         assert session._config_acked == session._config_steps
 
-    def test_lockstep_sends_no_config_acks(self):
-        session, _ = _reliable_session(1, 1)
-        assert session.run().report.accepted
-        assert session._config_acked == 0
+    def test_one_frame_batches_ack_every_config_frame(self):
+        """Batch 1 streams the configuration in batches like any other
+        batch size, and each batch is acked, on either transport."""
+        for reliable in (False, True):
+            session, _ = _reliable_session(1, 1, reliable=reliable)
+            assert session.run().report.accepted, reliable
+            assert session._config_steps > 0
+            assert session._config_acked == session._config_steps, reliable
 
     def test_missing_acks_fail_toward_inconclusive(self, monkeypatch):
-        from repro.core.report import Verdict
-
-        session, _ = _reliable_session(8, 256)
-        monkeypatch.setattr(session, "_send_config_ack", lambda: None)
-        result = session.run()
-        assert result.report.verdict is Verdict.INCONCLUSIVE
-        assert "config_unacked" in result.report.failure_reason
+        for shape in ((8, 256), (1, 1)):
+            session, _ = _reliable_session(*shape)
+            monkeypatch.setattr(session, "_send_config_ack", lambda: None)
+            result = session.run()
+            assert result.report.verdict is Verdict.INCONCLUSIVE, shape
+            assert "config_unacked" in result.report.failure_reason, shape
 
 
 class TestFinishedSessionMemory:

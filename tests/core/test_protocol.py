@@ -122,10 +122,9 @@ class TestSimClockExactness:
         "options, readback_ns",
         [
             (SessionOptions(), 10_212_600.0),
-            (SessionOptions(readback_batch_frames=16), 6_460_272.0),
             (SessionOptions(mask_at_prover=True), 10_371_576.0),
         ],
-        ids=["per-frame", "batched", "mask-at-prover"],
+        ids=["per-frame", "mask-at-prover"],
     )
     def test_sim_medium_breakdown_is_exact(
         self, provisioned_medium, verifier_medium, options, readback_ns

@@ -45,12 +45,12 @@ def _faulty_session(
     arq_window=1,
     readback_batch_frames=1,
 ):
-    # These scenarios pin the lockstep (window=1, batch=1) path by
-    # default: their seeds were chosen so the stop-and-wait frame
-    # interleaving actually collides with the configured faults.  The
-    # pipelined defaults finish in far fewer frames, so the same seeds
-    # would sail past the fault windows — pipelined fault coverage gets
-    # its own scenario below.
+    # These scenarios pin the (window=1, batch=1) shape by default: at
+    # one payload per round trip the run is long enough for its frames
+    # to collide with the configured faults and outage.  The pipelined
+    # defaults finish in far fewer frames, so the same seeds would sail
+    # past the fault windows — pipelined fault coverage gets its own
+    # scenario below.
     system = build_sacha_system(SIM_SMALL)
     provisioned, record = provision_device(system, "prv-faulty", seed=seed)
     simulator = Simulator()
@@ -137,7 +137,7 @@ class TestAcceptanceScenario:
 
 class TestPipelinedResilience:
     """The pipelined defaults (window > 1, batched readback) must ride
-    out the same fault classes as the lockstep path."""
+    out the same fault classes as the one-frame stop-and-wait shape."""
 
     PIPELINED_PROFILE = FaultProfile(
         loss_probability=0.15,

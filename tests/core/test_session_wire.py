@@ -1,10 +1,11 @@
 """Whole-session wire pins for the networked attestation.
 
 The ARQ fingerprints in ``tests/properties/test_property_arq.py`` cover
-bare ARQ exchanges.  These cover complete SIM-MEDIUM sessions over the
-reliable transport: configuration batches, readback batches, ConfigAcks,
-response fragments, ARQ ACKs and the tag.  A change that only makes the
-simulated network cheaper to run must leave every one of them as it is:
+bare ARQ exchanges.  These cover complete SIM-MEDIUM sessions:
+configuration batches, readback batches, ConfigAcks, response
+fragments, ARQ ACKs or resequencer headers, and the tag.  A change that
+only makes the simulated network cheaper to run, or that only removes
+code, must leave every one of them as it is:
 
 * a SHA-256 over every ``(direction, payload)`` the channel carries,
   taken by a tap, so lost frames count too;
@@ -12,10 +13,12 @@ simulated network cheaper to run must leave every one of them as it is:
 * ``frames_sent`` of both endpoints;
 * the MAC tag.
 
-The pins were captured from the stack as it was before its per-frame
-host cost was cut (tuple event heap, named-tuple frames, ``struct`` ARQ
-codec, numpy config-batch packer), so they prove that rewrite changed
-no byte, timestamp or RNG draw.
+``pipelined-clean``, ``pipelined-lossy`` and ``raw-clean`` were captured
+before the session had a single state machine, so they prove that
+folding the per-frame loop into the batched one changed no byte,
+timestamp or RNG draw of the shapes it kept.  ``one-frame-clean`` pins
+the (window 1, batch 1) shape on that single state machine; its tag is
+the one every other shape produces.
 """
 
 import hashlib
@@ -33,25 +36,29 @@ from repro.utils.rng import DeterministicRng
 
 LINK = LatencyModel(base_ns=5_000.0)
 
-#: name -> (window, batch, loss, (wire sha256, final now_ns,
+#: name -> (reliable, window, batch, loss, (wire sha256, final now_ns,
 #: verifier frames_sent, prover frames_sent, tag hex)).
 SESSION_PINS = {
-    "pipelined-clean": (8, 256, 0.0, (
+    "pipelined-clean": (True, 8, 256, 0.0, (
         "1b3cda842a3ec36e0e9369c95ebba8d4350bc1394afe9c57d33248454c5e7f5b",
         51496.0, 22, 16, "fb36bc5dba08ec50e1eccf652b2deec7",
     )),
-    "pipelined-lossy": (8, 256, 0.05, (
+    "pipelined-lossy": (True, 8, 256, 0.05, (
         "6b1a84bcf82349f406dda44e156b0b83cf26bdec627f6db6ffe4ae08bb40bd65",
         2226656.79064352, 40, 35, "fb36bc5dba08ec50e1eccf652b2deec7",
     )),
-    "lockstep-clean": (1, 1, 0.0, (
-        "6e762ac0cf4439588bb80c40447c79a7ae442d98a50645f08691af5d29a54df7",
-        5719736.0, 792, 792, "fb36bc5dba08ec50e1eccf652b2deec7",
+    "raw-clean": (False, 8, 256, 0.0, (
+        "cef7a24e30954f936ebb7c7846e16d927c423ffddd79d89f4ebc95ec461b97a4",
+        34464.0, 9, 14, "fb36bc5dba08ec50e1eccf652b2deec7",
+    )),
+    "one-frame-clean": (True, 1, 1, 0.0, (
+        "531e490d882cfc9eefc0d42dbc8e5e9f80e6c17acc6403402aee922cc99e5ebd",
+        3426168.0, 590, 590, "fb36bc5dba08ec50e1eccf652b2deec7",
     )),
 }
 
 
-def session_fingerprint(provisioned_medium, window, batch, loss):
+def session_fingerprint(provisioned_medium, reliable, window, batch, loss):
     """Run one seeded session and fingerprint everything it put on the wire."""
     provisioned, record = provisioned_medium
     rng = DeterministicRng(2019)
@@ -72,7 +79,7 @@ def session_fingerprint(provisioned_medium, window, batch, loss):
         provisioned.prover,
         SachaVerifier(record.system, record.mac_key, rng.fork("verifier")),
         rng.fork("session"),
-        reliable=True,
+        reliable=reliable,
         arq_tuning=ArqTuning(window=window, adaptive=True),
         readback_batch_frames=batch,
         max_attempts=3,
@@ -91,5 +98,7 @@ def session_fingerprint(provisioned_medium, window, batch, loss):
 
 @pytest.mark.parametrize("name", sorted(SESSION_PINS))
 def test_session_wire_matches_pin(provisioned_medium, name):
-    window, batch, loss, pinned = SESSION_PINS[name]
-    assert session_fingerprint(provisioned_medium, window, batch, loss) == pinned
+    reliable, window, batch, loss, pinned = SESSION_PINS[name]
+    assert session_fingerprint(
+        provisioned_medium, reliable, window, batch, loss
+    ) == pinned

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.net_session import NetworkAttestationSession
 from repro.core.protocol import SessionOptions, run_attestation
 from repro.core.prover import SachaProver
 from repro.core.provisioning import provision_device
@@ -15,6 +16,8 @@ from repro.core.verifier import SachaVerifier
 from repro.crypto.cmac import AesCmac
 from repro.design.sacha_design import build_sacha_system
 from repro.fpga.device import XC6VLX240T
+from repro.net.channel import Channel, LatencyModel
+from repro.sim.events import Simulator
 from repro.timing.network import LAB_NETWORK
 from repro.utils.rng import DeterministicRng
 
@@ -80,6 +83,25 @@ class TestFullDevice:
         assert timing.checksum_ns == 952.0
         assert timing.total_ns == 1_442_134_480.0
         assert timing.total_ns / 1e9 == pytest.approx(1.443, abs=0.001)
+
+    @pytest.mark.parametrize("batch", [256, 1])
+    def test_raw_transport_session_at_scale(self, full_setup, batch):
+        """A loss-free raw link at paper scale: the burst's small readback
+        and checksum commands overtake 6,600 config batches of 1,500
+        bytes, and the reorder window must hold all of them."""
+        _, provisioned, verifier = full_setup
+        simulator = Simulator()
+        session = NetworkAttestationSession(
+            simulator,
+            Channel(simulator, LatencyModel(base_ns=5_000.0)),
+            provisioned.prover,
+            verifier,
+            DeterministicRng(4),
+            readback_batch_frames=batch,
+        )
+        result = session.run()
+        assert result.report.accepted
+        assert result.attempts == 1
 
     def test_static_tamper_detected_at_scale(self, full_setup):
         system, provisioned, verifier = full_setup

@@ -44,11 +44,16 @@ class TestBulkReadback:
 
     def test_readback_range_equals_frame_loop(self, memory, registers):
         reference = Icap(memory.copy(), registers)
-        expected = b"".join(
-            reference.readback_frame(i) for i in range(SIM_SMALL.total_frames)
-        )
         icap = Icap(memory, registers)
-        assert icap.readback_range(0, SIM_SMALL.total_frames) == expected
+        total = SIM_SMALL.total_frames
+        # Registers live in frames 2 and 5: whole sweeps, ranges that
+        # start and end inside register-bearing frames, single frames,
+        # and a range between them.
+        for start, count in ((0, total), (2, 4), (2, 1), (5, 1), (3, 2), (5, total - 5)):
+            expected = b"".join(
+                reference.readback_frame(i) for i in range(start, start + count)
+            )
+            assert icap.readback_range(start, count) == expected, (start, count)
 
     def test_iterator_matches_readback_all(self, memory, registers):
         icap = Icap(memory, registers)

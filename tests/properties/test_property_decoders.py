@@ -18,16 +18,14 @@ from repro.core.net_session import NetworkAttestationSession
 from repro.core.provisioning import provision_device
 from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
-from repro.errors import NetworkError
+from repro.errors import NetworkError, WireFormatError
 from repro.fpga.device import SIM_MEDIUM
 from repro.net import arq
 from repro.net.channel import Channel, LatencyModel
 from repro.net.ethernet import MAX_PAYLOAD, EthernetFrame, MacAddress
 from repro.net.messages import (
     IcapReadbackMaskedCommand,
-    IcapReadbackRangeCommand,
     MaskedReadbackAck,
-    ReadbackRangeResponse,
     TraceHelloCommand,
     decode_command,
     decode_response,
@@ -65,14 +63,12 @@ def _record_session(batch: int) -> list:
 
 @pytest.fixture(scope="module")
 def corpus():
-    """Real frames of the pipelined and lockstep shapes, plus one of each
+    """Real frames of the batch-256 and batch-1 shapes, plus one of each
     message kind no session sends."""
     extra = [
         IcapReadbackMaskedCommand(7, bytes(range(32))).encode(),
-        IcapReadbackRangeCommand(3, 9).encode(),
         TraceHelloCommand(bytes(8)).encode(),
         MaskedReadbackAck(7).encode(),
-        ReadbackRangeResponse(3, bytes(64)).encode(),
     ]
     return _record_session(256) + _record_session(1) + extra
 
@@ -125,6 +121,21 @@ class TestDecodersFailClosed:
         if frame:
             frame[0] = data.draw(st.integers(min_value=0, max_value=0xFF))
         _fails_closed(DECODERS[name], bytes(frame))
+
+
+class TestRetiredOpcodes:
+    """0x05/0x84 were a second batched-readback pair; no decoder knows
+    them any more, whatever follows the opcode byte."""
+
+    @given(body=st.binary(max_size=64))
+    def test_ranged_readback_command_rejected(self, body):
+        with pytest.raises(WireFormatError, match="unknown command opcode 0x05"):
+            decode_command(b"\x05" + body)
+
+    @given(body=st.binary(max_size=64))
+    def test_ranged_readback_response_rejected(self, body):
+        with pytest.raises(WireFormatError, match="unknown response opcode 0x84"):
+            decode_response(b"\x84" + body)
 
 
 MAC_A = MacAddress(0x020000000001)

@@ -1,20 +1,24 @@
 """Property-based tests for the protocol variants.
 
 Completeness and soundness must hold not only for the paper's protocol
-but for every variant: prover-side masking, batched readback, and the
-signature extension.
+but for every variant: prover-side masking, batched readback over the
+networked session, and the signature extension.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.net_session import NetworkAttestationSession, NetworkRunResult
 from repro.core.protocol import SessionOptions, run_attestation
 from repro.core.provisioning import provision_device
+from repro.core.report import Verdict
 from repro.core.signature_ext import SignatureVerifier, upgrade_to_signatures
 from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
 from repro.fpga.device import SIM_SMALL
 from repro.fpga.registers import RegisterBit
+from repro.net.channel import Channel, LatencyModel
+from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
 TOTAL = SIM_SMALL.total_frames
@@ -24,6 +28,19 @@ def _fresh(seed):
     system = build_sacha_system(SIM_SMALL)
     provisioned, record = provision_device(system, f"var-{seed}", seed=seed)
     return system, provisioned, record
+
+
+def _network_run(provisioned, record, seed, batch, reliable) -> NetworkRunResult:
+    simulator = Simulator()
+    return NetworkAttestationSession(
+        simulator,
+        Channel(simulator, LatencyModel(base_ns=5_000.0)),
+        provisioned.prover,
+        SachaVerifier(record.system, record.mac_key, DeterministicRng(seed + 1)),
+        DeterministicRng(seed),
+        reliable=reliable,
+        readback_batch_frames=batch,
+    ).run()
 
 
 class TestMaskedVariantProperties:
@@ -69,45 +86,36 @@ class TestMaskedVariantProperties:
 
 
 class TestBatchedVariantProperties:
-    @given(seed=st.integers(0, 5_000), batch=st.integers(2, 40))
+    """Any readback batch size, over the ARQ and over the raw transport."""
+
+    @given(
+        seed=st.integers(0, 5_000),
+        batch=st.integers(1, 40),
+        reliable=st.booleans(),
+    )
     @settings(max_examples=8, deadline=None)
-    def test_completeness_for_any_batch_size(self, seed, batch):
+    def test_completeness_for_any_batch_size(self, seed, batch, reliable):
         system, provisioned, record = _fresh(seed)
-        verifier = SachaVerifier(
-            record.system, record.mac_key, DeterministicRng(seed + 1)
-        )
-        result = run_attestation(
-            provisioned.prover,
-            verifier,
-            DeterministicRng(seed),
-            SessionOptions(readback_batch_frames=batch),
-        )
+        result = _network_run(provisioned, record, seed, batch, reliable)
         assert result.report.accepted
-        assert len(result.responses) == TOTAL
+        assert result.report.readback_steps == TOTAL
 
     @given(
         seed=st.integers(0, 1_000),
-        batch=st.integers(2, 40),
+        batch=st.integers(1, 40),
+        reliable=st.booleans(),
         frame_choice=st.integers(0, 10_000),
     )
     @settings(max_examples=8, deadline=None)
-    def test_soundness_with_localization(self, seed, batch, frame_choice):
+    def test_soundness_with_localization(self, seed, batch, reliable, frame_choice):
         system, provisioned, record = _fresh(seed)
         static_frames = system.partition.static_frame_list()
         frame = static_frames[frame_choice % len(static_frames)]
         if system.combined_mask().is_masked(RegisterBit(frame, 0, 13)):
             return
         provisioned.board.fpga.memory.flip_bit(frame, 0, 13)
-        verifier = SachaVerifier(
-            record.system, record.mac_key, DeterministicRng(seed + 1)
-        )
-        result = run_attestation(
-            provisioned.prover,
-            verifier,
-            DeterministicRng(seed),
-            SessionOptions(readback_batch_frames=batch),
-        )
-        assert not result.report.accepted
+        result = _network_run(provisioned, record, seed, batch, reliable)
+        assert result.report.verdict is Verdict.REJECT
         assert result.report.mismatched_frames == [frame]
 
 
