@@ -52,9 +52,7 @@ def fpga_update_demo() -> None:
     )
 
     # The old verifier record now correctly refuses the device.
-    stale = verifier_v1.evaluate(
-        result.nonce, result.plan, result.responses, result.tag
-    )
+    stale = verifier_v1.evaluate(result.nonce, result.plan, result.sweep, result.tag)
     print(f"v1 golden reference vs updated device: accepted={stale.accepted} "
           "(the verdict is bound to the exact intended configuration)")
 

@@ -111,8 +111,9 @@ class WrongKeyProver(SachaProver):
 class EchoingProver(SachaProver):
     """Answers readbacks for frame X with data for frame Y.
 
-    Used to check the verifier's frame-echo policy: a prover cannot remap
-    which frame it claims to be returning.
+    The response still echoes X, so the remapped content must be caught
+    by the masked golden comparison; a response echoing Y instead is a
+    protocol error in ``run_attestation``.
     """
 
     def __init__(

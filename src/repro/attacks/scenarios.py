@@ -254,10 +254,13 @@ def replay_attack(
     plan = verifier_two.readback_plan()
     # The replayer re-orders its recording to match the new plan as best
     # it can (frame-indexed lookup), the strongest replay strategy.
+    frame_bytes = record.system.device.frame_bytes
     by_frame = {}
-    for response in recorded.responses:
-        by_frame.setdefault(response.frame_index, response)
-    replayed: List = [by_frame[index] for index in plan if index in by_frame]
+    for slot, frame_index in enumerate(recorded.plan):
+        by_frame.setdefault(
+            frame_index, recorded.sweep[slot * frame_bytes : (slot + 1) * frame_bytes]
+        )
+    replayed = b"".join(by_frame[index] for index in plan if index in by_frame)
     report = verifier_two.evaluate(fresh_nonce, plan, replayed, recorded.tag)
     return AttackOutcome(
         attack_name="Replay of a recorded session",

@@ -16,10 +16,11 @@ the readback plan into ``ICAP_readback_batch`` commands of up to
 schedule is streamed as one burst ahead of the responses.  The sliding-
 window ARQ keeps up to ``window`` payloads in flight, each config batch
 is confirmed by one cumulative :class:`~repro.net.messages.ConfigAck`,
-and the verifier folds the expected MAC incrementally as response
-fragments arrive.  A batch of one frame is the paper's per-frame
-exchange; CMAC is chunking-invariant, so the tag does not depend on the
-shape.  The plan-ordered fragment cursor keeps the MAC stream aligned.
+and the verifier appends each response fragment to one sweep buffer in
+plan order, which it judges once the tag has arrived.  A batch of one
+frame is the paper's per-frame exchange; CMAC is chunking-invariant, so
+the tag does not depend on the shape.  The plan-ordered fragment cursor
+keeps the sweep aligned with the plan.
 
 Streaming needs in-order delivery, not reliability: the raw channel
 delivers each frame after its own serialization delay, so a burst of
@@ -34,8 +35,8 @@ simulation and fails the attempt toward ``inconclusive``).
 
 The session degrades gracefully instead of raising out of the event
 loop.  Undecodable frames (bit corruption or truncation from the fault
-model) are dropped and counted; duplicated or late responses are
-ignored; a drained simulation or an ARQ link giving up fails *the
+model) are dropped and counted; duplicated, late or malformed responses
+are ignored; a drained simulation or an ARQ link giving up fails *the
 attempt*, and the session retries the whole protocol — fresh nonce,
 full reconfiguration, new ARQ state — up to ``max_attempts`` times
 before returning an :class:`~repro.core.report.AttestationReport` whose
@@ -66,7 +67,6 @@ from repro.net.messages import (
     MacChecksumCommand,
     MacChecksumResponse,
     ReadbackBatchResponse,
-    ReadbackResponse,
     Response,
     TraceHelloCommand,
     decode_command,
@@ -115,10 +115,6 @@ class NetworkRunResult:
 
 class NetworkAttestationSession:
     """One attestation run as network traffic on a channel."""
-
-    # Expected-MAC folds are batched to this many buffered response bytes
-    # (CMAC chunking-invariance makes the tag independent of the split).
-    _MAC_FOLD_CHUNK_BYTES = 1 << 20
 
     def __init__(
         self,
@@ -199,14 +195,10 @@ class NetworkAttestationSession:
         self._nonce = b""
         self._plan: List[int] = []
         self._config_steps = 0
-        self._responses: List[ReadbackResponse] = []
+        self._frame_bytes = verifier.system.device.frame_bytes
         self._tag: Optional[bytes] = None
-        self._expected_tag: Optional[bytes] = None
         self._rx_buffers: List[bytes] = []
         self._rx_slot = 0
-        self._mac_stream = None
-        self._mac_pending: List[bytes] = []
-        self._mac_pending_bytes = 0
         self._start_ns = 0.0
         self._end_ns = 0.0
         self._trace_id = ""
@@ -388,9 +380,8 @@ class NetworkAttestationSession:
             report = self._verifier.evaluate(
                 self._nonce,
                 self._plan,
-                self._responses,
+                b"".join(self._rx_buffers),
                 self._tag or b"",
-                expected_tag=self._expected_tag,
             )
             report.config_steps = self._config_steps
             report.nonce = self._nonce
@@ -409,17 +400,12 @@ class NetworkAttestationSession:
 
     def _run_attempt(self) -> Optional[FailureReason]:
         """One full protocol pass; None on success, the failure otherwise."""
-        # Fresh per-attempt state: nonce, plan, responses, MAC, transport.
+        # Fresh per-attempt state: nonce, plan, sweep, tag, transport.
         self._link_failure = None
         self._prover_trace_id = None
-        self._responses = []
         self._tag = None
-        self._expected_tag = None
         self._rx_buffers = []
         self._rx_slot = 0
-        self._mac_stream = None
-        self._mac_pending = []
-        self._mac_pending_bytes = 0
         self._config_acked = 0
         self._prover_configs_applied = 0
         # Abort under the prover's registry: the abandoned attempt's
@@ -457,18 +443,16 @@ class NetworkAttestationSession:
                 detail=f"cumulative ConfigAcks cover {self._config_acked} of "
                 f"{self._config_steps} configuration frames",
             )
-        self._finish_sweep()
         return None
 
     def _send_schedule(self) -> None:
-        """Stream every command up front; responses fold as they arrive.
+        """Stream every command up front; collect responses as they arrive.
 
         In-order delivery (ARQ, or the resequencer on a raw channel)
         guarantees the prover sees config → readbacks → checksum in
         order, so the whole command schedule can be enqueued before the
         first response returns — the sliding window keeps the pipe full.
         """
-        self._mac_stream = self._verifier.mac_stream()
         registry = get_registry()
         config_indices, config_frames = self._verifier.config_schedule(self._nonce)
         self._config_steps = len(config_indices)
@@ -503,31 +487,6 @@ class NetworkAttestationSession:
                 float(max((len(b.frame_indices) for b in readback_batches), default=0))
             )
 
-    def _finish_sweep(self) -> None:
-        """Materialize per-frame responses from the reassembled sweep.
-
-        Each response's ``data`` is a zero-copy ``memoryview`` slice of
-        the joined sweep buffer — the verifier only reads the bytes (and
-        rejoins them for the vectorized comparison), so no per-frame copy
-        is needed.
-        """
-        data = b"".join(self._rx_buffers)
-        frame_bytes = self._verifier.system.device.frame_bytes
-        view = memoryview(data)
-        self._responses = [
-            ReadbackResponse(
-                frame_index=frame_index,
-                data=view[slot * frame_bytes : (slot + 1) * frame_bytes],
-            )
-            for slot, frame_index in enumerate(self._plan)
-        ]
-        if self._mac_stream is not None:
-            if self._mac_pending:
-                self._mac_stream.update(b"".join(self._mac_pending))
-                self._mac_pending = []
-                self._mac_pending_bytes = 0
-            self._expected_tag = self._mac_stream.finalize()
-
     def _harvest_retransmissions(self) -> None:
         for port in (self._verifier_port, self._prover_port):
             self.total_retransmissions += getattr(port, "retransmissions", 0)
@@ -557,9 +516,13 @@ class NetworkAttestationSession:
                 or response.base_slot != self._rx_slot
                 or response.frame_count < 1
                 or self._rx_slot + response.frame_count > len(self._plan)
+                or len(response.data) != response.frame_count * self._frame_bytes
             ):
-                # The plan-position cursor rejects anything but the next
-                # contiguous fragment, keeping the MAC stream aligned.
+                # The plan-position cursor accepts only the next
+                # contiguous fragment of whole frames, keeping the sweep
+                # aligned with the plan.  Anything else is dropped, and
+                # the attempt drains toward inconclusive: a misaligned
+                # sweep must not be judged against an honest device.
                 self.unexpected_frames += 1
                 self._count(
                     "sacha_session_unexpected_frames_total",
@@ -569,17 +532,6 @@ class NetworkAttestationSession:
                 return
             self._rx_buffers.append(response.data)
             self._rx_slot += response.frame_count
-            if self._mac_stream is not None:
-                # Fold in coarse chunks: CMAC is chunking-invariant, and
-                # each backend fold call has fixed setup cost, so folding
-                # per ~MiB instead of per fragment keeps the stream
-                # incremental (bounded memory) at a fraction of the calls.
-                self._mac_pending.append(response.data)
-                self._mac_pending_bytes += len(response.data)
-                if self._mac_pending_bytes >= self._MAC_FOLD_CHUNK_BYTES:
-                    self._mac_stream.update(b"".join(self._mac_pending))
-                    self._mac_pending = []
-                    self._mac_pending_bytes = 0
             if self._rx_slot == len(self._plan):
                 self._phase = _Phase.CHECKSUM
             return

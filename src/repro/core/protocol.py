@@ -71,7 +71,9 @@ class SessionResult:
     report: AttestationReport
     nonce: bytes = b""
     plan: List[int] = field(default_factory=list)
-    responses: List[ReadbackResponse] = field(default_factory=list)
+    #: The read-back frames in plan order, concatenated; empty in the
+    #: mask-at-prover variant, which returns no frame content.
+    sweep: bytes = b""
     tag: bytes = b""
 
 
@@ -159,7 +161,7 @@ def run_attestation(
 
         # -- full configuration readback (Figure 9, middle) -------------------
         plan = verifier.readback_plan()
-        responses: List[ReadbackResponse] = []
+        frames: List[bytes] = []
         readback_ns = 0.0
         first = True
         with span("readback", clock=clock, registry=registry, frames=len(plan)):
@@ -224,11 +226,16 @@ def run_attestation(
                                 f"prover returned {type(response).__name__} "
                                 "to ICAP_readback"
                             )
+                        if response.frame_index != frame_index:
+                            raise ProtocolError(
+                                f"prover answered frame {response.frame_index} "
+                                f"when frame {frame_index} was requested"
+                            )
                         elapsed += a4
                         elapsed += a6
                         elapsed += a8
                     readback_ns += elapsed - start
-                    responses.append(response)
+                    frames.append(response.data)
                     if tracing:
                         trace.record(
                             start, "ICAP_readback", "vrf->prv", f"frame {frame_index}"
@@ -256,12 +263,11 @@ def run_attestation(
             readback_steps=len(plan),
         )
         network_ns = options.network.overhead_ns(counts)
+        sweep = b"".join(frames)
         if options.mask_at_prover:
             report = verifier.evaluate_masked(nonce, plan, checksum_response.tag)
         else:
-            report = verifier.evaluate(
-                nonce, plan, responses, checksum_response.tag
-            )
+            report = verifier.evaluate(nonce, plan, sweep, checksum_response.tag)
         report.config_steps = len(config_commands)
         report.nonce = nonce
         report.timing = TimingBreakdown(
@@ -297,7 +303,7 @@ def run_attestation(
         report=report,
         nonce=nonce,
         plan=plan,
-        responses=responses,
+        sweep=sweep,
         tag=checksum_response.tag,
     )
 

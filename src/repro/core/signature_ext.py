@@ -17,7 +17,7 @@ the ``MAC_checksum`` response, at 288 instead of 16 bytes).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.crypto.schnorr import (
     SchnorrKeyPair,
@@ -34,7 +34,6 @@ from repro.core.verifier import SachaVerifier, VerifierPolicy
 from repro.design.sacha_design import SachaSystemDesign
 from repro.errors import ProvisioningError
 from repro.fpga.board import Board
-from repro.net.messages import ReadbackResponse
 from repro.utils.rng import DeterministicRng
 
 if TYPE_CHECKING:
@@ -102,22 +101,8 @@ class SignatureVerifier(SachaVerifier):
         super().__init__(system, bytes(16), rng, order=order, policy=policy)
         self._public_key = public_key
 
-    def mac_stream(self) -> None:
-        """Signatures cannot be pre-folded into an expected tag: the
-        check verifies the prover's signature over the digest instead of
-        recomputing a shared-key MAC, so the pipelined session falls back
-        to the full :meth:`_check_authenticity` pass."""
-        return None
-
-    def _check_authenticity(
-        self,
-        responses: Sequence[ReadbackResponse],
-        tag: bytes,
-        expected_tag: Optional[bytes] = None,
-    ) -> bool:
-        digest = Sha256().update(SIGNATURE_DOMAIN)
-        for response in responses:
-            digest.update(response.data)
+    def _check_authenticity(self, sweep: bytes, tag: bytes) -> bool:
+        digest = Sha256().update(SIGNATURE_DOMAIN).update(sweep)
         try:
             signature = SchnorrSignature.decode(tag)
         except ValueError:

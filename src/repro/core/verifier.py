@@ -16,16 +16,10 @@ import numpy as np
 
 from repro.crypto.cmac import AesCmac
 from repro.design.sacha_design import SachaSystemDesign
-from repro.fpga.config_memory import ConfigurationMemory
-from repro.fpga.mask import MaskFile
 from repro.errors import VerificationError
 from repro.core.orders import ReadbackOrder, default_order
 from repro.core.report import AttestationReport
-from repro.net.messages import (
-    IcapConfigCommand,
-    IcapReadbackMaskedCommand,
-    ReadbackResponse,
-)
+from repro.net.messages import IcapConfigCommand, IcapReadbackMaskedCommand
 from repro.obs import log as obs_log
 from repro.obs.metrics import get_registry
 from repro.utils.rng import DeterministicRng
@@ -75,7 +69,6 @@ class VerifierPolicy:
     """Checks the verifier enforces beyond the two comparisons."""
 
     require_full_coverage: bool = True
-    require_frame_echo: bool = True  # responses must echo requested indices
     max_readback_steps: Optional[int] = None
 
     def validate_order(self, sequence: Sequence[int], total_frames: int) -> None:
@@ -173,37 +166,12 @@ class SachaVerifier:
 
     # -- verdict -------------------------------------------------------------------
 
-    def expected_mac(
-        self, responses: Sequence[ReadbackResponse]
-    ) -> bytes:
-        """H_Vrf: the MAC over the configuration *as received*."""
-        mac = AesCmac(self._key)
-        mac.update_frames(response.data for response in responses)
-        return mac.finalize()
-
-    def mac_stream(self) -> Optional[AesCmac]:
-        """An incremental H_Vrf accumulator for pipelined transports.
-
-        The pipelined session folds readback batches into this as they
-        arrive and passes the finalized tag to :meth:`evaluate` as
-        ``expected_tag``, avoiding a second full-sweep MAC at verdict
-        time.  Returns ``None`` when the authenticity check cannot be
-        streamed (the Section-8 signature extension verifies a signature
-        instead of recomputing a MAC).
-        """
-        return AesCmac(self._key)
-
-    def _check_authenticity(
-        self,
-        responses: Sequence[ReadbackResponse],
-        tag: bytes,
-        expected_tag: Optional[bytes] = None,
-    ) -> bool:
-        """H_Prv == H_Vrf.  Subclasses may substitute another mechanism
-        (e.g. the Section-8 signature extension)."""
-        if expected_tag is None:
-            expected_tag = self.expected_mac(responses)
-        return hmac.compare_digest(expected_tag, tag)
+    def _check_authenticity(self, sweep: bytes, tag: bytes) -> bool:
+        """H_Prv == H_Vrf, where H_Vrf is the MAC over ``sweep`` as
+        received.  Subclasses may substitute another mechanism (e.g. the
+        Section-8 signature extension)."""
+        expected = AesCmac(self._key).update_frames((sweep,)).finalize()
+        return hmac.compare_digest(expected, tag)
 
     # -- masked-readback variant (Section 6.1 alternative) --------------------
 
@@ -221,21 +189,10 @@ class SachaVerifier:
 
     def expected_masked_mac(self, nonce: bytes, plan: Sequence[int]) -> bytes:
         """MAC over the *masked golden* configuration in plan order."""
-        golden = self.system.golden_memory(nonce)
-        mask = self.system.combined_mask()
-        mac = AesCmac(self._key)
-        from repro.perf import get_config
-
-        if get_config().frame_fastpath:
-            indices = np.asarray(plan, dtype=np.intp)
-            masked = mask.apply_to_sweep(golden.frames_array()[indices], plan)
-            mac.update(masked.astype(">u4").tobytes())
-        else:
-            for frame_index in plan:
-                mac.update(
-                    mask.apply_to_frame(frame_index, golden.read_frame(frame_index))
-                )
-        return mac.finalize()
+        indices = np.asarray(plan, dtype=np.intp)
+        golden = self.system.golden_memory(nonce).frames_array()[indices]
+        masked = self.system.combined_mask().apply_to_sweep(golden, indices)
+        return AesCmac(self._key).update(masked.astype(">u4").tobytes()).finalize()
 
     def evaluate_masked(
         self, nonce: bytes, plan: Sequence[int], tag: bytes
@@ -268,97 +225,51 @@ class SachaVerifier:
         self,
         nonce: bytes,
         plan: Sequence[int],
-        responses: Sequence[ReadbackResponse],
+        sweep: bytes,
         tag: bytes,
-        expected_tag: Optional[bytes] = None,
     ) -> AttestationReport:
-        """The two comparisons of Figure 9 plus policy checks.
+        """The two comparisons of Figure 9 over one read-back sweep.
 
-        ``expected_tag`` is the incrementally folded H_Vrf from a
-        :meth:`mac_stream` accumulator, when the transport streamed the
-        sweep; without it the MAC is recomputed from ``responses``.
+        ``sweep`` is the configuration as received: the ``frame_bytes``
+        of each frame of ``plan``, concatenated in plan order.  A sweep
+        of any other length is not accepted and the report says why.
         """
+        frame_bytes = self.system.device.frame_bytes
         report = AttestationReport(
             mac_valid=False,
             config_match=False,
             nonce=nonce,
-            readback_steps=len(responses),
+            readback_steps=len(sweep) // frame_bytes,
         )
-
-        if len(responses) != len(plan):
+        if len(sweep) != len(plan) * frame_bytes:
             report.failure_reason = (
-                f"expected {len(plan)} readback responses, got {len(responses)}"
+                f"expected {len(plan)} read-back frames of {frame_bytes} "
+                f"bytes, got {len(sweep)} bytes"
             )
             _observe_verdict(report)
             return report
-        if self._policy.require_frame_echo:
-            for requested, response in zip(plan, responses):
-                if response.frame_index != requested:
-                    report.failure_reason = (
-                        f"prover answered frame {response.frame_index} "
-                        f"when frame {requested} was requested"
-                    )
-                    _observe_verdict(report)
-                    return report
 
         # Check 1: H_Prv == H_Vrf over the received data.
-        report.mac_valid = self._check_authenticity(responses, tag, expected_tag)
+        report.mac_valid = self._check_authenticity(sweep, tag)
 
-        # Check 2: masked received configuration == masked golden.  In
-        # live-state mode (Section 8 future work) the received data stays
-        # unmasked — the register state is attested too — and the golden
-        # side carries the *expected* state (reset values, i.e. masked
-        # positions cleared).  A running application whose registers have
-        # drifted from the expected state therefore fails, which is why
-        # the extension needs expected-state tracking.
-        golden = self.system.golden_memory(nonce)
+        # Check 2: masked received configuration == masked golden, one
+        # row per plan slot.  In live-state mode (Section 8 future work)
+        # the received data stays unmasked — the register state is
+        # attested too — and the golden side carries the *expected* state
+        # (reset values, i.e. masked positions cleared).  A running
+        # application whose registers have drifted from the expected
+        # state therefore fails, which is why the extension needs
+        # expected-state tracking.
         mask = self.system.combined_mask()
-        from repro.perf import get_config
-
-        if get_config().frame_fastpath:
-            mismatched = self._mismatched_frames_vectorized(
-                golden, mask, responses
-            )
+        indices = np.asarray(plan, dtype=np.intp)
+        golden = self.system.golden_memory(nonce).frames_array()[indices]
+        received = np.frombuffer(sweep, dtype=">u4").reshape(golden.shape)
+        if self.attest_live_state:
+            differs = mask.apply_to_sweep(golden, indices) ^ received
         else:
-            mismatched = []
-            for response in responses:
-                expected = mask.apply_to_frame(
-                    response.frame_index, golden.read_frame(response.frame_index)
-                )
-                received = response.data
-                if not self.attest_live_state:
-                    received = mask.apply_to_frame(response.frame_index, received)
-                if expected != received and response.frame_index not in mismatched:
-                    mismatched.append(response.frame_index)
-        report.mismatched_frames = sorted(set(mismatched))
-        report.config_match = not mismatched
+            differs = mask.apply_to_sweep(golden ^ received, indices)
+        rows = np.flatnonzero(differs.any(axis=1))
+        report.mismatched_frames = np.unique(indices[rows]).tolist()
+        report.config_match = not report.mismatched_frames
         _observe_verdict(report)
         return report
-
-    def _mismatched_frames_vectorized(
-        self,
-        golden: ConfigurationMemory,
-        mask: MaskFile,
-        responses: Sequence[ReadbackResponse],
-    ) -> List[int]:
-        """Frame indices whose masked readback differs from the golden.
-
-        One vectorized pass over the whole sweep: received frames are
-        joined into a ``(n, words_per_frame)`` big-endian array, golden
-        rows gathered by index, both masked with the cached keep bits,
-        and the row-wise comparison yields the mismatch set — identical
-        semantics to the per-frame loop.
-        """
-        if not responses:
-            return []
-        words_per_frame = self.system.device.words_per_frame
-        plan_indices = [response.frame_index for response in responses]
-        received = np.frombuffer(
-            b"".join(response.data for response in responses), dtype=">u4"
-        ).reshape(len(responses), words_per_frame)
-        indices = np.asarray(plan_indices, dtype=np.intp)
-        expected = mask.apply_to_sweep(golden.frames_array()[indices], plan_indices)
-        if not self.attest_live_state:
-            received = mask.apply_to_sweep(received, plan_indices)
-        rows = np.nonzero(np.any(expected != received, axis=1))[0]
-        return [plan_indices[row] for row in rows]

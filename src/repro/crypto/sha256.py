@@ -49,10 +49,13 @@ class Sha256:
 
     def update(self, data: bytes) -> "Sha256":
         self._length += len(data)
-        self._buffer += data
-        while len(self._buffer) >= self.BLOCK_SIZE:
-            self._compress(self._buffer[: self.BLOCK_SIZE])
-            self._buffer = self._buffer[self.BLOCK_SIZE :]
+        buffer = self._buffer + data
+        # Walk the blocks by offset: re-slicing the remainder per block
+        # would make one update over a whole sweep quadratic.
+        end = len(buffer) - len(buffer) % self.BLOCK_SIZE
+        for offset in range(0, end, self.BLOCK_SIZE):
+            self._compress(buffer[offset : offset + self.BLOCK_SIZE])
+        self._buffer = buffer[end:]
         return self
 
     def _compress(self, block: bytes) -> None:

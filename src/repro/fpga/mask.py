@@ -13,7 +13,7 @@ Xilinx readback-verify convention).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -95,17 +95,6 @@ class MaskFile:
         # numpy bitwise ops return native byte order; cast back before
         # serializing so the wire order is preserved.
         return (words & keep).astype(">u4").tobytes()
-
-    def apply_to_frames(self, frames: List[bytes], frame_indices: List[int]) -> List[bytes]:
-        """Mask a list of frames addressed by their indices."""
-        if len(frames) != len(frame_indices):
-            raise ConfigMemoryError(
-                f"{len(frames)} frames but {len(frame_indices)} indices"
-            )
-        return [
-            self.apply_to_frame(index, data)
-            for index, data in zip(frame_indices, frames)
-        ]
 
     def apply_to_sweep(
         self, frames: np.ndarray, frame_indices: Sequence[int]

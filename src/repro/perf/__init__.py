@@ -1,4 +1,4 @@
-"""Performance layer: pluggable crypto backends and frame fast paths.
+"""Performance layer: pluggable crypto backends and bulk frame paths.
 
 The SACHa hot path streams all 28,488 frames of a full device through an
 incremental AES-CMAC twice (prover H_Prv and verifier H_Vrf) and then
@@ -11,8 +11,8 @@ makes that loop configurable and fast:
 * :mod:`repro.perf.backends` implements the backends — all byte-identical,
   enforced by known-answer and property tests;
 * the fpga/core layers use bulk ``update_frames`` folds, zero-copy frame
-  views and cached mask application so that the protocol overhead around
-  the MAC shrinks with it.
+  views and cached mask application; the verifier judges the whole
+  read-back sweep as one buffer, in one MAC fold and one masked compare.
 
 ``benchmarks/bench_gate.py`` is the regression gate CI runs over this
 layer.

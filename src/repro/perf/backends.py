@@ -249,6 +249,11 @@ class TableCipher:
         return struct.pack(">4I", s0, s1, s2, s3)
 
 
+#: Longest buffer the native fold hands OpenSSL in one update: a whole
+#: block multiple, small enough that each ciphertext is reused heap.
+_NATIVE_FOLD_SLICE_BYTES = 1 << 16
+
+
 class NativeCipher:
     """Platform AES (OpenSSL through ``cryptography``): CBC-identity fold.
 
@@ -293,6 +298,15 @@ class NativeCipher:
                 self._algorithm, _ossl_modes.CBC(bytes(state))
             ).encryptor()
             self._encryptor = encryptor
+        if length > _NATIVE_FOLD_SLICE_BYTES:
+            # One update over a whole sweep would build a sweep-sized
+            # ciphertext (fresh pages, faulted in on every verdict) only
+            # to keep its last block; slices keep each output small.
+            view = memoryview(buffer)
+            while len(view) > _NATIVE_FOLD_SLICE_BYTES:
+                encryptor.update(view[:_NATIVE_FOLD_SLICE_BYTES])
+                view = view[_NATIVE_FOLD_SLICE_BYTES:]
+            buffer = view
         chain = encryptor.update(buffer)[-BLOCK_SIZE:]
         self._chain = chain
         _count_fold(self.name, length // BLOCK_SIZE)

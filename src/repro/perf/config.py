@@ -7,7 +7,6 @@ switch backends without code changes::
 
     REPRO_AES_BACKEND=reference   # reference | table | native | auto
     REPRO_SWARM_WORKERS=4         # 0/1 = sequential sweep
-    REPRO_FRAME_FASTPATH=0        # disable bulk/vectorized frame handling
     REPRO_ARQ_WINDOW=8            # ARQ payloads in flight; 1 = stop-and-wait
     REPRO_ARQ_ADAPTIVE=1          # AIMD window adaptation (window = ceiling)
     REPRO_READBACK_BATCH_FRAMES=256  # frames per batched readback; 1 = per-frame
@@ -49,10 +48,6 @@ class ReproConfig:
     #: ``0`` or ``1`` keeps the sweep sequential (byte-identical telemetry
     #: ordering); higher values attest members concurrently.
     swarm_workers: int = 0
-    #: Master switch for the bulk/vectorized frame paths (ICAP sweeps,
-    #: cached mask application, vectorized verifier compare).  Exists so a
-    #: regression in the fast path can be ruled out in one env flip.
-    frame_fastpath: bool = True
     #: ARQ send-window size for networked sessions: how many payloads may
     #: be unacknowledged at once.  ``1`` is the legacy stop-and-wait and
     #: stays byte-identical to it.
@@ -137,14 +132,12 @@ class ReproConfig:
                 f"{name} must be a boolean flag, got {raw!r}"
             )
 
-        fastpath = _bool_env("REPRO_FRAME_FASTPATH", "1")
         adaptive = _bool_env("REPRO_ARQ_ADAPTIVE", "1")
         artifact_cache = _bool_env("REPRO_ARTIFACT_CACHE", "1")
         cache_dir = env.get("REPRO_CACHE_DIR", "").strip()
         return cls(
             aes_backend=backend,
             swarm_workers=workers,
-            frame_fastpath=fastpath,
             arq_window=window,
             arq_adaptive=adaptive,
             readback_batch_frames=batch_frames,

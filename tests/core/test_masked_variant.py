@@ -27,7 +27,7 @@ class TestMaskedVariant:
         provisioned, verifier = stack
         result = run_attestation(provisioned.prover, verifier, DeterministicRng(1), MASKED)
         assert result.report.accepted
-        assert result.responses == []  # no frame content travels back
+        assert result.sweep == b""  # no frame content travels back
 
     def test_running_application_accepted(self, stack):
         """The prover-applied mask absorbs live-register noise too."""

@@ -23,7 +23,9 @@ from repro.net.messages import (
     IcapConfigCommand,
     IcapReadbackBatchCommand,
     IcapReadbackCommand,
+    ReadbackBatchResponse,
     decode_command,
+    decode_response,
 )
 from repro.net.resequencer import ETHERTYPE_RSQ, ResequencerLink
 from repro.sim.events import Simulator
@@ -166,6 +168,50 @@ class TestNetworkAdversaries:
             assert result.report.verdict is Verdict.REJECT, reliable
             assert not result.report.mac_valid, reliable
             assert session.undecodable_frames == 0, reliable
+
+    @pytest.mark.parametrize("reliable", [False, True], ids=["raw", "arq"])
+    @pytest.mark.parametrize("rewrite", ["byte-short", "frame-long", "count-plus-one"])
+    def test_malformed_fragment_fails_inconclusive(self, reliable, rewrite):
+        """A tap that rewrites one read-back fragment so that its length
+        disagrees with its frame count, with a consistent length field
+        and link CRC-32, gets the fragment dropped: the attempt drains
+        to INCONCLUSIVE instead of raising or judging a misaligned
+        sweep."""
+        session, channel = _reliable_session(8, 4, reliable=reliable)
+        frame_bytes = SIM_SMALL.frame_bytes
+        rewritten = [0]
+
+        def tap(time_ns, direction, frame):
+            header = {ETHERTYPE_ARQ: 5, ETHERTYPE_RSQ: 4}[frame.ethertype]
+            body = frame.payload[:-4]
+            if (
+                direction != "prv->vrf"
+                or rewritten[0]
+                or len(body) <= header
+                or body[header] != OPCODE_READBACK_BATCH_RESPONSE
+            ):
+                return None
+            fragment = decode_response(body[header:])
+            count, data = fragment.frame_count, fragment.data
+            if rewrite == "byte-short":
+                data = data[:-1]
+            elif rewrite == "frame-long":
+                data = data + data[:frame_bytes]
+            else:
+                count += 1
+            body = body[:header] + ReadbackBatchResponse(
+                fragment.base_slot, count, data
+            ).encode()
+            rewritten[0] = 1
+            return frame._replace(
+                payload=body + zlib.crc32(body).to_bytes(4, "little")
+            )
+
+        channel.add_tap(tap)
+        result = session.run()
+        assert rewritten[0] == 1
+        assert result.report.verdict is Verdict.INCONCLUSIVE
+        assert session.unexpected_frames >= 1
 
     def test_eavesdropper_learns_no_key_material(self):
         """Everything on the wire is configuration data and the MAC; the

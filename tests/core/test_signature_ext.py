@@ -62,7 +62,7 @@ class TestSignatureAttestation:
         _, prover, _, verifier = signature_stack
         result = run_attestation(prover, verifier, DeterministicRng(4))
         report = verifier.evaluate(
-            result.nonce, result.plan, result.responses, b"not-a-signature"
+            result.nonce, result.plan, result.sweep, b"not-a-signature"
         )
         assert not report.mac_valid
 
@@ -83,8 +83,12 @@ class TestSignatureAttestation:
             provisioned.system, public_key, DeterministicRng(4402)
         )
         plan = verifier_two.readback_plan()
-        by_frame = {r.frame_index: r for r in result.responses}
-        replay = [by_frame[i] for i in plan]
+        frame_bytes = provisioned.system.device.frame_bytes
+        by_frame = {
+            frame_index: result.sweep[slot * frame_bytes : (slot + 1) * frame_bytes]
+            for slot, frame_index in enumerate(result.plan)
+        }
+        replay = b"".join(by_frame[i] for i in plan)
         report = verifier_two.evaluate(
             verifier_two.new_nonce(), plan, replay, result.tag
         )

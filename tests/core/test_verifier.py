@@ -5,10 +5,12 @@ import pytest
 from repro.cache import get_artifact_cache
 from repro.core.orders import ExplicitOrder
 from repro.core.protocol import run_attestation
+from repro.core.prover import SachaProver
+from repro.core.swarm import SwarmAttestation, SwarmMember
 from repro.core.verifier import SachaVerifier, VerifierPolicy
 from repro.errors import ProtocolError, VerificationError
 from repro.net.batch import pack_config_commands
-from repro.net.messages import IcapConfigCommand, ReadbackResponse, decode_command
+from repro.net.messages import IcapConfigCommand, IcapReadbackCommand, decode_command
 from repro.utils.rng import DeterministicRng
 
 
@@ -109,6 +111,17 @@ class TestPolicy:
             verifier.readback_plan()
 
 
+class _NeighbourProver(SachaProver):
+    """Answers every per-frame readback with the frame after the one
+    requested: honest content, wrong frame."""
+
+    def handle_command(self, command):
+        if isinstance(command, IcapReadbackCommand):
+            total = self.board.fpga.device.total_frames
+            command = IcapReadbackCommand((command.frame_index + 1) % total)
+        return super().handle_command(command)
+
+
 class TestVerdict:
     def _session(self, provisioned, verifier):
         device, _ = provisioned
@@ -125,45 +138,45 @@ class TestVerdict:
         result = self._session(provisioned_medium, verifier_medium)
         bad_tag = bytes(16)
         report = verifier_medium.evaluate(
-            result.nonce, result.plan, result.responses, bad_tag
+            result.nonce, result.plan, result.sweep, bad_tag
         )
         assert not report.mac_valid
         assert report.config_match  # data itself was fine
 
     def test_truncated_responses_rejected(self, provisioned_medium, verifier_medium):
+        """A sweep one frame or one byte short is not judged: the report
+        is not accepted and says why, and nothing raises."""
         result = self._session(provisioned_medium, verifier_medium)
-        report = verifier_medium.evaluate(
-            result.nonce, result.plan, result.responses[:-1], result.tag
-        )
-        assert not report.accepted
-        assert "expected" in report.failure_reason
+        frame_bytes = verifier_medium.system.device.frame_bytes
+        for short in (frame_bytes, 1):
+            report = verifier_medium.evaluate(
+                result.nonce, result.plan, result.sweep[:-short], result.tag
+            )
+            assert not report.accepted, short
+            assert "expected" in report.failure_reason, short
 
     def test_frame_echo_enforced(self, provisioned_medium, verifier_medium):
-        result = self._session(provisioned_medium, verifier_medium)
-        swapped = list(result.responses)
-        swapped[0] = ReadbackResponse(
-            frame_index=swapped[1].frame_index, data=swapped[0].data
-        )
-        report = verifier_medium.evaluate(
-            result.nonce, result.plan, swapped, result.tag
-        )
-        assert not report.accepted
-        assert "answered frame" in report.failure_reason
+        """A prover that answers the neighbouring frame is a protocol
+        violation, not a configuration mismatch: the run raises, and a
+        swarm member behaving so is inconclusive."""
+        device, _ = provisioned_medium
+        prover = _NeighbourProver(device.board, device.key_provider)
+        swarm = SwarmAttestation([SwarmMember("neighbour", prover, verifier_medium)])
+        assert swarm.run(DeterministicRng(9)).inconclusive == ["neighbour"]
+        with pytest.raises(ProtocolError, match="answered frame"):
+            run_attestation(prover, verifier_medium, DeterministicRng(9))
 
     def test_tampered_frame_localized(self, provisioned_medium, verifier_medium):
         result = self._session(provisioned_medium, verifier_medium)
-        target = result.plan[5]
-        tampered = [
-            ReadbackResponse(r.frame_index, b"\xff" * len(r.data))
-            if r.frame_index == target
-            else r
-            for r in result.responses
-        ]
+        frame_bytes = verifier_medium.system.device.frame_bytes
+        slot = 5
+        tampered = bytearray(result.sweep)
+        tampered[slot * frame_bytes : (slot + 1) * frame_bytes] = b"\xff" * frame_bytes
         report = verifier_medium.evaluate(
-            result.nonce, result.plan, tampered, result.tag
+            result.nonce, result.plan, bytes(tampered), result.tag
         )
         assert not report.mac_valid  # tag no longer matches the stream
-        assert report.mismatched_frames == [target]
+        assert report.mismatched_frames == [result.plan[slot]]
 
     def test_report_explain_mentions_verdict(self, provisioned_medium, verifier_medium):
         result = self._session(provisioned_medium, verifier_medium)

@@ -16,7 +16,12 @@ from repro.core.verifier import SachaVerifier
 from repro.crypto.cmac import AesCmac, aes_cmac
 from repro.design.sacha_design import build_sacha_system
 from repro.fpga.device import SIM_MEDIUM
-from repro.perf.backends import available_backends, get_cipher, native_available
+from repro.perf.backends import (
+    _NATIVE_FOLD_SLICE_BYTES,
+    available_backends,
+    get_cipher,
+    native_available,
+)
 from repro.perf.config import configured
 from repro.utils.rng import DeterministicRng
 
@@ -124,6 +129,24 @@ def test_native_stream_equals_table_under_any_fold_order(key, steps):
         if kind != "branch":
             heads[head] = (native_state, table_state)
         history.append((native_state, table_state))
+
+
+@needs_native
+def test_native_fold_across_slices_equals_table():
+    """A fold longer than the native backend's OpenSSL slice (a whole
+    sweep is) chains across the slices exactly as the table backend, and
+    the stream continues from the state it returned."""
+    key = bytes(range(16))
+    native = get_cipher(key, "native")
+    table = get_cipher(key, "table")
+    buffer = bytes(range(256)) * (2 * _NATIVE_FOLD_SLICE_BYTES // 256) + bytes(48)
+    for data in (buffer, buffer[:_NATIVE_FOLD_SLICE_BYTES + 16]):
+        native_state = native.fold(bytes(16), data)
+        table_state = table.fold(bytes(16), data)
+        assert native_state == table_state
+        assert native.fold(native_state, data[:32]) == table.fold(
+            table_state, data[:32]
+        )
 
 
 @needs_native

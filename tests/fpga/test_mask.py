@@ -70,15 +70,6 @@ class TestApplication:
         with pytest.raises(ConfigMemoryError):
             mask.apply_to_frame(0, b"short")
 
-    def test_apply_to_frames_batch(self, mask, rng):
-        frames = [rng.randbytes(SIM_SMALL.frame_bytes) for _ in range(3)]
-        masked = mask.apply_to_frames(frames, [0, 1, 2])
-        assert len(masked) == 3
-
-    def test_apply_to_frames_length_mismatch(self, mask):
-        with pytest.raises(ConfigMemoryError):
-            mask.apply_to_frames([b""], [0, 1])
-
 
 class TestUnion:
     def test_union_covers_both(self, mask):

@@ -61,7 +61,7 @@ class TestLifecycle:
             old_system, record.mac_key, DeterministicRng(12),
         )
         stale = old_verifier.evaluate(
-            result.nonce, result.plan, result.responses, result.tag
+            result.nonce, result.plan, result.sweep, result.tag
         )
         assert not stale.accepted
 

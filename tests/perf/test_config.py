@@ -18,7 +18,6 @@ class TestValidation:
         config = ReproConfig()
         assert config.aes_backend == "auto"
         assert config.swarm_workers == 0
-        assert config.frame_fastpath is True
         assert config.arq_adaptive is True
 
     def test_unknown_backend_rejected(self):
@@ -50,19 +49,14 @@ class TestEnvironment:
             ReproConfig.from_env()
 
     @pytest.mark.parametrize("token", sorted(_TRUTHY))
-    def test_fastpath_truthy(self, monkeypatch, token):
-        monkeypatch.setenv("REPRO_FRAME_FASTPATH", token)
-        assert ReproConfig.from_env().frame_fastpath is True
+    def test_arq_adaptive_truthy(self, monkeypatch, token):
+        monkeypatch.setenv("REPRO_ARQ_ADAPTIVE", token)
+        assert ReproConfig.from_env().arq_adaptive is True
 
     @pytest.mark.parametrize("token", sorted(_FALSY))
-    def test_fastpath_falsy(self, monkeypatch, token):
-        monkeypatch.setenv("REPRO_FRAME_FASTPATH", token)
-        assert ReproConfig.from_env().frame_fastpath is False
-
-    def test_fastpath_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FRAME_FASTPATH", "maybe")
-        with pytest.raises(ReproError):
-            ReproConfig.from_env()
+    def test_arq_adaptive_falsy(self, monkeypatch, token):
+        monkeypatch.setenv("REPRO_ARQ_ADAPTIVE", token)
+        assert ReproConfig.from_env().arq_adaptive is False
 
     def test_arq_adaptive_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ARQ_ADAPTIVE", "0")
