@@ -70,15 +70,6 @@ NET_DEGRADATION_PAIR = (
     "benchmarks/bench_net_attestation.py::test_net_lockstep_lossy_attestation",
 )
 
-#: A disk-warm fleet sweep must beat the cache-bypassed rebuild sweep by
-#: at least this factor — the headroom that justifies the artifact
-#: cache.  Compared within one run, like the other pairs.
-CACHE_WARM_SPEEDUP = 3.0
-CACHE_WARM_PAIR = (
-    "benchmarks/bench_fleet_sweep.py::test_fleet_sweep_warm_cache",
-    "benchmarks/bench_fleet_sweep.py::test_fleet_sweep_cold_rebuild",
-)
-
 
 def calibrate() -> float:
     """Seconds for a fixed CPU-bound workload: the machine-speed yardstick.
@@ -246,27 +237,6 @@ def check_net_degradation(current: Dict[str, object]) -> List[str]:
     return [line] if speedup < NET_DEGRADATION_SPEEDUP else []
 
 
-def check_cache_speedup(current: Dict[str, object]) -> List[str]:
-    """Warm-vs-cold fleet sweep speedup, within this run."""
-    benches: Dict[str, Dict[str, float]] = current["benchmarks"]  # type: ignore[assignment]
-    warm_name, cold_name = CACHE_WARM_PAIR
-    warm = benches.get(warm_name)
-    cold = benches.get(cold_name)
-    if warm is None or cold is None:
-        return [
-            "MISSING  cache speedup pair: "
-            f"{warm_name} / {cold_name} did not both run"
-        ]
-    speedup = float(cold["min_seconds"]) / float(warm["min_seconds"])
-    marker = "FAIL" if speedup < CACHE_WARM_SPEEDUP else "ok"
-    line = (
-        f"{marker:7s} cache speedup: cold/warm = "
-        f"{speedup:.2f}x (limit >={CACHE_WARM_SPEEDUP:.1f}x)"
-    )
-    print(line)
-    return [line] if speedup < CACHE_WARM_SPEEDUP else []
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -312,7 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     overhead_failures = check_obs_overhead(current)
     overhead_failures += check_net_degradation(current)
-    overhead_failures += check_cache_speedup(current)
 
     if args.update_baseline:
         BASELINE_PATH.write_text(json.dumps(current, indent=2) + "\n")

@@ -18,7 +18,7 @@ Package map:
 * ``repro.core``      — prover, verifier, protocol (the contribution);
 * ``repro.fpga``      — device, configuration memory, ICAP, bitstreams;
 * ``repro.design``    — core library, placer, bitgen, the Fig.-10 design;
-* ``repro.crypto``    — AES, AES-CMAC, SHA-256 (from scratch);
+* ``repro.crypto``    — AES, AES-CMAC (from scratch), SHA-256 (hashlib);
 * ``repro.net``       — Ethernet, channel, SACHa wire format;
 * ``repro.timing``    — Table-3/4 models and the network-overhead gap;
 * ``repro.baselines`` — Perito–Tsudik PoSE, SWATT, Chaves, Drimer–Kuhn;

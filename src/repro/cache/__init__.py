@@ -1,44 +1,36 @@
-"""Content-addressed cache of built attestation artifacts.
+"""Content-addressed, in-process cache of built attestation artifacts.
 
 A SACHa system build — placement, register-bit derivation, Philox frame
 content, golden template, combined ``Msk``, boot image — is a pure
 function of the :class:`~repro.design.sacha_design.SystemPlan`, and a
 fleet is mostly many devices of few parts.  This package therefore
-memoizes builds by a canonical SHA-256 fingerprint of the plan:
-
-* **memo tier** (:mod:`repro.cache.memo`): an in-process, lock-guarded
-  map so N same-part devices in one sweep build once and share one
-  frozen, read-only bundle across shard workers;
-* **disk tier** (:mod:`repro.cache.store`): checksummed ``.npy``/JSON
-  blobs under a cache directory so the *next process* warm-starts too.
-  Entries are verified blob-by-blob and silently rebuilt on any
-  mismatch — the cache can change how fast an answer arrives, never
-  what the answer is.
+memoizes builds by a canonical SHA-256 fingerprint of the plan in one
+in-process, lock-guarded map (:mod:`repro.cache.memo`): N same-part
+devices in one sweep build once and share one frozen, read-only bundle
+across shard workers.
 
 Only nonce- and key-independent state is cached.  Per-device mutable
 state — board, PUF, live registers, prover, MAC keys — is rebuilt per
 device by :func:`repro.core.provisioning.provision_device`; no secret
 ever reaches this package.
 
-Both tiers are governed by :class:`repro.perf.config.ReproConfig`:
-``artifact_cache`` is the master switch and ``cache_dir`` enables
-persistence.  Hit/miss traffic lands on the ambient metrics registry as
-``sacha_cache_hits_total`` / ``sacha_cache_misses_total`` (labeled
-``tier=memo|disk``) plus the ``sacha_cache_bytes`` resident-size gauge.
+``artifact_cache`` in :class:`repro.perf.config.ReproConfig` is the
+master switch.  Hit/miss traffic lands on the ambient metrics registry
+as ``sacha_cache_hits_total`` / ``sacha_cache_misses_total`` (labeled
+``tier=memo``) plus the ``sacha_cache_bytes`` resident-size gauge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cache.artifacts import (
     SystemArtifacts,
     build_artifacts,
     resolve_plan,
 )
-from repro.cache.fingerprint import CACHE_SCHEMA_VERSION, plan_fingerprint
+from repro.cache.fingerprint import plan_fingerprint
 from repro.cache.memo import ArtifactMemo
-from repro.cache.store import DiskStore
 from repro.design.cores import CoreSpec
 from repro.design.sacha_design import SachaSystemDesign
 from repro.obs.metrics import get_registry
@@ -46,7 +38,6 @@ from repro.perf.config import get_config
 
 __all__ = [
     "ArtifactCache",
-    "CACHE_SCHEMA_VERSION",
     "SystemArtifacts",
     "get_artifact_cache",
     "plan_fingerprint",
@@ -54,24 +45,24 @@ __all__ = [
 ]
 
 
-def _hits(tier: str) -> None:
+def _hits() -> None:
     get_registry().counter(
         "sacha_cache_hits_total",
         "Artifact cache hits by tier.",
         labels=("tier",),
-    ).inc(tier=tier)
+    ).inc(tier="memo")
 
 
-def _misses(tier: str) -> None:
+def _misses() -> None:
     get_registry().counter(
         "sacha_cache_misses_total",
         "Artifact cache misses by tier.",
         labels=("tier",),
-    ).inc(tier=tier)
+    ).inc(tier="memo")
 
 
 class ArtifactCache:
-    """The two-tier facade instrumented code materializes through."""
+    """The facade instrumented code materializes through."""
 
     def __init__(self) -> None:
         self._memo = ArtifactMemo()
@@ -80,21 +71,14 @@ class ArtifactCache:
     def memo(self) -> ArtifactMemo:
         return self._memo
 
-    def disk_store(self) -> Optional[DiskStore]:
-        """The configured disk tier, or ``None`` when persistence is off."""
-        cache_dir = get_config().cache_dir
-        return DiskStore(cache_dir) if cache_dir else None
-
     def get_artifacts(
         self,
         part: str,
         app_cores: Optional[Sequence[CoreSpec]] = None,
         include_dynamic_puf: bool = False,
     ) -> SystemArtifacts:
-        """The shared build bundle for a part, through both tiers.
+        """The shared build bundle for a part, through the memo.
 
-        Tier order per fingerprint: memo hit → done; else disk hit →
-        memoize and done; else cold build, then populate both tiers.
         The cold build runs under the memo lock, so concurrent misses
         for one part collapse into a single build and the hit/miss
         counts stay a pure function of the device list, independent of
@@ -114,31 +98,13 @@ class ArtifactCache:
             part, app_cores=app_cores, include_dynamic_puf=include_dynamic_puf
         )
         fingerprint = plan_fingerprint(plan)
-        store = self.disk_store()
-
-        def _build_through_disk() -> SystemArtifacts:
-            if store is not None:
-                loaded = store.load(fingerprint, plan)
-                if loaded is not None:
-                    _hits("disk")
-                    return loaded
-                _misses("disk")
-                # A failed verification may mean a corrupt entry is
-                # squatting on the fingerprint; drop it so the rebuild
-                # below republishes a good copy.
-                store.invalidate(fingerprint)
-            built = build_artifacts(plan, fingerprint)
-            if store is not None:
-                store.save(built)
-            return built
-
         artifacts, memo_hit = self._memo.get_or_build(
-            fingerprint, _build_through_disk
+            fingerprint, lambda: build_artifacts(plan, fingerprint)
         )
         if memo_hit:
-            _hits("memo")
+            _hits()
         else:
-            _misses("memo")
+            _misses()
         get_registry().gauge(
             "sacha_cache_bytes",
             "Resident bytes of memoized artifact bundles.",
@@ -155,39 +121,6 @@ class ArtifactCache:
         return self.get_artifacts(
             part, app_cores=app_cores, include_dynamic_puf=include_dynamic_puf
         ).system
-
-    # -- ops -----------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        """Snapshot of both tiers for the ``repro cache stats`` surface."""
-        store = self.disk_store()
-        memo_entries: List[Dict[str, object]] = [
-            {
-                "fingerprint": entry.fingerprint,
-                "part": entry.part,
-                "bytes": entry.memory_bytes(),
-            }
-            for entry in self._memo.entries()
-        ]
-        return {
-            "memo": {
-                "entries": memo_entries,
-                "bytes": sum(int(entry["bytes"]) for entry in memo_entries),
-            },
-            "disk": {
-                "dir": store.root if store is not None else "",
-                "entries": store.entries() if store is not None else [],
-                "bytes": store.total_bytes() if store is not None else 0,
-            },
-        }
-
-    def clear(self, disk: bool = True) -> Dict[str, int]:
-        """Drop the memo tier and (optionally) the disk tier."""
-        removed = {"memo": self._memo.clear(), "disk": 0}
-        store = self.disk_store()
-        if disk and store is not None:
-            removed["disk"] = store.clear()
-        return removed
 
 
 #: The process-wide cache, created at import time (module import is

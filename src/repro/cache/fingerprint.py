@@ -6,13 +6,11 @@ Everything the build produces (golden template, combined mask, boot
 image, register maps) is nonce- and key-independent, so a canonical
 SHA-256 over the plan is a sound content address: equal fingerprints
 imply byte-identical artifacts, and *any* change to the part catalog,
-a core spec, the placer's region lists or the cache schema changes the
-address and forces a rebuild instead of serving stale state.
+a core spec or the placer's region lists changes the address and
+forces a rebuild instead of serving stale state.
 
-``hashlib`` (not the pure-Python teaching SHA-256 in ``repro.crypto``)
-computes the digest: fingerprints are infrastructure on the verifier's
-hot path, not protocol state, and the canonical-JSON preimage keeps
-them reproducible across processes and machines either way.
+The canonical-JSON preimage keeps fingerprints reproducible across
+processes and machines.
 """
 
 from __future__ import annotations
@@ -24,11 +22,6 @@ from typing import Dict, List
 from repro.design.netlist import Design
 from repro.design.sacha_design import SystemPlan
 from repro.fpga.device import DevicePart
-
-#: Bump on any change to the cached artifact layout or to the meaning of
-#: the fingerprint preimage; old entries then simply never match.
-CACHE_SCHEMA_VERSION = 1
-
 
 def _device_facts(device: DevicePart) -> Dict[str, object]:
     """Every geometric quantity the build reads from the part."""
@@ -63,7 +56,6 @@ def _region_facts(plan: SystemPlan) -> Dict[str, List[int]]:
 def plan_fingerprint(plan: SystemPlan) -> str:
     """The canonical SHA-256 content address of one system plan."""
     preimage = {
-        "schema": CACHE_SCHEMA_VERSION,
         "device": _device_facts(plan.device),
         "static_design": _design_facts(plan.static_design),
         "app_design": _design_facts(plan.app_design),
@@ -75,7 +67,3 @@ def plan_fingerprint(plan: SystemPlan) -> str:
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-
-def blob_checksum(data: bytes) -> str:
-    """Integrity checksum for one stored blob (manifest ``sha256`` field)."""
-    return hashlib.sha256(data).hexdigest()

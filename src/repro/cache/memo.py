@@ -12,7 +12,7 @@ held.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.cache.artifacts import SystemArtifacts
 
@@ -23,10 +23,6 @@ class ArtifactMemo:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: Dict[str, SystemArtifacts] = {}
-
-    def get(self, fingerprint: str) -> Optional[SystemArtifacts]:
-        with self._lock:
-            return self._entries.get(fingerprint)
 
     def get_or_build(
         self, fingerprint: str, build: Callable[[], SystemArtifacts]

@@ -18,9 +18,6 @@ Commands:
 * ``obs report|flame|health`` — offline telemetry analysis: merge span
   dumps into a stitched profile report, export a collapsed-stack
   flamegraph, or evaluate SLO health rules over registry snapshots;
-* ``cache stats|clear`` — inspect or clear the content-addressed
-  artifact cache (see the global ``--cache-dir`` / ``--artifact-cache``
-  performance flags);
 * ``list`` — list devices and experiments.
 
 ``attest``, ``trace``, ``experiment`` and ``metrics`` take observability
@@ -219,13 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoize built system artifacts so same-part devices share "
         "one build (default: REPRO_ARTIFACT_CACHE or on)",
     )
-    perf.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist built artifacts under DIR so later processes "
-        "warm-start (default: REPRO_CACHE_DIR or off)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     attest = commands.add_parser("attest", help="run one attestation")
@@ -312,14 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.fleet import cli as fleet_cli
 
     fleet_cli.add_arguments(fleet)
-
-    cache = commands.add_parser(
-        "cache",
-        help="artifact cache ops: per-tier stats and clearing",
-    )
-    from repro.cache import cli as cache_cli
-
-    cache_cli.add_arguments(cache)
 
     obs = commands.add_parser(
         "obs",
@@ -578,12 +560,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
     return fleet_cli.run(args)
 
 
-def _command_cache(args: argparse.Namespace) -> int:
-    from repro.cache import cli as cache_cli
-
-    return cache_cli.run(args)
-
-
 def _command_list(_: argparse.Namespace) -> int:
     print("devices:")
     for name in catalog():
@@ -607,7 +583,6 @@ _HANDLERS = {
     "metrics": _command_metrics,
     "lint": _command_lint,
     "fleet": _command_fleet,
-    "cache": _command_cache,
     "obs": _command_obs,
     "list": _command_list,
 }
@@ -631,8 +606,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides["readback_batch_frames"] = args.readback_batch_frames
     if args.artifact_cache is not None:
         overrides["artifact_cache"] = args.artifact_cache
-    if args.cache_dir is not None:
-        overrides["cache_dir"] = args.cache_dir
     try:
         with configured(**overrides):
             scope = _setup_obs(args)

@@ -169,10 +169,9 @@ def materialize_device(
     ``(ProvisionedDevice, VerifierRecord)`` like :func:`provision_device`.
 
     The system build routes through the artifact cache: every device of
-    the same part shares one frozen golden template / mask / boot image
-    bundle (and, with a cache dir configured, warm-starts from disk),
-    while the board, PUF, registers and keys built here stay strictly
-    per-device.
+    the same part in a process shares one frozen golden template / mask
+    / boot image bundle, while the board, PUF, registers and keys built
+    here stay strictly per-device.
     """
     system = get_artifact_cache().get_system(part)
     return provision_device(

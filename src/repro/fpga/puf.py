@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.crypto.kdf import derive_mac_key
 from repro.crypto.sha256 import sha256
 from repro.errors import PufError
@@ -61,15 +63,17 @@ class SramPuf:
         return self._nominal
 
     def evaluate(self, rng: DeterministicRng) -> bytes:
-        """One noisy read of the PUF."""
+        """One noisy read of the PUF.
+
+        One uniform draw per bit, byte by byte and LSB first, flips the
+        bit when it falls below the noise rate.
+        """
         if self._noise_rate == 0.0:
             return self._nominal
-        noisy = bytearray(self._nominal)
-        for byte_index in range(len(noisy)):
-            for bit_index in range(8):
-                if rng.chance(self._noise_rate):
-                    noisy[byte_index] ^= 1 << bit_index
-        return bytes(noisy)
+        draw = rng.random
+        uniforms = np.array([draw() for _ in range(self._response_bytes * 8)])
+        flips = np.packbits(uniforms < self._noise_rate, bitorder="little")
+        return (np.frombuffer(self._nominal, dtype=np.uint8) ^ flips).tobytes()
 
 
 @dataclass(frozen=True)
@@ -85,28 +89,6 @@ class HelperData:
     key_bits: int
     offset: bytes
     key_check: bytes
-
-
-def _bits_of(data: bytes):
-    for byte in data:
-        for bit_index in range(8):
-            yield (byte >> bit_index) & 1
-
-
-def _bits_to_bytes(bits) -> bytes:
-    out = bytearray()
-    current = 0
-    count = 0
-    for bit in bits:
-        current |= bit << count
-        count += 1
-        if count == 8:
-            out.append(current)
-            current = 0
-            count = 0
-    if count:
-        out.append(current)
-    return bytes(out)
 
 
 class FuzzyExtractor:
@@ -134,12 +116,16 @@ class FuzzyExtractor:
                 f"need {self.required_response_bytes}"
             )
         secret = rng.randbytes(self._key_bytes)
-        codeword_bits = []
-        for bit in _bits_of(secret):
-            codeword_bits.extend([bit] * self._repetition)
-        codeword = _bits_to_bytes(codeword_bits)
-        response = puf.nominal_response()[: len(codeword)]
-        offset = bytes(a ^ b for a, b in zip(codeword, response))
+        secret_bits = np.unpackbits(
+            np.frombuffer(secret, dtype=np.uint8), bitorder="little"
+        )
+        codeword = np.packbits(
+            np.repeat(secret_bits, self._repetition), bitorder="little"
+        )
+        response = np.frombuffer(
+            puf.nominal_response(), dtype=np.uint8, count=len(codeword)
+        )
+        offset = (codeword ^ response).tobytes()
         return HelperData(
             repetition=self._repetition,
             key_bits=self._key_bytes * 8,
@@ -151,14 +137,27 @@ class FuzzyExtractor:
         """Recover the enrolled secret from a fresh noisy PUF read."""
         if helper.repetition != self._repetition or helper.key_bits != self._key_bytes * 8:
             raise PufError("helper data does not match extractor parameters")
-        response = puf.evaluate(rng)[: len(helper.offset)]
-        noisy_codeword = bytes(a ^ b for a, b in zip(helper.offset, response))
-        bits = list(_bits_of(noisy_codeword))
-        secret_bits = []
-        for start in range(0, self._key_bytes * 8 * self._repetition, self._repetition):
-            group = bits[start : start + self._repetition]
-            secret_bits.append(1 if sum(group) * 2 > self._repetition else 0)
-        secret = _bits_to_bytes(secret_bits)
+        if len(helper.offset) < self.required_response_bytes:
+            raise PufError(
+                f"helper offset of {len(helper.offset)} bytes is too short; "
+                f"{helper.key_bits} key bits x {self._repetition} repetitions "
+                f"need {self.required_response_bytes}"
+            )
+        if puf.response_bytes < len(helper.offset):
+            raise PufError(
+                f"PUF response of {puf.response_bytes} bytes does not cover "
+                f"the {len(helper.offset)}-byte helper offset"
+            )
+        offset = np.frombuffer(helper.offset, dtype=np.uint8)
+        response = np.frombuffer(
+            puf.evaluate(rng), dtype=np.uint8, count=len(offset)
+        )
+        code_bits = helper.key_bits * self._repetition
+        noisy_bits = np.unpackbits(offset ^ response, bitorder="little")
+        groups = noisy_bits[:code_bits].reshape(helper.key_bits, self._repetition)
+        secret = np.packbits(
+            groups.sum(axis=1) * 2 > self._repetition, bitorder="little"
+        ).tobytes()
         if sha256(secret)[:8] != helper.key_check:
             raise PufError(
                 "PUF key reconstruction failed (noise exceeded the "

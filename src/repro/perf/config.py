@@ -11,7 +11,6 @@ switch backends without code changes::
     REPRO_ARQ_ADAPTIVE=1          # AIMD window adaptation (window = ceiling)
     REPRO_READBACK_BATCH_FRAMES=256  # frames per batched readback; 1 = per-frame
     REPRO_ARTIFACT_CACHE=1        # memoize built system artifacts per part
-    REPRO_CACHE_DIR=~/.cache/repro  # persist artifacts on disk ("" = off)
 
 ``auto`` (the default) picks ``native`` when the optional ``cryptography``
 package is importable and falls back to the pure-Python ``table`` backend
@@ -68,11 +67,6 @@ class ReproConfig:
     #: materialization to rebuild from scratch — the cold baseline the
     #: benchmarks compare against.
     artifact_cache: bool = True
-    #: Directory of the persistent on-disk artifact tier.  Empty (the
-    #: default) keeps the cache in-process only; set it to warm-start
-    #: sweeps across processes.  Entries are checksummed and rebuilt on
-    #: any mismatch, so a stale or corrupted directory is safe.
-    cache_dir: str = ""
 
     def __post_init__(self) -> None:
         if self.aes_backend not in AES_BACKEND_CHOICES:
@@ -134,7 +128,6 @@ class ReproConfig:
 
         adaptive = _bool_env("REPRO_ARQ_ADAPTIVE", "1")
         artifact_cache = _bool_env("REPRO_ARTIFACT_CACHE", "1")
-        cache_dir = env.get("REPRO_CACHE_DIR", "").strip()
         return cls(
             aes_backend=backend,
             swarm_workers=workers,
@@ -142,7 +135,6 @@ class ReproConfig:
             arq_adaptive=adaptive,
             readback_batch_frames=batch_frames,
             artifact_cache=artifact_cache,
-            cache_dir=cache_dir,
         )
 
 

@@ -19,6 +19,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E99-nothing"])
 
+    def test_cache_is_not_a_command(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cache", "stats"])
+
+    def test_artifact_cache_flag_parses(self):
+        args = build_parser().parse_args(["--no-artifact-cache", "list"])
+        assert args.artifact_cache is False
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -30,6 +38,13 @@ class TestCommands:
     def test_attest_honest(self, capsys):
         assert main(["attest", "--device", "SIM-SMALL", "--seed", "7"]) == 0
         assert "ATTESTED" in capsys.readouterr().out
+
+    def test_attest_output_same_with_cache_disabled(self, capsys):
+        assert main(["--no-artifact-cache", "attest", "--device",
+                     "SIM-SMALL"]) == 0
+        cold = capsys.readouterr().out
+        assert main(["attest", "--device", "SIM-SMALL"]) == 0
+        assert capsys.readouterr().out == cold
 
     def test_attest_tampered(self, capsys):
         assert main(

@@ -1,11 +1,9 @@
-"""Unit coverage of the artifact cache: fingerprints, memo, disk, facade."""
+"""Unit coverage of the artifact cache: fingerprints, memo, facade."""
 
 from __future__ import annotations
 
-import json
 import threading
 
-import numpy as np
 import pytest
 
 from repro.cache import (
@@ -16,10 +14,6 @@ from repro.cache import (
 )
 from repro.cache.artifacts import build_artifacts, resolve_plan
 from repro.cache.memo import ArtifactMemo
-from repro.cache.serialize import pack_implementation, unpack_implementation
-from repro.cache.store import MANIFEST_NAME, DiskStore
-from repro.errors import ReproError
-from repro.fpga.device import SIM_MEDIUM, SIM_SMALL
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.perf.config import configured
 
@@ -54,38 +48,6 @@ class TestFingerprint:
         fingerprint = plan_fingerprint(resolve_plan("SIM-SMALL"))
         assert len(fingerprint) == 64
         int(fingerprint, 16)
-
-
-class TestSerializeRoundTrip:
-    @pytest.mark.parametrize("device", [SIM_SMALL, SIM_MEDIUM])
-    def test_implementation_round_trips(self, device):
-        plan = resolve_plan(device.name)
-        system = build_artifacts(plan).system
-        for impl, design in (
-            (system.static_impl, plan.static_design),
-            (system.app_impl, plan.app_design),
-        ):
-            meta, arrays = pack_implementation(impl)
-            rebuilt = unpack_implementation(design, device, meta, arrays)
-            assert rebuilt.frame_content == impl.frame_content
-            assert (
-                rebuilt.placement.region_frames == impl.placement.region_frames
-            )
-            assert (
-                rebuilt.placement.frame_assignment
-                == impl.placement.frame_assignment
-            )
-            assert (
-                rebuilt.placement.register_positions
-                == impl.placement.register_positions
-            )
-
-    def test_rejects_wrong_design(self):
-        plan = resolve_plan("SIM-SMALL")
-        system = build_artifacts(plan).system
-        meta, arrays = pack_implementation(system.static_impl)
-        with pytest.raises(ReproError):
-            unpack_implementation(plan.app_design, SIM_SMALL, meta, arrays)
 
 
 class TestMemo:
@@ -138,83 +100,6 @@ class TestMemo:
         assert memo.clear() == 0
 
 
-class TestDiskStore:
-    def test_save_then_load_is_byte_identical(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        plan = resolve_plan("SIM-SMALL")
-        built = build_artifacts(plan)
-        assert store.save(built) > 0
-        loaded = store.load(built.fingerprint, resolve_plan("SIM-SMALL"))
-        assert loaded is not None
-        assert loaded.boot_image == built.boot_image
-        assert loaded.bootmem_bytes == built.bootmem_bytes
-        assert np.array_equal(
-            loaded.system._golden_template.frames_array(),
-            built.system._golden_template.frames_array(),
-        )
-        assert np.array_equal(
-            loaded.system._combined_mask.bits_array(),
-            built.system._combined_mask.bits_array(),
-        )
-        for attribute in ("static_impl", "app_impl"):
-            assert (
-                getattr(loaded.system, attribute).frame_content
-                == getattr(built.system, attribute).frame_content
-            )
-
-    def test_save_is_idempotent(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        built = build_artifacts(resolve_plan("SIM-SMALL"))
-        assert store.save(built) > 0
-        assert store.save(built) == 0
-        assert len(store.entries()) == 1
-
-    def test_missing_entry_loads_none(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        assert store.load("0" * 64, resolve_plan("SIM-SMALL")) is None
-
-    @pytest.mark.parametrize(
-        "blob",
-        ["golden_template.npy", "mask_bits.npy", "boot_image.bin",
-         "static_impl.npz", "app_impl.npz"],
-    )
-    def test_corrupted_blob_fails_checksum(self, tmp_path, blob):
-        store = DiskStore(str(tmp_path))
-        built = build_artifacts(resolve_plan("SIM-SMALL"))
-        store.save(built)
-        path = tmp_path / built.fingerprint / blob
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        assert store.load(built.fingerprint, resolve_plan("SIM-SMALL")) is None
-
-    def test_truncated_blob_fails_checksum(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        built = build_artifacts(resolve_plan("SIM-SMALL"))
-        store.save(built)
-        path = tmp_path / built.fingerprint / "boot_image.bin"
-        path.write_bytes(path.read_bytes()[:-1])
-        assert store.load(built.fingerprint, resolve_plan("SIM-SMALL")) is None
-
-    def test_schema_bump_invalidates(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        built = build_artifacts(resolve_plan("SIM-SMALL"))
-        store.save(built)
-        manifest_path = tmp_path / built.fingerprint / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["schema"] = -1
-        manifest_path.write_text(json.dumps(manifest))
-        assert store.load(built.fingerprint, resolve_plan("SIM-SMALL")) is None
-
-    def test_clear_removes_entries_and_temp_dirs(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        store.save(build_artifacts(resolve_plan("SIM-SMALL")))
-        (tmp_path / ".tmp-deadbeef-1").mkdir()
-        assert store.clear() == 1
-        assert store.entries() == []
-        assert not (tmp_path / ".tmp-deadbeef-1").exists()
-
-
 class TestFacade:
     def test_same_part_shares_one_system(self):
         cache = ArtifactCache()
@@ -228,66 +113,18 @@ class TestFacade:
         assert first is not second
         assert len(cache.memo) == 0
 
-    def test_metrics_count_tiers(self, tmp_path):
+    def test_metrics_count_tiers(self):
         registry = MetricsRegistry(enabled=True)
         with use_registry(registry):
-            with configured(cache_dir=str(tmp_path)):
-                cache = ArtifactCache()
-                cache.get_artifacts("SIM-SMALL")  # memo miss + disk miss
-                cache.get_artifacts("SIM-SMALL")  # memo hit
-                fresh = ArtifactCache()  # "new process"
-                fresh.get_artifacts("SIM-SMALL")  # memo miss + disk hit
+            cache = ArtifactCache()
+            cache.get_artifacts("SIM-SMALL")  # memo miss
+            cache.get_artifacts("SIM-SMALL")  # memo hit
+            ArtifactCache().get_artifacts("SIM-SMALL")  # fresh memo: miss
         hits = registry.get("sacha_cache_hits_total")
         misses = registry.get("sacha_cache_misses_total")
         assert misses.value(tier="memo") == 2
-        assert misses.value(tier="disk") == 1
         assert hits.value(tier="memo") == 1
-        assert hits.value(tier="disk") == 1
         assert registry.get("sacha_cache_bytes").value() > 0
-
-    def test_corrupt_disk_entry_is_rebuilt_and_republished(self, tmp_path):
-        with configured(cache_dir=str(tmp_path)):
-            cache = ArtifactCache()
-            built = cache.get_artifacts("SIM-SMALL")
-            blob = tmp_path / built.fingerprint / "golden_template.npy"
-            good = blob.read_bytes()
-            corrupted = bytearray(good)
-            corrupted[len(corrupted) // 2] ^= 0xFF
-            blob.write_bytes(bytes(corrupted))
-            registry = MetricsRegistry(enabled=True)
-            with use_registry(registry):
-                rebuilt = ArtifactCache().get_artifacts("SIM-SMALL")
-            assert registry.get("sacha_cache_misses_total").value(
-                tier="disk"
-            ) == 1
-            assert rebuilt.boot_image == built.boot_image
-            assert np.array_equal(
-                rebuilt.system._golden_template.frames_array(),
-                built.system._golden_template.frames_array(),
-            )
-            # the rebuild republished a good copy over the corrupt one
-            assert blob.read_bytes() == good
-            assert (
-                DiskStore(str(tmp_path)).load(
-                    built.fingerprint, resolve_plan("SIM-SMALL")
-                )
-                is not None
-            )
-
-    def test_stats_and_clear(self, tmp_path):
-        with configured(cache_dir=str(tmp_path)):
-            cache = ArtifactCache()
-            cache.get_artifacts("SIM-SMALL")
-            stats = cache.stats()
-            assert len(stats["memo"]["entries"]) == 1
-            assert len(stats["disk"]["entries"]) == 1
-            assert stats["memo"]["bytes"] > 0
-            assert stats["disk"]["bytes"] > 0
-            removed = cache.clear()
-            assert removed == {"memo": 1, "disk": 1}
-            stats = cache.stats()
-            assert stats["memo"]["entries"] == []
-            assert stats["disk"]["entries"] == []
 
     def test_process_wide_accessor_resets(self):
         first = get_artifact_cache()

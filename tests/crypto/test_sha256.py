@@ -1,4 +1,6 @@
-"""SHA-256 tests against FIPS vectors and the standard library."""
+"""SHA-256 wrapper tests: FIPS vectors, agreement with ``hashlib`` at the
+padding boundaries, and the incremental interface (chained ``update``,
+non-destructive ``digest``)."""
 
 import hashlib
 

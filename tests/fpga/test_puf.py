@@ -1,5 +1,7 @@
 """Unit tests for the PUF model and fuzzy extractor."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import PufError
@@ -86,6 +88,22 @@ class TestFuzzyExtractor:
         extractor = FuzzyExtractor(repetition=9, key_bytes=16)
         with pytest.raises(PufError):
             extractor.enroll(puf, DeterministicRng(1))
+
+    def test_short_puf_read_fails_closed(self):
+        extractor = FuzzyExtractor(repetition=15, key_bytes=16)
+        helper = extractor.enroll(SramPuf(11), DeterministicRng(1))
+        with pytest.raises(PufError, match="PUF response of 64 bytes"):
+            extractor.reconstruct(
+                SramPuf(11, response_bytes=64), helper, DeterministicRng(2)
+            )
+
+    def test_short_helper_offset_fails_closed(self):
+        puf = SramPuf(11)
+        extractor = FuzzyExtractor(repetition=15, key_bytes=16)
+        helper = extractor.enroll(puf, DeterministicRng(1))
+        cut = dataclasses.replace(helper, offset=helper.offset[:100])
+        with pytest.raises(PufError, match="helper offset of 100 bytes"):
+            extractor.reconstruct(puf, cut, DeterministicRng(2))
 
     def test_helper_mismatch_rejected(self):
         puf = SramPuf(11)

@@ -1,9 +1,9 @@
 """The artifact cache's contract: it changes speed, never answers.
 
-Warm runs — memo-shared within a process, disk-loaded across simulated
-process boundaries — must be byte-identical to cold (cache-bypassed)
-runs: same MAC tags, same wire traces, same per-device verdicts, at any
-worker count and on both test parts.
+Memo-warm runs, where same-part devices share one build, must be
+byte-identical to cold (cache-bypassed) runs: same MAC tags, same wire
+traces, same per-device verdicts, at any worker count and on both test
+parts.
 """
 
 from __future__ import annotations
@@ -58,14 +58,12 @@ def _sweep_outcomes(path, part, workers):
 @pytest.mark.parametrize("part", ["SIM-SMALL", "SIM-MEDIUM"])
 @pytest.mark.parametrize("workers", [1, 4])
 def test_warm_sweeps_are_byte_identical_to_cold(tmp_path, part, workers):
-    """Cold bypass, memo-warm, and disk-warm sweeps agree tag-for-tag."""
+    """Cold bypass and memo-warm sweeps agree tag-for-tag."""
     with configured(artifact_cache=False):
         cold = _sweep_outcomes(tmp_path / "cold.db", part, workers)
-    with configured(cache_dir=str(tmp_path / "cache")):
-        reset_artifact_cache()
-        populate = _sweep_outcomes(tmp_path / "populate.db", part, workers)
-        reset_artifact_cache()  # simulate a new process: disk tier only
-        warm = _sweep_outcomes(tmp_path / "warm.db", part, workers)
+    reset_artifact_cache()
+    populate = _sweep_outcomes(tmp_path / "populate.db", part, workers)
+    warm = _sweep_outcomes(tmp_path / "warm.db", part, workers)
     assert populate == cold
     assert warm == cold
     assert all(tag is not None for _, _, tag in cold)
@@ -73,7 +71,7 @@ def test_warm_sweeps_are_byte_identical_to_cold(tmp_path, part, workers):
 
 
 @pytest.mark.parametrize("part", ["SIM-SMALL", "SIM-MEDIUM"])
-def test_warm_wire_trace_is_byte_identical_to_cold(tmp_path, part):
+def test_warm_wire_trace_is_byte_identical_to_cold(part):
     """The protocol transcript — every message either way — matches."""
 
     def attest_once():
@@ -93,12 +91,9 @@ def test_warm_wire_trace_is_byte_identical_to_cold(tmp_path, part):
 
     with configured(artifact_cache=False):
         cold_trace = attest_once()
-    with configured(cache_dir=str(tmp_path / "cache")):
-        reset_artifact_cache()
-        assert attest_once() == cold_trace  # cold build through the cache
-        assert attest_once() == cold_trace  # memo-warm
-        reset_artifact_cache()
-        assert attest_once() == cold_trace  # disk-warm
+    reset_artifact_cache()
+    assert attest_once() == cold_trace  # cold build through the cache
+    assert attest_once() == cold_trace  # memo-warm
 
 
 def test_memo_hit_miss_counts_are_worker_independent(tmp_path):
