@@ -1,22 +1,21 @@
-"""Fleet control-plane sweep: the persistent, sharded attestation path.
+"""Fleet control-plane sweep: the persistent attestation path.
 
 One sweep re-materializes every enrolled device from its registry
-facts, drives a full networked attestation session per device through
-the sharded worker pool, and persists every verdict plus the merged
+facts, drives a full networked attestation session per device, one
+device after another, and persists every verdict plus the sweep's
 metrics snapshot back into SQLite — so this measures the whole control
 plane, not just the protocol: provisioning, simulation, ARQ transport,
-telemetry sharding/merging, and the store's transaction per record.
+telemetry, and the store's transaction per record.
 
-The sharded leg is the gated number.  The sequential leg pins the
-single-worker shape, and the two must produce byte-identical per-device
-MAC tags — the determinism contract the fleet controller inherits from
-the swarm executor.
-
-``cold_rebuild`` runs the sharded sweep with the artifact cache
+``test_fleet_sweep_sequential`` is the gated sweep; its per-device MAC
+tags must match a digest pinned before the sweep thread pool was
+removed.  ``cold_rebuild`` runs the same sweep with the artifact cache
 bypassed, so every device pays a full system build, and the
 ``materialize_dedup`` leg pins the in-sweep dedup itself: eight
 same-part materializations against a fresh memo cost one build.
 """
+
+import hashlib
 
 from repro.cache import reset_artifact_cache
 from repro.core.provisioning import materialize_device
@@ -25,7 +24,8 @@ from repro.fleet.store import DeviceRecord, FleetStore
 from repro.perf.config import configured
 
 FLEET_SIZE = 8
-WORKERS = 4
+#: SHA-256 over the concatenated per-device tags of ``attest(seed=7)``.
+TAGS_SHA256 = "db963bc7d81a9616ec5da8897b85a4e8e5a35a8c451383d754bcc48b72ebae00"
 
 
 def _enrolled_store(path):
@@ -47,54 +47,39 @@ def _enrolled_store(path):
     return store
 
 
-def _bench_sweep(benchmark, tmp_path, workers, rounds):
+def _bench_sweep(benchmark, tmp_path, rounds):
     state = {"round": 0}
 
     def setup():
         # A fresh registry per round: the sweep must include the store's
         # per-record transactions, not hit a warm page cache of rows.
         state["round"] += 1
-        state["store"] = _enrolled_store(
-            tmp_path / f"fleet-{workers}-{state['round']}.db"
-        )
+        state["store"] = _enrolled_store(tmp_path / f"fleet-{state['round']}.db")
         return (), {}
 
     def run():
-        state["result"] = FleetController(state["store"]).attest(
-            seed=7, workers=workers
-        )
+        state["result"] = FleetController(state["store"]).attest(seed=7)
         state["store"].close()
 
     benchmark.pedantic(run, setup=setup, rounds=rounds, iterations=1)
     return state["result"]
 
 
-def test_fleet_sweep_sharded(benchmark, tmp_path):
-    """The gated control-plane number: 8 devices over 4 worker shards."""
-    result = _bench_sweep(benchmark, tmp_path, workers=WORKERS, rounds=5)
+def test_fleet_sweep_sequential(benchmark, tmp_path):
+    """The gated control-plane number: 8 devices, one after another;
+    the tags must match the pinned digest byte-for-byte."""
+    result = _bench_sweep(benchmark, tmp_path, rounds=3)
     assert len(result.accepted) == FLEET_SIZE
     assert result.exit_code == 0
     assert "sacha_fleet_attestations_total" in result.snapshot
-
-
-def test_fleet_sweep_sequential(benchmark, tmp_path):
-    """The single-worker shape, and the determinism cross-check: tags
-    must equal the sharded run's byte-for-byte."""
-    sequential = _bench_sweep(benchmark, tmp_path, workers=1, rounds=3)
-    assert len(sequential.accepted) == FLEET_SIZE
-
-    with _enrolled_store(tmp_path / "fleet-ref.db") as store:
-        sharded = FleetController(store).attest(seed=7, workers=WORKERS)
-    assert [outcome.tag for outcome in sequential.outcomes] == [
-        outcome.tag for outcome in sharded.outcomes
-    ]
-    assert all(outcome.tag is not None for outcome in sequential.outcomes)
+    tags = b"".join(outcome.tag for outcome in result.outcomes)
+    assert hashlib.sha256(tags).hexdigest() == TAGS_SHA256
 
 
 def test_fleet_sweep_cold_rebuild(benchmark, tmp_path):
     """The cache-bypassed baseline: every device rebuilds its system."""
     with configured(artifact_cache=False):
-        result = _bench_sweep(benchmark, tmp_path, workers=WORKERS, rounds=3)
+        result = _bench_sweep(benchmark, tmp_path, rounds=3)
     assert len(result.accepted) == FLEET_SIZE
 
 

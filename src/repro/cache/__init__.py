@@ -5,9 +5,8 @@ content, golden template, combined ``Msk``, boot image — is a pure
 function of the :class:`~repro.design.sacha_design.SystemPlan`, and a
 fleet is mostly many devices of few parts.  This package therefore
 memoizes builds by a canonical SHA-256 fingerprint of the plan in one
-in-process, lock-guarded map (:mod:`repro.cache.memo`): N same-part
-devices in one sweep build once and share one frozen, read-only bundle
-across shard workers.
+in-process map: N same-part devices in one sweep build once (one miss,
+N-1 hits) and share one frozen, read-only bundle.
 
 Only nonce- and key-independent state is cached.  Per-device mutable
 state — board, PUF, live registers, prover, MAC keys — is rebuilt per
@@ -22,7 +21,7 @@ as ``sacha_cache_hits_total`` / ``sacha_cache_misses_total`` (labeled
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.cache.artifacts import (
     SystemArtifacts,
@@ -30,7 +29,6 @@ from repro.cache.artifacts import (
     resolve_plan,
 )
 from repro.cache.fingerprint import plan_fingerprint
-from repro.cache.memo import ArtifactMemo
 from repro.design.cores import CoreSpec
 from repro.design.sacha_design import SachaSystemDesign
 from repro.obs.metrics import get_registry
@@ -65,11 +63,11 @@ class ArtifactCache:
     """The facade instrumented code materializes through."""
 
     def __init__(self) -> None:
-        self._memo = ArtifactMemo()
+        self._entries: Dict[str, SystemArtifacts] = {}
 
-    @property
-    def memo(self) -> ArtifactMemo:
-        return self._memo
+    def total_bytes(self) -> int:
+        """Resident size of all memoized bundles."""
+        return sum(entry.memory_bytes() for entry in self._entries.values())
 
     def get_artifacts(
         self,
@@ -79,10 +77,8 @@ class ArtifactCache:
     ) -> SystemArtifacts:
         """The shared build bundle for a part, through the memo.
 
-        The cold build runs under the memo lock, so concurrent misses
-        for one part collapse into a single build and the hit/miss
-        counts stay a pure function of the device list, independent of
-        worker count.
+        The first request for a plan builds it (a miss); every later one
+        gets the same bundle (a hit).
         """
         config = get_config()
         if not config.artifact_cache:
@@ -98,17 +94,17 @@ class ArtifactCache:
             part, app_cores=app_cores, include_dynamic_puf=include_dynamic_puf
         )
         fingerprint = plan_fingerprint(plan)
-        artifacts, memo_hit = self._memo.get_or_build(
-            fingerprint, lambda: build_artifacts(plan, fingerprint)
-        )
-        if memo_hit:
+        artifacts = self._entries.get(fingerprint)
+        if artifacts is not None:
             _hits()
         else:
+            artifacts = build_artifacts(plan, fingerprint)
+            self._entries[fingerprint] = artifacts
             _misses()
         get_registry().gauge(
             "sacha_cache_bytes",
             "Resident bytes of memoized artifact bundles.",
-        ).set(self._memo.total_bytes())
+        ).set(self.total_bytes())
         return artifacts
 
     def get_system(
@@ -123,9 +119,7 @@ class ArtifactCache:
         ).system
 
 
-#: The process-wide cache, created at import time (module import is
-#: serialized by the interpreter, so shard workers never race a lazy
-#: constructor).
+#: The process-wide cache.
 _CACHE = ArtifactCache()
 
 
@@ -135,9 +129,9 @@ def get_artifact_cache() -> ArtifactCache:
 
 
 def reset_artifact_cache() -> ArtifactCache:
-    """Swap in a fresh cache (tests, benchmark cold legs); returns it.
+    """Swap in a fresh, empty cache (tests, benchmark cold legs).
 
-    Main-thread only — callers reset between sweeps, never during one.
+    Returns the new cache.  Callers reset between sweeps, not during one.
     """
     global _CACHE
     _CACHE = ArtifactCache()

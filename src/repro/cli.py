@@ -177,14 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_AES_BACKEND or auto)",
     )
     perf.add_argument(
-        "--swarm-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="thread-pool size for swarm sweeps; 0/1 = sequential "
-        "(default: REPRO_SWARM_WORKERS)",
-    )
-    perf.add_argument(
         "--arq-window",
         type=int,
         default=None,
@@ -297,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = commands.add_parser(
         "fleet",
-        help="fleet control plane: persistent registry + sharded sweeps",
+        help="fleet control plane: persistent registry + sweeps",
     )
     from repro.fleet import cli as fleet_cli
 
@@ -596,8 +588,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     overrides = {}
     if args.aes_backend is not None:
         overrides["aes_backend"] = args.aes_backend
-    if args.swarm_workers is not None:
-        overrides["swarm_workers"] = args.swarm_workers
     if args.arq_window is not None:
         overrides["arq_window"] = args.arq_window
     if args.arq_adaptive is not None:

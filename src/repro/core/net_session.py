@@ -73,7 +73,7 @@ from repro.net.messages import (
     decode_response,
 )
 from repro.obs import log as obs_log
-from repro.obs.metrics import MetricsRegistry, get_registry, use_context_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.obs.spans import span
 from repro.net.resequencer import ResequencerLink
 from repro.obs.trace import trace_context, trace_id_from_nonce
@@ -409,9 +409,9 @@ class NetworkAttestationSession:
         self._config_acked = 0
         self._prover_configs_applied = 0
         # Abort under the prover's registry: the abandoned attempt's
-        # pending command counts must land in the same shard that the
+        # pending command counts must land in the same registry that the
         # delivery path used, not the verifier's ambient registry.
-        with use_context_registry(self._prover_registry or get_registry()):
+        with use_registry(self._prover_registry or get_registry()):
             self._prover.abort_run()
         self._install_ports()
         self._phase = _Phase.CONFIG
@@ -596,7 +596,7 @@ class NetworkAttestationSession:
         if isinstance(command, TraceHelloCommand):
             self._prover_trace_id = command.trace_id.hex()
             if target.enabled:
-                with use_context_registry(target):
+                with use_registry(target):
                     self._prover.handle_command(command)
             else:
                 self._prover.handle_command(command)
@@ -605,12 +605,12 @@ class NetworkAttestationSession:
             self._handle_prover_command(command)
             return
         # Prover-side telemetry: commands handled under the prover's own
-        # registry (which may be a separate shard), tagged with the trace
+        # registry (which may be a separate one), tagged with the trace
         # id announced by the hello and rooted per exchange — roots
         # because the verifier's spans live in another context/registry;
         # the offline stitcher re-parents them under the attempt span.
         name = _PROVER_SPAN_NAMES.get(type(command), "prover_command")
-        with use_context_registry(target), trace_context(
+        with use_registry(target), trace_context(
             self._prover_trace_id or "", self._prover.device_id
         ):
             with span(

@@ -2,16 +2,15 @@
 
 Section 4.2 notes that hybrid schemes aim at large-scale "swarm"
 attestation of device fleets.  SACHa composes naturally: each board
-attests independently, so a fleet can be swept sequentially (one
-verifier, one network) or in parallel (per-device verifier instances).
-The swarm report aggregates verdicts and localizes compromised devices
-down to their mismatching frames.
+attests independently, so a sweep is one run per member, in member
+order.  The report models both one verifier sweeping the fleet and
+per-device verifiers running side by side (sim-clock time), aggregates
+verdicts, and localizes compromised devices down to their mismatching
+frames.
 """
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
@@ -21,8 +20,9 @@ from repro.core.report import AttestationReport, FailureReason, Verdict
 from repro.core.verifier import SachaVerifier
 from repro.errors import ProtocolError, ReproError
 from repro.obs import log as obs_log
-from repro.obs.aggregate import merge_registries, shard_registry
-from repro.obs.metrics import MetricsRegistry, get_registry, use_context_registry
+# benchmarks/e2e/tracer.py patches this name; nothing here calls it.
+from repro.obs.aggregate import merge_registries  # noqa: F401
+from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.utils.rng import DeterministicRng
 
@@ -31,53 +31,16 @@ _log = obs_log.get_logger(__name__)
 _T = TypeVar("_T")
 
 
-def map_sharded(
-    fn: Callable[[int], _T],
-    count: int,
-    max_workers: int,
-    registry: Optional[MetricsRegistry] = None,
-) -> List[_T]:
-    """Run ``fn(index)`` for ``count`` indices with registry-shard isolation.
+def map_sharded(fn: Callable[[int], _T], count: int) -> List[_T]:
+    """``[fn(0), ..., fn(count - 1)]``: the one fan-out of every sweep.
 
-    The pre-forked-shard pattern of the swarm sweep, reusable by any
-    fan-out that must stay byte-identical to a sequential run (the fleet
-    controller drives its device sweeps through this): with more than
-    one worker and an enabled registry, every call runs on a thread pool
-    inside a *copied* context — so ambient spans stay parents — under
-    its own :func:`~repro.obs.aggregate.shard_registry`, and the shards
-    merge back into ``registry`` (default: the active one) in index
-    order.  Merged telemetry is therefore independent of worker count
-    and completion order.  With one worker, or a disabled registry, the
-    calls run without shards.  Results always return in index order.
-
-    Callers needing per-call randomness must fork their RNGs *before*
-    dispatch (one per index), never inside ``fn`` from shared state.
+    Swarm and fleet sweeps run their members through here, one after
+    the other in index order, on the calling thread and under the
+    active metrics registry.  Callers needing per-call randomness fork
+    one RNG per index before the call, so results depend only on the
+    index, never on the order the calls run in.
     """
-    if count <= 0:
-        return []
-    target = registry if registry is not None else get_registry()
-    workers = min(max(max_workers, 1), count)
-    if workers <= 1:
-        return [fn(index) for index in range(count)]
-    if not target.enabled:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-    shards = [shard_registry(index) for index in range(count)]
-
-    def run_in_shard(index: int) -> _T:
-        with use_context_registry(shards[index]):
-            return fn(index)
-
-    contexts = [contextvars.copy_context() for _ in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda index: contexts[index].run(run_in_shard, index),
-                range(count),
-            )
-        )
-    merge_registries(shards, into=target)
-    return results
+    return [fn(index) for index in range(count)]
 
 
 @dataclass
@@ -212,31 +175,23 @@ class SwarmAttestation:
         rng: DeterministicRng,
         options: Optional[SessionOptions] = None,
         on_result: Optional[Callable[[str, AttestationReport], None]] = None,
-        max_workers: Optional[int] = None,
     ) -> SwarmReport:
         """Attest every member; independent nonces and readback orders.
 
         ``sequential_ns`` models one verifier sweeping the fleet member
         by member; ``parallel_ns`` models per-device verifiers running
-        concurrently (the slowest member bounds the sweep).
+        concurrently (the slowest member bounds the sweep).  Both are
+        sim-clock models; the host runs the members one after another.
 
-        ``max_workers`` > 1 runs member attestations on a thread pool
-        (default: :class:`repro.perf.ReproConfig` ``swarm_workers``).
-        Each member's RNG is forked from its device id *before* the
-        sweep, so verdicts, nonces, and reports are byte-identical to
-        the sequential sweep regardless of completion order; results and
-        ``on_result`` callbacks are delivered in member order.
+        Each member's RNG is forked from its device id before the sweep,
+        so a member's nonce and report depend only on (rng, device id).
+        Results and ``on_result`` callbacks arrive in member order.
 
         A member whose run raises (dead link, crashing prover) is
         recorded with an ``inconclusive`` report; the sweep always
         completes and the report covers every member.
         """
         options = options if options is not None else SessionOptions()
-        if max_workers is None:
-            from repro.perf import get_config
-
-            max_workers = get_config().swarm_workers
-        workers = min(max(max_workers, 1), len(self._members))
         report = SwarmReport()
         registry = get_registry()
         durations: List[float] = []
@@ -260,20 +215,11 @@ class SwarmAttestation:
                 on_result(member.device_id, member_report)
 
         with span("swarm_sweep", clock=sweep_clock, members=len(self._members)):
-            # Each worker collects into its own registry shard inside a
-            # copied context: the copy carries the sweep span (so member
-            # spans stay children of ``swarm_sweep``) and the shard is
-            # installed context-locally (so threads never contend on the
-            # active registry).  Shards merge back in member order —
-            # byte-identical output to the sequential sweep regardless
-            # of worker count or completion order.
             member_reports = map_sharded(
                 lambda index: self._attest_member(
                     self._members[index], member_rngs[index], options
                 ),
                 len(self._members),
-                workers,
-                registry=registry,
             )
             for member, member_report in zip(self._members, member_reports):
                 record(member, member_report)

@@ -213,12 +213,11 @@ class SachaSystemDesign:
     def freeze_artifacts(self) -> None:
         """Eagerly build every lazily-cached shared artifact.
 
-        The artifact cache shares one system object across shard
-        workers; materializing the golden template, the combined mask
+        The artifact cache shares one system object across every device
+        of a part; materializing the golden template, the combined mask
         (including its keep-bit complement) and the boot image *before*
-        the object is published keeps the shared state strictly
-        read-only afterwards — no lazy first-touch initialization racing
-        between threads.
+        the object is shared keeps it strictly read-only afterwards and
+        its resident size known up front.
         """
         self.golden_memory(bytes(self.nonce_bytes))
         self.combined_mask().freeze()

@@ -1,4 +1,4 @@
-"""Fleet attestation control plane: persistent registry + sharded sweeps.
+"""Fleet attestation control plane: persistent registry + sweeps.
 
 The single-session layers below (``repro.core.net_session`` drives one
 device; ``repro.core.swarm`` sweeps an in-memory fleet) forget
@@ -8,9 +8,9 @@ control plane needs:
 * :mod:`repro.fleet.store` — a SQLite device registry (key material,
   per-run attestation history, verdict/failure event rows) with
   versioned, idempotent migrations;
-* :mod:`repro.fleet.controller` — sharded sweeps over
-  ``NetworkAttestationSession``s, byte-identical to sequential runs,
-  with every verdict and the merged metrics snapshot persisted;
+* :mod:`repro.fleet.controller` — sweeps over
+  ``NetworkAttestationSession``s, one device after another, with every
+  verdict and the sweep's metrics snapshot persisted;
 * :mod:`repro.fleet.cli` — the ``repro fleet`` ops surface
   (enroll/attest/status/history/health).
 

@@ -88,11 +88,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="attest at most N devices, highest-need first (default: all)",
     )
     attest.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker shards; byte-identical to sequential "
-        "(default: REPRO_SWARM_WORKERS)",
-    )
-    attest.add_argument(
         "--fault-profile", default=None, metavar="SPEC",
         help="named profile or key=value spec for every device's channel",
     )
@@ -109,7 +104,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         dest="fleet_snapshot_out",
         default=None,
         metavar="FILE",
-        help="also write the sweep's merged registry snapshot to FILE",
+        help="also write the sweep's registry snapshot to FILE",
     )
 
     status = commands.add_parser(
@@ -195,20 +190,13 @@ def _parse_profile(args: argparse.Namespace):
 
 def _command_attest(args: argparse.Namespace, store: FleetStore) -> int:
     profile, profile_text = _parse_profile(args)
-    workers = args.workers
-    if workers is None:
-        from repro.perf import get_config
-
-        workers = get_config().swarm_workers
     controller = FleetController(
         store,
         fault_profile=profile,
         profile_text=profile_text,
         max_attempts=args.max_attempts,
     )
-    result = controller.attest(
-        seed=args.seed, limit=args.limit, workers=max(workers, 1)
-    )
+    result = controller.attest(seed=args.seed, limit=args.limit)
     print(result.explain())
     counts = store.verdict_counts(result.sweep_id)
     print(

@@ -1,18 +1,16 @@
-"""The fleet controller: N devices, one sharded attestation sweep.
+"""The fleet controller: N devices, one attestation sweep.
 
 Drives one :class:`~repro.core.net_session.NetworkAttestationSession`
-per selected device through the sharded worker pool extracted from the
-swarm sweep (:func:`repro.core.swarm.map_sharded`), and records every
-outcome — verdict, MAC tag, structured failure, duration — into the
-persistent :class:`~repro.fleet.store.FleetStore` together with the
-sweep's merged metrics snapshot.
+per selected device, in selection order, through the sweep fan-out
+(:func:`repro.core.swarm.map_sharded`), and records every outcome —
+verdict, MAC tag, structured failure, duration — into the persistent
+:class:`~repro.fleet.store.FleetStore` together with the sweep's
+metrics snapshot.
 
 Determinism is the same contract the swarm gives: every device's RNG is
-forked from the sweep RNG by device id *before* dispatch, each device
-gets its own simulator/channel/session, and worker-shard registries
-merge back in device order — so a sweep over any worker count produces
-per-device MAC tags (and merged telemetry) byte-identical to running
-the same devices sequentially.
+forked from the sweep RNG by device id before the sweep, and each
+device gets its own simulator/channel/session, so a device's nonce and
+MAC tag depend only on (device, sweep seed).
 
 Devices are *re-materialized* from their registry facts for every
 sweep (:func:`repro.core.provisioning.materialize_device`): the store,
@@ -38,7 +36,7 @@ from repro.net.channel import Channel, LatencyModel
 from repro.net.faults import FaultModel, FaultProfile
 from repro.obs import log as obs_log
 from repro.obs.exporters import registry_snapshot
-from repro.obs.metrics import MetricsRegistry, use_context_registry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.spans import span
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
@@ -119,7 +117,7 @@ class FleetSweepResult:
 
 
 class FleetController:
-    """Runs persistent, sharded attestation sweeps over a FleetStore."""
+    """Runs persistent attestation sweeps over a FleetStore."""
 
     def __init__(
         self,
@@ -235,6 +233,10 @@ class FleetController:
         targeted re-attestation); otherwise
         :meth:`FleetStore.select_for_attestation` picks up to ``limit``
         devices, previously-inconclusive and stale ones first.
+
+        ``workers`` is accepted and ignored: every sweep runs its
+        devices one after another (the end-to-end benchmark still
+        passes it).
         """
         selected = (
             devices
@@ -244,14 +246,14 @@ class FleetController:
         if not selected:
             raise FleetError("no devices selected; enroll a fleet first")
         sweep_id = self._store.begin_sweep(
-            seed, self._profile_text, workers, len(selected)
+            seed, self._profile_text, len(selected)
         )
         sweep_registry = MetricsRegistry(enabled=True)
         rng = DeterministicRng(seed)
-        # Pre-forked per-device RNGs: verdicts, nonces and tags depend
-        # only on (device, sweep seed), never on scheduling.
+        # Per-device RNGs: verdicts, nonces and tags depend only on
+        # (device, sweep seed).
         device_rngs = [rng.fork(device.device_id) for device in selected]
-        with use_context_registry(sweep_registry):
+        with use_registry(sweep_registry):
             queue_depth = sweep_registry.gauge(
                 "sacha_fleet_queue_depth",
                 "Devices awaiting attestation in the current sweep",
@@ -263,8 +265,6 @@ class FleetController:
                         selected[index], device_rngs[index]
                     ),
                     len(selected),
-                    workers,
-                    registry=sweep_registry,
                 )
             verdicts = sweep_registry.counter(
                 "sacha_fleet_attestations_total",

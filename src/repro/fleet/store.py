@@ -19,11 +19,11 @@ Design points:
   *sweep generations* — the monotonically increasing ``sweep_id`` — so
   "stale" means "not attested recently in sweep order", which is also
   what a seeded simulation can reproduce bit-for-bit.
-* **Write atomicity under sharded writers.**  All writes funnel through
-  one connection guarded by a lock, and every logical record (an
-  attestation row plus its verdict event row) is committed in a single
-  transaction, so two worker shards recording concurrently can never
-  interleave a partial attestation record.
+* **One transaction per record.**  Every logical record (an
+  attestation row plus its verdict event row) commits in a single
+  transaction on the store's one connection, so a crash never leaves
+  half a record behind.  The connection keeps sqlite3's default
+  same-thread check: a store shared across threads fails closed.
 * **Verdict history as queryable rows.**  Each attestation stores the
   full three-way verdict, the MAC tag, the structured failure reason,
   and the mismatched frames; ``events`` adds an append-only audit trail
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -227,7 +226,6 @@ class SweepRow:
     sweep_id: int
     seed: int
     profile: str
-    workers: int
     device_count: int
     completed: bool
 
@@ -247,18 +245,13 @@ _PRIORITY = {
 class FleetStore:
     """SQLite-backed device registry + attestation history.
 
-    One connection, guarded by a lock, shared by every thread: worker
-    shards of the fleet controller write attestation records through
-    the same store instance, each record in one transaction.
+    One connection; each record commits in one transaction.
     """
 
     def __init__(self, path: str) -> None:
         self._path = str(path)
-        self._lock = threading.Lock()
         try:
-            self._conn = sqlite3.connect(
-                self._path, check_same_thread=False, timeout=30.0
-            )
+            self._conn = sqlite3.connect(self._path, timeout=30.0)
         except sqlite3.Error as exc:
             raise FleetError(f"cannot open fleet store {path!r}: {exc}") from exc
         self._conn.row_factory = sqlite3.Row
@@ -284,31 +277,30 @@ class FleetStore:
 
     def enroll(self, device: DeviceRecord) -> None:
         """Register a device; its key material never changes afterwards."""
-        with self._lock:
-            try:
-                with self._conn:
-                    self._conn.execute(
-                        "INSERT INTO devices "
-                        "(device_id, part, seed, key_mode, key_hex, tampered) "
-                        "VALUES (?, ?, ?, ?, ?, ?)",
-                        (
-                            device.device_id,
-                            device.part,
-                            device.seed,
-                            device.key_mode,
-                            device.key.reveal().hex(),
-                            int(device.tampered),
-                        ),
-                    )
-                    self._conn.execute(
-                        "INSERT INTO events (sweep_id, device_id, kind, detail)"
-                        " VALUES (NULL, ?, 'enrolled', ?)",
-                        (device.device_id, f"part={device.part}"),
-                    )
-            except sqlite3.IntegrityError:
-                raise FleetError(
-                    f"device {device.device_id!r} is already enrolled"
-                ) from None
+        try:
+            with self._conn:
+                self._conn.execute(
+                    "INSERT INTO devices "
+                    "(device_id, part, seed, key_mode, key_hex, tampered) "
+                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    (
+                        device.device_id,
+                        device.part,
+                        device.seed,
+                        device.key_mode,
+                        device.key.reveal().hex(),
+                        int(device.tampered),
+                    ),
+                )
+                self._conn.execute(
+                    "INSERT INTO events (sweep_id, device_id, kind, detail)"
+                    " VALUES (NULL, ?, 'enrolled', ?)",
+                    (device.device_id, f"part={device.part}"),
+                )
+        except sqlite3.IntegrityError:
+            raise FleetError(
+                f"device {device.device_id!r} is already enrolled"
+            ) from None
 
     def get_device(self, device_id: str) -> DeviceRecord:
         row = self._conn.execute(
@@ -342,30 +334,28 @@ class FleetStore:
 
     # -- sweeps --------------------------------------------------------------------
 
-    def begin_sweep(
-        self, seed: int, profile: str, workers: int, device_count: int
-    ) -> int:
+    def begin_sweep(self, seed: int, profile: str, device_count: int) -> int:
         """Open a sweep row; returns its monotonically increasing id."""
-        with self._lock, self._conn:
+        with self._conn:
             cursor = self._conn.execute(
-                "INSERT INTO sweeps (seed, profile, workers, device_count) "
-                "VALUES (?, ?, ?, ?)",
-                (seed, profile, workers, device_count),
+                "INSERT INTO sweeps (seed, profile, device_count) "
+                "VALUES (?, ?, ?)",
+                (seed, profile, device_count),
             )
             sweep_id = int(cursor.lastrowid or 0)
             self._conn.execute(
                 "INSERT INTO events (sweep_id, device_id, kind, detail) "
                 "VALUES (?, NULL, 'sweep_started', ?)",
-                (sweep_id, f"devices={device_count} workers={workers}"),
+                (sweep_id, f"devices={device_count}"),
             )
         return sweep_id
 
     def finish_sweep(self, sweep_id: int, snapshot: Optional[dict]) -> None:
-        """Mark a sweep complete and persist its merged metrics snapshot."""
+        """Mark a sweep complete and persist its metrics snapshot."""
         snapshot_json = (
             json.dumps(snapshot, sort_keys=True) if snapshot is not None else None
         )
-        with self._lock, self._conn:
+        with self._conn:
             updated = self._conn.execute(
                 "UPDATE sweeps SET completed = 1, snapshot_json = ? "
                 "WHERE sweep_id = ?",
@@ -381,7 +371,7 @@ class FleetStore:
 
     def sweeps(self) -> List[SweepRow]:
         rows = self._conn.execute(
-            "SELECT sweep_id, seed, profile, workers, device_count, completed"
+            "SELECT sweep_id, seed, profile, device_count, completed"
             " FROM sweeps ORDER BY sweep_id"
         ).fetchall()
         return [
@@ -389,7 +379,6 @@ class FleetStore:
                 sweep_id=int(row["sweep_id"]),
                 seed=int(row["seed"]),
                 profile=row["profile"],
-                workers=int(row["workers"]),
                 device_count=int(row["device_count"]),
                 completed=bool(row["completed"]),
             )
@@ -397,7 +386,7 @@ class FleetStore:
         ]
 
     def latest_snapshot(self) -> Optional[dict]:
-        """The merged metrics snapshot of the newest completed sweep."""
+        """The metrics snapshot of the newest completed sweep."""
         row = self._conn.execute(
             "SELECT snapshot_json FROM sweeps "
             "WHERE completed = 1 AND snapshot_json IS NOT NULL "
@@ -421,11 +410,10 @@ class FleetStore:
         """Persist one attestation outcome atomically.
 
         The attestation row and its verdict event commit in a single
-        transaction under the store lock: concurrent worker shards can
-        interleave *records*, never the fields of one record.
+        transaction.
         """
         failure = report.failure
-        with self._lock, self._conn:
+        with self._conn:
             cursor = self._conn.execute(
                 "INSERT INTO attestations (sweep_id, device_id, verdict, "
                 "mac_valid, config_match, attempts, duration_ns, tag_hex, "

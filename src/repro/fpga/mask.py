@@ -117,9 +117,9 @@ class MaskFile:
     def freeze(self) -> None:
         """Build the keep-bit cache now, before the mask is shared.
 
-        A mask published to concurrent readers (the artifact cache hands
-        one combined mask to every shard worker) must not lazily build
-        state on first use; freezing makes every later call read-only.
+        A mask shared by many devices (the artifact cache hands one
+        combined mask to every device of a part) should not build state
+        on first use; freezing makes every later call read-only.
         """
         self._keep_bits()
 

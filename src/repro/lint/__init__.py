@@ -15,16 +15,15 @@ Five per-file rule families ship by default:
 * ``SACHA002`` constant-time crypto — tags compared via ``compare_digest``;
 * ``SACHA003`` mutable defaults — the ``SessionOptions`` bug class;
 * ``SACHA004`` import layering — the declared layer DAG;
-* ``SACHA005`` threading discipline — executors confined to the swarm.
+* ``SACHA005`` single thread — no ``threading``, ``concurrent`` or
+  ``multiprocessing`` imports.
 
-Three whole-program rules run with ``repro lint --program``, over a
+Two whole-program rules run with ``repro lint --program``, over a
 shared :class:`ProjectModel` (import graph, call graph, def-use
 summaries) built from the same parse set as the per-file tier:
 
 * ``SACHA006`` secret taint — key/nonce material never reaches logs,
   telemetry, exceptions, repr/hex, or unsanctioned SQLite columns;
-* ``SACHA007`` lock discipline — guarded attributes guarded at every
-  write, locks acquired in one global order;
 * ``SACHA008`` wire consistency — one encoder and one decoder per
   opcode, byte layouts agreeing between the two.
 

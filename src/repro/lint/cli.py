@@ -70,7 +70,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--program",
         action="store_true",
-        help="also run the whole-program rules (SACHA006-008) over the "
+        help="also run the whole-program rules (SACHA006, SACHA008) over the "
         "scanned tree",
     )
     parser.add_argument(

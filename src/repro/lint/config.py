@@ -1,8 +1,8 @@
 """Lint configuration: the layer DAG and per-rule scoping.
 
 Everything domain-specific the rules need is declared here rather than
-hard-coded in the rule bodies, so adding a package or approving a new
-threading site is a one-line, reviewable change.
+hard-coded in the rule bodies, so adding a package or a taint source is
+a one-line, reviewable change.
 """
 
 from __future__ import annotations
@@ -85,26 +85,6 @@ LAYER_DAG: Mapping[str, Optional[FrozenSet[str]]] = {
     "repro": None,  # the package facade (repro/__init__.py)
 }
 
-#: Standard-library modules a layer must never import, SACHA004's second
-#: axis.  The simulator is single-threaded by construction — event order
-#: IS the reproducibility guarantee — so threading anywhere under
-#: ``repro.sim`` is a determinism bug, not a style issue.
-FORBIDDEN_STDLIB: Mapping[str, FrozenSet[str]] = {
-    "sim": frozenset({"threading", "concurrent", "multiprocessing"}),
-    "crypto": frozenset({"threading", "concurrent", "multiprocessing"}),
-}
-
-#: Modules allowed to use ``threading`` / ``concurrent.futures``
-#: (SACHA005).  The swarm executor owns parallelism; the metrics
-#: registry holds the lock that makes its counters safe to update from
-#: swarm workers.
-THREADING_APPROVED: Tuple[str, ...] = (
-    "repro/cache/memo.py",
-    "repro/core/swarm.py",
-    "repro/fleet/store.py",
-    "repro/obs/metrics.py",
-)
-
 #: Paths where SACHA001 does not apply: the one sanctioned wall-clock
 #: accessor (export metadata only — never span timing or protocol state)
 #: and the linter's own ``--stats`` timer (tool diagnostics, not part of
@@ -127,7 +107,7 @@ CONSTANT_TIME_PATHS: Tuple[str, ...] = (
     "repro/system/",
 )
 
-# -- whole-program tier declarations (SACHA006-008) ---------------------------
+# -- whole-program tier declarations (SACHA006, SACHA008) -----------------------
 #
 # The interprocedural passes are configured here, exactly like the
 # per-file rules: adding a taint source, a sanctioned SQLite column, or
@@ -204,10 +184,6 @@ class LintConfig:
     layer_dag: Mapping[str, Optional[FrozenSet[str]]] = field(
         default_factory=lambda: LAYER_DAG
     )
-    forbidden_stdlib: Mapping[str, FrozenSet[str]] = field(
-        default_factory=lambda: FORBIDDEN_STDLIB
-    )
-    threading_approved: Tuple[str, ...] = THREADING_APPROVED
     determinism_exempt: Tuple[str, ...] = DETERMINISM_EXEMPT
     constant_time_paths: Tuple[str, ...] = CONSTANT_TIME_PATHS
     secret_source_calls: Tuple[str, ...] = SECRET_SOURCE_CALLS

@@ -2,13 +2,13 @@
 
 The per-file rules see one AST at a time; the properties SACHa's
 security argument actually rests on are *global*: a key minted in
-``core/provisioning.py`` must not reach a log call in ``fleet/``, a
-lock acquired in one module must guard every write to the state it
-protects, and every wire opcode needs exactly one encoder and one
-decoder that agree on the byte layout.  This module builds the shared
-:class:`ProjectModel` — parsed files, the module/import graph, def-use
-function summaries, and a name-resolved call graph — and defines the
-:class:`ProgramRule` base the SACHA006-008 passes register against.
+``core/provisioning.py`` must not reach a log call in ``fleet/``, and
+every wire opcode needs exactly one encoder and one decoder that agree
+on the byte layout.  This module builds the shared
+:class:`ProjectModel` — parsed files, per-module import bindings,
+def-use function summaries, and a name-resolved call graph — and
+defines the :class:`ProgramRule` base the SACHA006 and SACHA008 passes
+register against.
 
 Program rules live in their own registry (``all_program_rules``) so the
 fast per-file tier (``repro lint``) stays exactly as cheap as before;
@@ -110,8 +110,6 @@ class ProjectModel:
         self.by_module: Dict[str, SourceFile] = {}
         #: module -> local binding name -> absolute dotted target
         self.imports: Dict[str, Dict[str, str]] = {}
-        #: module -> repro modules it imports (the import graph)
-        self.import_graph: Dict[str, Set[str]] = {}
         self.functions: Dict[str, FunctionInfo] = {}  #: by qualname
         self.classes: Dict[str, ClassInfo] = {}  #: by qualname
         self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
@@ -174,27 +172,21 @@ class ProjectModel:
         if module is None:
             return
         bindings: Dict[str, str] = {}
-        graph: Set[str] = set()
         for node in ast.walk(record.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bindings[alias.asname or alias.name.split(".")[0]] = (
                         alias.name
                     )
-                    if alias.name.split(".")[0] == "repro":
-                        graph.add(alias.name)
             elif isinstance(node, ast.ImportFrom):
                 base = self._resolve_import_from(record, node)
                 if base is None:
                     continue
-                if base.split(".")[0] == "repro":
-                    graph.add(base)
                 for alias in node.names:
                     bindings[alias.asname or alias.name] = (
                         f"{base}.{alias.name}"
                     )
         self.imports[module] = bindings
-        self.import_graph[module] = graph
         # module-level logger bindings and top-level defs
         for node in record.tree.body:
             if isinstance(node, ast.Assign) and isinstance(

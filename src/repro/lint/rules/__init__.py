@@ -1,14 +1,13 @@
 """Built-in sachalint rules.  Importing this package registers them.
 
-SACHA001-005 are the per-file tier; SACHA006-008 are the whole-program
-tier and register in their own registry (``all_program_rules``) so the
+SACHA001-005 are the per-file tier; SACHA006 and SACHA008 are the
+whole-program tier and register in their own registry (``all_program_rules``) so the
 fast per-file runs never pay for them.
 """
 
 from repro.lint.rules.constant_time import ConstantTimeRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.layering import LayeringRule
-from repro.lint.rules.lock_discipline import LockDisciplineRule
 from repro.lint.rules.mutable_defaults import MutableDefaultsRule
 from repro.lint.rules.secret_taint import SecretTaintRule
 from repro.lint.rules.threads import ThreadingRule
@@ -18,7 +17,6 @@ __all__ = [
     "ConstantTimeRule",
     "DeterminismRule",
     "LayeringRule",
-    "LockDisciplineRule",
     "MutableDefaultsRule",
     "SecretTaintRule",
     "ThreadingRule",

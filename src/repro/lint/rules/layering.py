@@ -5,9 +5,8 @@ math a verifier could audit in isolation (it must never see the network,
 the observability layer, or the simulator), ``fpga`` models a device
 that has no network stack, and ``sim`` is the single-threaded event
 queue whose determinism everything else leans on.  Those boundaries are
-encoded in :data:`repro.lint.config.LAYER_DAG` (plus per-layer stdlib
-bans in :data:`repro.lint.config.FORBIDDEN_STDLIB`) and enforced here
-over *all* imports, including ones nested inside functions.
+encoded in :data:`repro.lint.config.LAYER_DAG` and enforced here over
+*all* imports, including ones nested inside functions.
 """
 
 from __future__ import annotations
@@ -69,20 +68,10 @@ class LayeringRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         layer = ctx.layer
         allowed = ctx.config.layer_dag.get(layer, None)
-        forbidden_stdlib = ctx.config.forbidden_stdlib.get(layer, frozenset())
+        if allowed is None:
+            return
         for node, module in _imports(ctx):
-            top = module.split(".")[0]
-            if top in forbidden_stdlib:
-                yield ctx.finding(
-                    node,
-                    self.id,
-                    f"layer {layer!r} must not import {top!r} "
-                    "(declared in repro.lint.config.FORBIDDEN_STDLIB)",
-                    "move the work out of this layer, or amend the "
-                    "declaration with a rationale",
-                )
-                continue
-            if allowed is None or top != "repro":
+            if module.split(".")[0] != "repro":
                 continue
             target = _repro_layer(module)
             if target is None or target == layer:

@@ -1,16 +1,10 @@
-"""SACHA005: threading is confined to the approved executor modules.
+"""SACHA005: the package is single-threaded.
 
-Parallelism in this repo is a *performance overlay*, never a semantic
-one: the swarm sweep pre-forks per-member RNGs precisely so the threaded
-sweep stays byte-identical to the sequential one.  Ad-hoc threads
-anywhere else put nondeterministic interleavings next to state the
-reproducibility argument assumes is single-threaded.  Two checks:
-
-* importing ``threading`` / ``concurrent.futures`` / ``multiprocessing``
-  outside :data:`repro.lint.config.THREADING_APPROVED`;
-* inside any module that imports them (approved or not), a ``global``
-  write in a function body — module-level mutable state written from
-  code that may run on a worker is a data race waiting for load.
+Every sweep runs its members one after another, and the reproducibility
+argument (event order in the simulator, RNG forks, metric snapshots)
+assumes one thread.  Nothing in the package holds a lock, so importing
+``threading``, ``concurrent`` or ``multiprocessing`` anywhere is a
+finding.
 """
 
 from __future__ import annotations
@@ -27,49 +21,28 @@ _THREAD_MODULES = frozenset({"threading", "concurrent", "multiprocessing"})
 @register
 class ThreadingRule(Rule):
     id = "SACHA005"
-    title = "threading only in the approved executor modules"
+    title = "no threads: threading/concurrent/multiprocessing are not imported"
     rationale = (
-        "determinism is proven for the sequential path and preserved by "
-        "one carefully-reviewed executor; unreviewed threads reintroduce "
-        "scheduling nondeterminism"
+        "sweeps, registries and the store are single-threaded and hold no "
+        "locks; a thread would reintroduce scheduling nondeterminism and "
+        "data races"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        approved = ctx.relpath in ctx.config.threading_approved
-        uses_threads = False
         for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                if isinstance(node, ast.Import):
-                    tops = {alias.name.split(".")[0] for alias in node.names}
-                else:
-                    tops = {(node.module or "").split(".")[0]}
-                hit = tops & _THREAD_MODULES
-                if not hit:
-                    continue
-                uses_threads = True
-                if not approved:
-                    yield ctx.finding(
-                        node,
-                        self.id,
-                        f"{'/'.join(sorted(hit))} import outside the approved "
-                        "executor modules",
-                        "route parallel work through the swarm executor "
-                        "(repro.core.swarm) or extend THREADING_APPROVED "
-                        "in repro.lint.config with a rationale",
-                    )
-        if not uses_threads:
-            return
-        # ``global`` is only meaningful inside a function body, so a plain
-        # walk visits each declaration exactly once.
-        for statement in ast.walk(ctx.tree):
-            if isinstance(statement, ast.Global):
-                names = ", ".join(statement.names)
+            if isinstance(node, ast.Import):
+                tops = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                tops = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            hit = tops & _THREAD_MODULES
+            if hit:
                 yield ctx.finding(
-                    statement,
+                    node,
                     self.id,
-                    f"global write to {names} in a module that uses "
-                    "threading — shared module state must not be "
-                    "mutated from worker callables",
-                    "pass state explicitly or guard it behind the "
-                    "module's lock",
+                    f"{'/'.join(sorted(hit))} import in a single-threaded "
+                    "package",
+                    "run the work in order on the calling thread "
+                    "(repro.core.swarm.map_sharded)",
                 )

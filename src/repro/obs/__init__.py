@@ -9,8 +9,8 @@
   simulation clock;
 * :mod:`repro.obs.trace` — nonce-derived trace ids propagated across
   the networked session, and multi-party span-dump stitching;
-* :mod:`repro.obs.aggregate` — exact merging of per-worker registry
-  shards and snapshot restore for offline fleet roll-ups;
+* :mod:`repro.obs.aggregate` — exact registry merging and snapshot
+  restore for offline fleet roll-ups;
 * :mod:`repro.obs.profile` — critical-path extraction, self-time
   breakdowns, and collapsed-stack flamegraph export;
 * :mod:`repro.obs.health` — declarative SLO rules over snapshots
@@ -37,7 +37,6 @@ from repro.obs.aggregate import (
     merge_snapshots,
     registry_from_snapshot,
     rollup_by_label,
-    shard_registry,
 )
 from repro.obs.exporters import (
     registry_snapshot,
@@ -66,7 +65,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     set_registry,
-    use_context_registry,
     use_registry,
 )
 from repro.obs.profile import (
@@ -105,7 +103,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "use_context_registry",
     "SpanRecord",
     "current_span",
     "span",
@@ -130,7 +127,6 @@ __all__ = [
     "merge_snapshots",
     "registry_from_snapshot",
     "rollup_by_label",
-    "shard_registry",
     "arq_timeline",
     "critical_path",
     "phase_breakdown",

@@ -1,25 +1,16 @@
-"""Registry aggregation: merging worker shards and restoring snapshots.
+"""Registry aggregation: merging registries and restoring snapshots.
 
-Thread-pool swarm sweeps give every worker its own ``MetricsRegistry``
-shard (see ``repro.core.swarm``) so instrument updates never contend on
-one registry, then merge the shards back into the sweep's registry with
-:func:`merge_registries`.  The merge is *exact*, not approximate:
+:func:`merge_registries` folds several registries into one, exactly:
 
 * counters and gauges sum per label set;
 * histograms merge bucket-wise (per-bucket counts, sums, totals add);
-* span records concatenate — shards are constructed with disjoint
-  ``span_id_base`` values, so ids never collide and no remapping is
-  needed.
-
-Merging is performed in a caller-chosen deterministic order (member
-order, not completion order), which together with the exact arithmetic
-makes the merged output byte-identical to a sequential run regardless
-of worker count.
+* span records concatenate in source order, ids as recorded.
 
 :func:`registry_from_snapshot` is the inverse of
 ``repro.obs.exporters.registry_snapshot``: it rebuilds a live registry
 from the plain-dict form, so snapshots written by different runs can be
-merged offline (fleet roll-ups) and fed to the health engine.
+merged offline (fleet roll-ups such as ``repro obs health A.json
+B.json``) and fed to the health engine.
 """
 
 from __future__ import annotations
@@ -34,20 +25,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 
-#: Span-id stride between worker shards.  A single attestation records a
-#: handful of spans, so one million ids per shard is unreachable while
-#: keeping merged ids readable.
-SPAN_ID_STRIDE = 1_000_000
-
-
-def shard_registry(index: int, enabled: bool = True) -> MetricsRegistry:
-    """A worker shard with a disjoint span-id range (1-based ``index``)."""
-    if index < 0:
-        raise ObservabilityError(f"shard index must be >= 0, got {index}")
-    return MetricsRegistry(
-        enabled=enabled, span_id_base=SPAN_ID_STRIDE * (index + 1)
-    )
-
 
 def merge_registries(
     sources: Sequence[MetricsRegistry],
@@ -58,7 +35,7 @@ def merge_registries(
     Instruments are created on the target on first sight with the
     source's metadata; subsequent sources must agree on kind, labels,
     and (for histograms) bucket bounds.  Merge order is the order of
-    ``sources`` — pass shards in member order for byte-stable output.
+    ``sources``.
     """
     target = into if into is not None else MetricsRegistry(enabled=True)
     if not target.enabled:

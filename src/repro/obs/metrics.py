@@ -24,8 +24,6 @@ importing :mod:`repro` never starts collecting anything.
 from __future__ import annotations
 
 import contextlib
-import contextvars
-import threading
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
@@ -146,7 +144,7 @@ class Gauge:
     def merge_from(self, other: "Gauge") -> None:
         """Sum ``other``'s series into this gauge.
 
-        Shard gauges are additive contributions (per-shard tallies); for
+        Merged gauges are additive contributions (per-run tallies); for
         last-writer-wins semantics, set the gauge on the merged registry
         after merging instead.
         """
@@ -311,15 +309,11 @@ _NOOP = _NoOpInstrument()
 class MetricsRegistry:
     """Owns instruments and span records for one collection scope."""
 
-    def __init__(self, enabled: bool = True, span_id_base: int = 0) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self._enabled = enabled
         self._instruments: Dict[str, object] = {}
         self._spans: List[object] = []
-        # Worker-shard registries get disjoint bases (see repro.obs.aggregate)
-        # so merged span dumps need no id remapping.
-        self._span_id_base = span_id_base
-        self._span_id = span_id_base
-        self._lock = threading.Lock()
+        self._span_id = 0
         # Bumped by clear() so callers holding cached instrument handles
         # (hot-path fast paths) know to re-fetch them.
         self.generation = 0
@@ -338,34 +332,32 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         """Drop every instrument and span (tests, per-bench snapshots)."""
-        with self._lock:
-            self._instruments.clear()
-            self._spans.clear()
-            self._span_id = self._span_id_base
-            self.generation += 1
+        self._instruments.clear()
+        self._spans.clear()
+        self._span_id = 0
+        self.generation += 1
 
     # -- instrument factories ----------------------------------------------
 
     def _get_or_create(self, cls, name, help, labels, **kwargs):
         if not self._enabled:
             return _NOOP
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ObservabilityError(
-                        f"metric {name} already registered as "
-                        f"{existing.kind}, requested {cls.kind}"
-                    )
-                if tuple(labels) != existing.label_names:
-                    raise ObservabilityError(
-                        f"metric {name} already registered with labels "
-                        f"{existing.label_names}, requested {tuple(labels)}"
-                    )
-                return existing
-            instrument = cls(name, help, labels, **kwargs)
-            self._instruments[name] = instrument
-            return instrument
+        existing = self._instruments.get(name)
+        if existing is not None:
+            if not isinstance(existing, cls):
+                raise ObservabilityError(
+                    f"metric {name} already registered as "
+                    f"{existing.kind}, requested {cls.kind}"
+                )
+            if tuple(labels) != existing.label_names:
+                raise ObservabilityError(
+                    f"metric {name} already registered with labels "
+                    f"{existing.label_names}, requested {tuple(labels)}"
+                )
+            return existing
+        instrument = cls(name, help, labels, **kwargs)
+        self._instruments[name] = instrument
+        return instrument
 
     def counter(
         self, name: str, help: str = "", labels: Sequence[str] = ()
@@ -388,8 +380,7 @@ class MetricsRegistry:
 
     def instruments(self) -> List[object]:
         """Registered instruments sorted by name."""
-        with self._lock:
-            return [self._instruments[name] for name in sorted(self._instruments)]
+        return [self._instruments[name] for name in sorted(self._instruments)]
 
     def get(self, name: str) -> Optional[object]:
         return self._instruments.get(name)
@@ -397,21 +388,16 @@ class MetricsRegistry:
     # -- span storage (written by repro.obs.spans) -------------------------
 
     def next_span_id(self) -> int:
-        with self._lock:
-            self._span_id += 1
-            return self._span_id
+        self._span_id += 1
+        return self._span_id
 
     def record_span(self, record: object) -> None:
         if self._enabled:
-            # Same lock as clear()/instruments(): swarm workers flush
-            # span records through their shard registry concurrently.
-            with self._lock:
-                self._spans.append(record)
+            self._spans.append(record)
 
     @property
     def spans(self) -> Tuple[object, ...]:
-        with self._lock:
-            return tuple(self._spans)
+        return tuple(self._spans)
 
 
 #: The process-wide registry.  Starts disabled: importing repro collects
@@ -419,32 +405,15 @@ class MetricsRegistry:
 #: swaps in an enabled registry.
 _ACTIVE = MetricsRegistry(enabled=False)
 
-#: Context-local override of the active registry.  Swarm workers run
-#: each member inside a copied context with their shard registry set
-#: here, so instrumented code deep in the protocol lands metrics in the
-#: worker's shard without any plumbing — and without the workers racing
-#: on the process-wide ``_ACTIVE``.
-_CONTEXT: contextvars.ContextVar[Optional[MetricsRegistry]] = (
-    contextvars.ContextVar("repro_obs_context_registry", default=None)
-)
-
 
 def get_registry() -> MetricsRegistry:
-    """The active registry (instrumented code fetches it per run).
-
-    A context-local registry (see :func:`use_context_registry`) takes
-    precedence over the process-wide one.
-    """
-    contextual = _CONTEXT.get()
-    return contextual if contextual is not None else _ACTIVE
+    """The active registry (instrumented code fetches it per run)."""
+    return _ACTIVE
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Install ``registry`` as the active one; returns the previous."""
-    # Registry installation happens on the main thread before a sweep
-    # starts; workers only read _ACTIVE and update instruments under
-    # the per-registry lock.
-    global _ACTIVE  # sachalint: disable=SACHA005
+    global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = registry
     return previous
@@ -452,24 +421,9 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 @contextlib.contextmanager
 def use_registry(registry: MetricsRegistry):
-    """Temporarily install ``registry`` (tests, scoped collection)."""
+    """Temporarily install ``registry`` (sweeps, tests, scoped collection)."""
     previous = set_registry(registry)
     try:
         yield registry
     finally:
         set_registry(previous)
-
-
-@contextlib.contextmanager
-def use_context_registry(registry: MetricsRegistry):
-    """Install ``registry`` for the current execution context only.
-
-    Unlike :func:`use_registry` this does not touch the process-wide
-    registry, so concurrent contexts (swarm worker threads) can each
-    collect into their own shard.
-    """
-    token = _CONTEXT.set(registry)
-    try:
-        yield registry
-    finally:
-        _CONTEXT.reset(token)

@@ -95,7 +95,8 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
 
 
 # (registry, generation, counter) for the fold counter: folds run once
-# per MAC'd frame, so the registry's locked lookup is cached away.
+# per MAC'd frame, so the registry's lookup and label checks are cached
+# away.
 _FOLD_COUNTER = None
 
 

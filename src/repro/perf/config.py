@@ -1,12 +1,11 @@
 """Runtime performance configuration.
 
 One process-wide :class:`ReproConfig` controls which AES-CMAC backend the
-crypto layer instantiates and how much parallelism the swarm sweep may
-use.  The defaults come from the environment so CLI runs and CI jobs can
-switch backends without code changes::
+crypto layer instantiates, the networked transport's shape and the
+artifact cache.  The defaults come from the environment so CLI runs and
+CI jobs can switch backends without code changes::
 
     REPRO_AES_BACKEND=reference   # reference | table | native | auto
-    REPRO_SWARM_WORKERS=4         # 0/1 = sequential sweep
     REPRO_ARQ_WINDOW=8            # ARQ payloads in flight; 1 = stop-and-wait
     REPRO_ARQ_ADAPTIVE=1          # AIMD window adaptation (window = ceiling)
     REPRO_READBACK_BATCH_FRAMES=256  # frames per batched readback; 1 = per-frame
@@ -43,10 +42,6 @@ class ReproConfig:
 
     #: AES-CMAC backend name: ``auto``, ``reference``, ``table``, ``native``.
     aes_backend: str = "auto"
-    #: Thread workers for independent swarm-member attestations.
-    #: ``0`` or ``1`` keeps the sweep sequential (byte-identical telemetry
-    #: ordering); higher values attest members concurrently.
-    swarm_workers: int = 0
     #: ARQ send-window size for networked sessions: how many payloads may
     #: be unacknowledged at once.  ``1`` is the legacy stop-and-wait and
     #: stays byte-identical to it.
@@ -74,10 +69,6 @@ class ReproConfig:
                 f"unknown AES backend {self.aes_backend!r}; "
                 f"choose from {', '.join(AES_BACKEND_CHOICES)}"
             )
-        if self.swarm_workers < 0:
-            raise ReproError(
-                f"swarm_workers must be non-negative, got {self.swarm_workers}"
-            )
         if self.arq_window < 1:
             raise ReproError(
                 f"arq_window must be >= 1, got {self.arq_window}"
@@ -97,13 +88,7 @@ class ReproConfig:
         """Build a config from ``REPRO_*`` environment variables."""
         env = os.environ if environ is None else environ
         backend = env.get("REPRO_AES_BACKEND", "auto").strip().lower() or "auto"
-        workers_raw = env.get("REPRO_SWARM_WORKERS", "0").strip() or "0"
-        try:
-            workers = int(workers_raw)
-        except ValueError:
-            raise ReproError(
-                f"REPRO_SWARM_WORKERS must be an integer, got {workers_raw!r}"
-            ) from None
+
         def _int_env(name: str, default: str) -> int:
             raw = env.get(name, default).strip() or default
             try:
@@ -130,7 +115,6 @@ class ReproConfig:
         artifact_cache = _bool_env("REPRO_ARTIFACT_CACHE", "1")
         return cls(
             aes_backend=backend,
-            swarm_workers=workers,
             arq_window=window,
             arq_adaptive=adaptive,
             readback_batch_frames=batch_frames,

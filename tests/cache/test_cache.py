@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.cache import (
@@ -12,8 +10,7 @@ from repro.cache import (
     plan_fingerprint,
     reset_artifact_cache,
 )
-from repro.cache.artifacts import build_artifacts, resolve_plan
-from repro.cache.memo import ArtifactMemo
+from repro.cache.artifacts import resolve_plan
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.perf.config import configured
 
@@ -51,53 +48,27 @@ class TestFingerprint:
 
 
 class TestMemo:
-    def test_builds_once_then_hits(self):
-        memo = ArtifactMemo()
-        plan = resolve_plan("SIM-SMALL")
-        fingerprint = plan_fingerprint(plan)
+    def test_builds_once_then_hits(self, monkeypatch):
+        """N same-part requests: one build (a miss), then N-1 hits."""
+        import repro.cache as cache_module
+
         builds = []
+        real_build = cache_module.build_artifacts
 
-        def build():
-            builds.append(1)
-            return build_artifacts(plan, fingerprint)
+        def counting_build(plan, fingerprint=""):
+            builds.append(fingerprint)
+            return real_build(plan, fingerprint)
 
-        first, hit_first = memo.get_or_build(fingerprint, build)
-        second, hit_second = memo.get_or_build(fingerprint, build)
-        assert (hit_first, hit_second) == (False, True)
-        assert first is second
-        assert len(builds) == 1
-        assert len(memo) == 1
-        assert memo.total_bytes() > 0
-
-    def test_concurrent_misses_collapse_into_one_build(self):
-        memo = ArtifactMemo()
-        plan = resolve_plan("SIM-SMALL")
-        fingerprint = plan_fingerprint(plan)
-        builds = []
-        results = []
-
-        def build():
-            builds.append(1)
-            return build_artifacts(plan, fingerprint)
-
-        def worker():
-            results.append(memo.get_or_build(fingerprint, build)[0])
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(builds) == 1
-        assert all(result is results[0] for result in results)
-
-    def test_clear_drops_everything(self):
-        memo = ArtifactMemo()
-        plan = resolve_plan("SIM-SMALL")
-        memo.put(build_artifacts(plan))
-        assert memo.clear() == 1
-        assert len(memo) == 0
-        assert memo.clear() == 0
+        monkeypatch.setattr(cache_module, "build_artifacts", counting_build)
+        registry = MetricsRegistry(enabled=True)
+        cache = ArtifactCache()
+        with use_registry(registry):
+            bundles = [cache.get_artifacts("SIM-SMALL") for _ in range(4)]
+        assert builds == [plan_fingerprint(resolve_plan("SIM-SMALL"))]
+        assert all(bundle is bundles[0] for bundle in bundles)
+        assert registry.get("sacha_cache_misses_total").value(tier="memo") == 1
+        assert registry.get("sacha_cache_hits_total").value(tier="memo") == 3
+        assert cache.total_bytes() == bundles[0].memory_bytes() > 0
 
 
 class TestFacade:
@@ -111,7 +82,7 @@ class TestFacade:
             first = cache.get_system("SIM-SMALL")
             second = cache.get_system("SIM-SMALL")
         assert first is not second
-        assert len(cache.memo) == 0
+        assert cache.total_bytes() == 0
 
     def test_metrics_count_tiers(self):
         registry = MetricsRegistry(enabled=True)

@@ -30,7 +30,7 @@ from repro.core.verifier import SachaVerifier
 from repro.net.arq import ArqTuning
 from repro.net.channel import Channel, LatencyModel
 from repro.net.faults import FaultModel, FaultProfile
-from repro.obs.metrics import MetricsRegistry, use_context_registry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
@@ -84,7 +84,7 @@ def session_fingerprint(provisioned_medium, reliable, window, batch, loss):
         readback_batch_frames=batch,
         max_attempts=3,
     )
-    with use_context_registry(MetricsRegistry(enabled=False)):
+    with use_registry(MetricsRegistry(enabled=False)):
         result = session.run()
     assert result.report.accepted
     return (

@@ -62,6 +62,51 @@ class TestSwarmSweep:
         )
         assert seen == ["node-0", "node-1"]
 
+    def test_member_failure_stays_isolated(self):
+        swarm = SwarmAttestation([_make_member(i) for i in range(3)])
+        swarm._members[1].prover.board.power_off()
+        report = swarm.run(DeterministicRng(11))
+        assert report.inconclusive == ["node-1"]
+        assert report.healthy == ["node-0", "node-2"]
+
+
+class TestSwarmTelemetry:
+    def _sweep_registry(self, compromised=False):
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        bad_frame = build_sacha_system(SIM_SMALL).partition.static_frame_list()[0]
+        members = [
+            _make_member(
+                i, compromised_frame=bad_frame if compromised and i == 1 else None
+            )
+            for i in range(4)
+        ]
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            SwarmAttestation(members).run(DeterministicRng(99))
+        return registry
+
+    def test_member_spans_stay_under_sweep_span(self):
+        registry = self._sweep_registry()
+        roots = [record for record in registry.spans if record.parent_id is None]
+        assert [record.name for record in roots] == ["swarm_sweep"]
+        attestations = [
+            record for record in registry.spans if record.name == "attestation"
+        ]
+        assert len(attestations) == 4
+        assert all(
+            record.parent_id == roots[0].span_id for record in attestations
+        )
+
+    def test_per_member_verdict_counter(self):
+        from repro.obs.aggregate import rollup_by_label
+
+        registry = self._sweep_registry(compromised=True)
+        by_verdict = rollup_by_label(
+            registry, "sacha_swarm_member_verdicts_total", "verdict"
+        )
+        assert by_verdict == {"accept": 3.0, "reject": 1.0}
+
 
 class TestSwarmConstruction:
     def test_build_swarm_factory(self):

@@ -33,6 +33,12 @@ class TestParser:
                 ["fleet", "enroll", "--db", _db(tmp_path), "--device", "nope"]
             )
 
+    def test_sweeps_take_no_worker_count(self, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["fleet", "attest", "--db", _db(tmp_path), "--workers", "2"]
+            )
+
 
 class TestLifecycle:
     def test_enroll_attest_status_history_health(self, tmp_path, capsys):
@@ -46,7 +52,7 @@ class TestLifecycle:
         assert main(
             [
                 "fleet", "attest", "--db", db, "--seed", "7",
-                "--workers", "2", "--snapshot-out", str(snapshot_path),
+                "--snapshot-out", str(snapshot_path),
             ]
         ) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,11 @@
-"""FleetController: sharded sweeps, determinism, persistence, exit codes."""
+"""FleetController: sweeps, determinism, persistence, exit codes."""
+
+import hashlib
+import json
 
 import pytest
 
+from repro.cache import get_artifact_cache, reset_artifact_cache
 from repro.core.provisioning import materialize_device
 from repro.core.report import Verdict
 from repro.errors import FleetError
@@ -10,34 +14,41 @@ from repro.fleet.store import DeviceRecord, FleetStore
 from repro.net.faults import FaultProfile
 from repro.utils.secret import SecretBytes
 
+#: SHA-256 of ``json.dumps(result.snapshot, sort_keys=True)`` for the
+#: pinned fleet's ``attest(seed=7)``, captured from a one-worker sweep
+#: of the former thread-pool executor.  Its multi-worker sweeps gave
+#: other digests: they summed gauges over devices (``sacha_arq_window``
+#: read 64, not 8).
+SNAPSHOT_PINS = {
+    "clean": "3de9c0c269caca7041204d915dcc1fc153ad3629f9fbc2ed9cf26bf860b71eca",
+    "lossy": "821b04ebc5dbc0ced33105d57ac266aa09d0dcf3b9138c75fbe8e1f42a1fdd6c",
+}
+#: SHA-256 of the "device verdict tag" lines of the same sweep (clean and
+#: lossy agree: the loss is absorbed by the transport).
+TAGS_PIN = "73b7a9ced19dd07b1ff0b59e3315c9a7f8efeb86a7343083438fb71134516f86"
+PROFILES = {"clean": None, "lossy": FaultProfile(loss_probability=0.05)}
 
-def _assert_snapshots_equivalent(left, right):
-    """Counters and histograms merge losslessly across shards up to
-    float association (per-shard partial sums add in a different order),
-    so event counts compare exactly and sums approximately.  Gauges are
-    last-write-wins sequentially but sum in a merge, and are excluded
-    from the equivalence claim."""
-    trimmed = [
-        {
-            name: family
-            for name, family in snapshot.items()
-            if family["kind"] != "gauge"
-        }
-        for snapshot in (left, right)
-    ]
-    assert sorted(trimmed[0]) == sorted(trimmed[1])
-    for name, family in trimmed[0].items():
-        other = trimmed[1][name]
-        for sample, other_sample in zip(
-            family["samples"], other["samples"], strict=True
-        ):
-            assert sample["labels"] == other_sample["labels"]
-            if family["kind"] == "histogram":
-                assert sample["count"] == other_sample["count"]
-                assert sample["bucket_counts"] == other_sample["bucket_counts"]
-                assert sample["sum"] == pytest.approx(other_sample["sum"])
-            else:
-                assert sample["value"] == pytest.approx(other_sample["value"])
+
+def _enroll_pinned_fleet(store):
+    """dev-0000..dev-0007, every fourth SIM-MEDIUM, dev-0005 tampered."""
+    for index in range(8):
+        device_id = f"dev-{index:04d}"
+        part = "SIM-MEDIUM" if index % 4 == 3 else "SIM-SMALL"
+        _, record = materialize_device(part, device_id, seed=100 + index)
+        store.enroll(
+            DeviceRecord(
+                device_id=device_id,
+                part=part,
+                seed=100 + index,
+                key_mode="puf",
+                key=record.mac_key,
+                tampered=index == 5,
+            )
+        )
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _enroll(store, count, prefix="dev", tampered=False, part="SIM-SMALL"):
@@ -61,61 +72,70 @@ def _enroll(store, count, prefix="dev", tampered=False, part="SIM-SMALL"):
 
 
 class TestDeterminism:
-    def test_sharded_sweep_matches_sequential_byte_for_byte(self, tmp_path):
-        """The acceptance criterion: >= 32 devices through the sharded
-        controller produce per-device MAC tags byte-identical to the
-        sequential run, and every verdict/snapshot is queryable after."""
-        with FleetStore(tmp_path / "seq.db") as sequential_store, \
-                FleetStore(tmp_path / "par.db") as sharded_store:
-            _enroll(sequential_store, 32)
-            _enroll(sharded_store, 32)
-            sequential = FleetController(sequential_store).attest(
-                seed=7, workers=1
-            )
-            sharded = FleetController(sharded_store).attest(seed=7, workers=4)
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_sweep_snapshot_and_tags_match_pins(self, tmp_path, profile):
+        """Snapshot and tags are byte-identical to the pinned sweep, with
+        or without the ignored ``workers`` keyword, and every outcome is
+        queryable from the store afterwards."""
+        for extra in ({}, {"workers": 2}):
+            with FleetStore(tmp_path / f"fleet-{len(extra)}.db") as store:
+                _enroll_pinned_fleet(store)
+                controller = FleetController(
+                    store, fault_profile=PROFILES[profile]
+                )
+                reset_artifact_cache()
+                result = controller.attest(seed=7, **extra)
 
-            assert len(sharded.outcomes) == 32
-            for left, right in zip(sequential.outcomes, sharded.outcomes):
-                assert left.device_id == right.device_id
-                assert left.verdict is right.verdict
-                assert left.tag == right.tag
-                assert left.tag is not None
-                assert left.report.nonce == right.report.nonce
-            _assert_snapshots_equivalent(
-                sequential.snapshot, sharded.snapshot
-            )
+                snapshot = result.snapshot
+                assert _digest(json.dumps(snapshot, sort_keys=True)) == (
+                    SNAPSHOT_PINS[profile]
+                )
+                assert _digest(
+                    "".join(
+                        f"{o.device_id} {o.verdict.value} {o.tag.hex()}\n"
+                        for o in result.outcomes
+                    )
+                ) == TAGS_PIN
+                # gauges hold the one sweep's values, not a sum over devices
+                windows = snapshot["sacha_arq_window"]["samples"]
+                assert windows and all(s["value"] == 8.0 for s in windows)
+                (cache_bytes,) = snapshot["sacha_cache_bytes"]["samples"]
+                assert cache_bytes["value"] == (
+                    get_artifact_cache().total_bytes()
+                )
 
-            # everything is queryable from the store afterwards
-            history = sharded_store.history()
-            assert len(history) == 32
-            by_device = {row.device_id: row for row in history}
-            for outcome in sharded.outcomes:
-                row = by_device[outcome.device_id]
-                assert row.tag_hex == outcome.tag.hex()
-                assert row.verdict == "accept"
-            assert sharded_store.verdict_counts(sharded.sweep_id) == {
-                "accept": 32
-            }
-            assert sharded_store.latest_snapshot() == sharded.snapshot
+                assert result.rejected == ["dev-0005"]
+                by_device = {row.device_id: row for row in store.history()}
+                for outcome in result.outcomes:
+                    row = by_device[outcome.device_id]
+                    assert row.tag_hex == outcome.tag.hex()
+                    assert row.verdict == outcome.verdict.value
+                assert store.verdict_counts(result.sweep_id) == {
+                    "accept": 7,
+                    "reject": 1,
+                }
+                assert store.latest_snapshot() == snapshot
 
-    def test_lossy_sweep_is_deterministic_across_worker_counts(self, tmp_path):
-        with FleetStore(tmp_path / "a.db") as store_a, \
-                FleetStore(tmp_path / "b.db") as store_b:
-            _enroll(store_a, 6)
-            _enroll(store_b, 6)
-            profile = FaultProfile(loss_probability=0.05)
-            first = FleetController(store_a, fault_profile=profile).attest(
-                seed=9, workers=1
-            )
-            second = FleetController(store_b, fault_profile=profile).attest(
-                seed=9, workers=3
-            )
-            assert [o.tag for o in first.outcomes] == [
-                o.tag for o in second.outcomes
-            ]
-            assert [o.attempts for o in first.outcomes] == [
-                o.attempts for o in second.outcomes
-            ]
+    def test_lossy_sweep_is_deterministic(self, tmp_path):
+        """Two sequential lossy sweeps on fresh stores agree exactly."""
+        results = []
+        for name in ("a", "b"):
+            with FleetStore(tmp_path / f"{name}.db") as store:
+                _enroll(store, 6)
+                reset_artifact_cache()
+                results.append(
+                    FleetController(
+                        store, fault_profile=PROFILES["lossy"]
+                    ).attest(seed=9)
+                )
+        first, second = results
+        assert [o.tag for o in first.outcomes] == [
+            o.tag for o in second.outcomes
+        ]
+        assert [o.attempts for o in first.outcomes] == [
+            o.attempts for o in second.outcomes
+        ]
+        assert first.snapshot == second.snapshot
 
 
 class TestVerdictsAndExitCodes:

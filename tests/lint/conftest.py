@@ -9,8 +9,8 @@ import pytest
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Virtual location each fixture pair is linted at — chosen so the
-#: rule's scope (SACHA002's path prefixes, SACHA004's layer, SACHA005's
-#: approved-module list) actually applies.
+#: rule's scope (SACHA002's path prefixes, SACHA004's layer) actually
+#: applies.
 FIXTURE_PATHS = {
     "SACHA001": "repro/sim/fixture.py",
     "SACHA002": "repro/crypto/fixture.py",

@@ -1,16 +1,11 @@
 """Known-bad fixture for SACHA005 (linted as if under repro/fpga/)."""
 
+import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-_RESULTS = []
 
-
-def sweep(items):
-    def worker(item):
-        global _RESULTS  # shared module state written under threading
-        _RESULTS = _RESULTS + [item]
-
+def sweep(items, attest):
     with ThreadPoolExecutor() as pool:
-        pool.map(worker, items)
-    return _RESULTS, threading.active_count()
+        results = list(pool.map(attest, items))
+    return results, threading.active_count(), multiprocessing.cpu_count()

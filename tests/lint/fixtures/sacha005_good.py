@@ -2,5 +2,5 @@
 
 
 def sweep(items, attest):
-    # sequential by construction; parallelism belongs to repro.core.swarm
+    # one thread: members run in order, like repro.core.swarm.map_sharded
     return [attest(item) for item in items]

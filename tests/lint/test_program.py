@@ -169,123 +169,6 @@ class TestSecretTaint:
 
 
 # ---------------------------------------------------------------------------
-# SACHA007 — lock discipline
-# ---------------------------------------------------------------------------
-
-
-class TestLockDiscipline:
-    def test_unguarded_write_to_a_guarded_attribute(self):
-        tree = {
-            "repro/fleet/counter.py": (
-                "import threading\n\n"
-                "class Counter:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._total = 0\n\n"
-                "    def add(self, amount):\n"
-                "        with self._lock:\n"
-                "            self._total += amount\n\n"
-                "    def reset(self):\n"
-                "        self._total = 0\n"
-            ),
-        }
-        findings = lint_program_sources(tree)
-        assert rule_ids(findings) == ["SACHA007"], messages(findings)
-        assert any("_total" in finding.message for finding in findings)
-
-    def test_consistently_guarded_class_is_clean(self):
-        tree = {
-            "repro/fleet/counter.py": (
-                "import threading\n\n"
-                "class Counter:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._total = 0\n\n"
-                "    def add(self, amount):\n"
-                "        with self._lock:\n"
-                "            self._total += amount\n\n"
-                "    def reset(self):\n"
-                "        with self._lock:\n"
-                "            self._total = 0\n"
-            ),
-        }
-        assert lint_program_sources(tree) == []
-
-    def test_lock_order_inversion(self):
-        tree = {
-            "repro/fleet/pair.py": (
-                "import threading\n\n"
-                "class Pair:\n"
-                "    def __init__(self):\n"
-                "        self._a = threading.Lock()\n"
-                "        self._b = threading.Lock()\n"
-                "        self._state = 0\n\n"
-                "    def forward(self):\n"
-                "        with self._a:\n"
-                "            with self._b:\n"
-                "                self._state = 1\n\n"
-                "    def backward(self):\n"
-                "        with self._b:\n"
-                "            with self._a:\n"
-                "                self._state = 2\n"
-            ),
-        }
-        findings = lint_program_sources(tree)
-        assert rule_ids(findings) == ["SACHA007"], messages(findings)
-        assert any(
-            "lock-order inversion" in finding.message for finding in findings
-        )
-
-    def test_cross_module_mutation_from_a_sharded_worker(self):
-        tree = {
-            "repro/fleet/counter.py": (
-                "import threading\n\n"
-                "class Counter:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._total = 0\n\n"
-                "    def add(self, amount):\n"
-                "        with self._lock:\n"
-                "            self._total += amount\n"
-            ),
-            "repro/fleet/worker.py": (
-                "def bump(counter):\n"
-                "    counter._total += 1\n"
-            ),
-            "repro/fleet/driver.py": (
-                "from repro.core.swarm import map_sharded\n"
-                "from repro.fleet import worker\n\n"
-                "def run(counters):\n"
-                "    return map_sharded(worker.bump, counters)\n"
-            ),
-        }
-        findings = lint_program_sources(tree)
-        assert rule_ids(findings) == ["SACHA007"], messages(findings)
-        assert any(
-            finding.path == "repro/fleet/worker.py" for finding in findings
-        )
-
-    def test_same_mutation_without_sharding_is_out_of_scope(self):
-        tree = {
-            "repro/fleet/counter.py": (
-                "import threading\n\n"
-                "class Counter:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._total = 0\n\n"
-                "    def add(self, amount):\n"
-                "        with self._lock:\n"
-                "            self._total += amount\n"
-            ),
-            "repro/fleet/worker.py": (
-                "def bump(counter):\n"
-                "    counter._total += 1\n"
-            ),
-        }
-        assert lint_program_sources(tree) == []
-
-
-# ---------------------------------------------------------------------------
 # SACHA008 — wire-protocol consistency
 # ---------------------------------------------------------------------------
 
@@ -453,15 +336,16 @@ class TestCli:
             ]
         )
         out = capsys.readouterr().out
-        for rule_id in ("SACHA001", "SACHA006", "SACHA007", "SACHA008"):
+        for rule_id in ("SACHA001", "SACHA006", "SACHA008"):
             assert f"{rule_id}:" in out
         assert "ms" in out
 
     def test_list_rules_includes_the_program_tier(self, capsys):
         main(["lint", "--list-rules"])
         out = capsys.readouterr().out
-        for rule_id in ("SACHA006", "SACHA007", "SACHA008"):
+        for rule_id in ("SACHA006", "SACHA008"):
             assert rule_id in out
+        assert "SACHA007" not in out
         assert "[--program]" in out
 
     def test_select_can_narrow_to_one_program_rule(

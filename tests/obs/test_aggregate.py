@@ -1,15 +1,13 @@
-"""Registry aggregation: shard merging, snapshot restore, roll-ups."""
+"""Registry aggregation: merging, snapshot restore, roll-ups."""
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.aggregate import (
-    SPAN_ID_STRIDE,
     merge_registries,
     merge_snapshots,
     registry_from_snapshot,
     rollup_by_label,
-    shard_registry,
     span_roots,
 )
 from repro.obs.exporters import registry_snapshot, to_prometheus
@@ -31,18 +29,6 @@ def _populate(registry, scale=1.0):
     hist.observe(0.05 * scale)
     hist.observe(5.0 * scale)
     return registry
-
-
-class TestShardRegistry:
-    def test_disjoint_span_id_ranges(self):
-        first, second = shard_registry(0), shard_registry(1)
-        with_span = lambda reg: reg.next_span_id()  # noqa: E731
-        assert with_span(first) == SPAN_ID_STRIDE + 1
-        assert with_span(second) == 2 * SPAN_ID_STRIDE + 1
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ObservabilityError):
-            shard_registry(-1)
 
 
 class TestMergeRegistries:
@@ -67,7 +53,7 @@ class TestMergeRegistries:
         runs = single.counter("runs_total", "Runs", labels=("result",))
         runs.inc(4, result="accept")
         runs.inc(2, result="reject")
-        single.gauge("depth", "Depth").set(6)  # gauge merge sums shards
+        single.gauge("depth", "Depth").set(6)  # gauge merge sums sources
         hist = single.histogram(
             "latency_seconds", "Latency", buckets=(0.1, 1.0, 10.0)
         )
@@ -79,10 +65,10 @@ class TestMergeRegistries:
         assert to_prometheus(merged) == to_prometheus(single)
 
     def test_spans_concatenate_without_remapping(self):
-        shard = shard_registry(0)
-        shard.record_span(
+        source = MetricsRegistry(enabled=True)
+        source.record_span(
             SpanRecord(
-                span_id=shard.next_span_id(),
+                span_id=source.next_span_id(),
                 parent_id=None,
                 name="member",
                 start_ns=0.0,
@@ -90,9 +76,9 @@ class TestMergeRegistries:
             )
         )
         target = MetricsRegistry(enabled=True)
-        merge_registries([shard], into=target)
+        merge_registries([source], into=target)
         assert span_roots(target.spans) == ["member"]
-        assert target.spans[0].span_id == SPAN_ID_STRIDE + 1
+        assert target.spans[0].span_id == 1
 
     def test_merge_into_disabled_registry_rejected(self):
         with pytest.raises(ObservabilityError):

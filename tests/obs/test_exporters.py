@@ -135,7 +135,7 @@ class TestSnapshot:
 
 
 class TestSeedIdenticalTelemetry:
-    def test_parallel_swarm_exposition_matches_seed_rerun(self):
+    def test_swarm_exposition_matches_seed_rerun(self):
         from repro.core.provisioning import provision_device
         from repro.core.swarm import SwarmAttestation, SwarmMember
         from repro.core.verifier import SachaVerifier
@@ -161,9 +161,7 @@ class TestSeedIdenticalTelemetry:
                 )
             fresh = MetricsRegistry(enabled=True)
             with use_registry(fresh):
-                SwarmAttestation(members).run(
-                    DeterministicRng(42), max_workers=3
-                )
+                SwarmAttestation(members).run(DeterministicRng(42))
             return to_prometheus(fresh)
 
         assert sweep() == sweep()

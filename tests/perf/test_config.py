@@ -17,21 +17,16 @@ class TestValidation:
     def test_defaults(self):
         config = ReproConfig()
         assert config.aes_backend == "auto"
-        assert config.swarm_workers == 0
         assert config.arq_adaptive is True
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError):
             ReproConfig(aes_backend="quantum")
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ReproError):
-            ReproConfig(swarm_workers=-1)
-
     def test_with_overrides(self):
         config = ReproConfig().with_overrides(aes_backend="table")
         assert config.aes_backend == "table"
-        assert config.swarm_workers == 0
+        assert config.arq_window == ReproConfig().arq_window
 
 
 class TestEnvironment:
@@ -39,13 +34,11 @@ class TestEnvironment:
         monkeypatch.setenv("REPRO_AES_BACKEND", "reference")
         assert ReproConfig.from_env().aes_backend == "reference"
 
-    def test_workers_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWARM_WORKERS", "4")
-        assert ReproConfig.from_env().swarm_workers == 4
-
-    def test_bad_workers_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWARM_WORKERS", "many")
-        with pytest.raises(ReproError):
+    def test_integer_env_parsed_and_garbage_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ARQ_WINDOW", "4")
+        assert ReproConfig.from_env().arq_window == 4
+        monkeypatch.setenv("REPRO_ARQ_WINDOW", "many")
+        with pytest.raises(ReproError, match="REPRO_ARQ_WINDOW"):
             ReproConfig.from_env()
 
     @pytest.mark.parametrize("token", sorted(_TRUTHY))
@@ -77,11 +70,11 @@ class TestProcessGlobal:
 
     def test_configured_scopes_override(self):
         set_config(ReproConfig(aes_backend="reference"))
-        with configured(aes_backend="table", swarm_workers=2):
+        with configured(aes_backend="table", arq_window=2):
             assert get_config().aes_backend == "table"
-            assert get_config().swarm_workers == 2
+            assert get_config().arq_window == 2
         assert get_config().aes_backend == "reference"
-        assert get_config().swarm_workers == 0
+        assert get_config().arq_window == 8
 
     def test_configured_restores_on_error(self):
         set_config(ReproConfig())

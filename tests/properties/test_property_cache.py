@@ -2,8 +2,7 @@
 
 Memo-warm runs, where same-part devices share one build, must be
 byte-identical to cold (cache-bypassed) runs: same MAC tags, same wire
-traces, same per-device verdicts, at any worker count and on both test
-parts.
+traces, same per-device verdicts, on both test parts.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ def _enrolled_store(path, part):
     return store
 
 
-def _sweep_outcomes(path, part, workers):
+def _sweep_outcomes(path, part):
     with _enrolled_store(path, part) as store:
-        result = FleetController(store).attest(seed=11, workers=workers)
+        result = FleetController(store).attest(seed=11)
     return [
         (outcome.device_id, outcome.verdict.value, outcome.tag)
         for outcome in result.outcomes
@@ -56,14 +55,13 @@ def _sweep_outcomes(path, part, workers):
 
 
 @pytest.mark.parametrize("part", ["SIM-SMALL", "SIM-MEDIUM"])
-@pytest.mark.parametrize("workers", [1, 4])
-def test_warm_sweeps_are_byte_identical_to_cold(tmp_path, part, workers):
+def test_warm_sweeps_are_byte_identical_to_cold(tmp_path, part):
     """Cold bypass and memo-warm sweeps agree tag-for-tag."""
     with configured(artifact_cache=False):
-        cold = _sweep_outcomes(tmp_path / "cold.db", part, workers)
+        cold = _sweep_outcomes(tmp_path / "cold.db", part)
     reset_artifact_cache()
-    populate = _sweep_outcomes(tmp_path / "populate.db", part, workers)
-    warm = _sweep_outcomes(tmp_path / "warm.db", part, workers)
+    populate = _sweep_outcomes(tmp_path / "populate.db", part)
+    warm = _sweep_outcomes(tmp_path / "warm.db", part)
     assert populate == cold
     assert warm == cold
     assert all(tag is not None for _, _, tag in cold)
@@ -96,23 +94,17 @@ def test_warm_wire_trace_is_byte_identical_to_cold(part):
     assert attest_once() == cold_trace  # memo-warm
 
 
-def test_memo_hit_miss_counts_are_worker_independent(tmp_path):
-    """One miss + N-1 hits for N same-part devices, at any worker count."""
+def test_memo_hit_miss_counts_one_build_per_part(tmp_path):
+    """One miss + N-1 hits for N same-part devices in a cold sweep."""
     from repro.obs.aggregate import rollup_snapshot_by_label
 
-    counts = []
-    for workers in (1, 4):
-        reset_artifact_cache()
-        with _enrolled_store(
-            tmp_path / f"wk{workers}.db", "SIM-SMALL"
-        ) as store:
-            reset_artifact_cache()  # enrollment warmed the memo; start cold
-            result = FleetController(store).attest(seed=11, workers=workers)
-        hits = rollup_snapshot_by_label(
-            result.snapshot, "sacha_cache_hits_total", "tier"
-        )
-        misses = rollup_snapshot_by_label(
-            result.snapshot, "sacha_cache_misses_total", "tier"
-        )
-        counts.append((hits.get("memo", 0), misses.get("memo", 0)))
-    assert counts == [(FLEET_SIZE - 1, 1), (FLEET_SIZE - 1, 1)]
+    with _enrolled_store(tmp_path / "fleet.db", "SIM-SMALL") as store:
+        reset_artifact_cache()  # enrollment warmed the memo; start cold
+        result = FleetController(store).attest(seed=11)
+    hits = rollup_snapshot_by_label(
+        result.snapshot, "sacha_cache_hits_total", "tier"
+    )
+    misses = rollup_snapshot_by_label(
+        result.snapshot, "sacha_cache_misses_total", "tier"
+    )
+    assert (hits.get("memo", 0), misses.get("memo", 0)) == (FLEET_SIZE - 1, 1)
