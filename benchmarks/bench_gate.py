@@ -2,10 +2,12 @@
 """Benchmark regression gate for the attestation hot path.
 
 Runs the perf-critical benchmark suites (crypto primitives, Table-4
-protocol execution, swarm scaling) under ``pytest-benchmark``, compares
-the results against the committed baseline ``BENCH_attestation.json``,
-and exits non-zero when any benchmark regressed beyond the threshold
-(default 20 %).  CI runs this on every push (the ``bench-gate`` job).
+protocol execution, swarm scaling, networked attestation, fleet sweep,
+observability overhead, the XC6VLX240T boot path) under
+``pytest-benchmark``, compares the results against the committed
+baseline ``BENCH_attestation.json``, and exits non-zero when any
+benchmark regressed beyond the threshold (default 20 %).  CI runs this
+on every push (the ``bench-gate`` job).
 
 Cross-machine comparability: raw wall-clock on a CI runner is not
 comparable to the laptop that produced the baseline, so every run first
@@ -48,6 +50,7 @@ SUITES = [
     "benchmarks/bench_net_attestation.py",
     "benchmarks/bench_fleet_sweep.py",
     "benchmarks/bench_obs_overhead.py",
+    "benchmarks/bench_boot.py",
 ]
 
 #: Max fractional slowdown of an obs-enabled attestation over the

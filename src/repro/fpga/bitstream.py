@@ -12,6 +12,14 @@ The packet grammar follows the Xilinx 7-series/Virtex-6 configuration
 user guides; the frame address register (FAR) carries a structured
 block-type/row/major/minor value (``repro.fpga.frames``), and FDRI data
 auto-increments it across frame boundaries.
+
+A bitstream body is one ``uint32`` array: the writer emits each frame run
+as one array, the codec converts the whole body with one big-endian
+``astype``/``frombuffer``, and the loader parses only the few packet
+headers as Python ints, folding each payload into the CRC and writing
+each FDRI payload through the ICAP as whole arrays.  A hostile image
+fails with :class:`~repro.errors.BitstreamError` (or another
+:class:`~repro.errors.ReproError`), never with a bare decoding error.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import BitstreamCrcError, BitstreamError
 from repro.fpga.config_memory import ConfigurationMemory
@@ -122,31 +132,40 @@ class BitstreamHeader:
             offset += 2
             if offset + length > len(data):
                 raise BitstreamError("truncated bitstream header field")
-            fields.append(data[offset : offset + length].decode("utf-8"))
+            try:
+                fields.append(str(data[offset : offset + length], "utf-8"))
+            except UnicodeDecodeError:
+                raise BitstreamError("bitstream header field is not UTF-8") from None
             offset += length
         return cls(fields[0], fields[1], fields[2]), offset
 
 
-@dataclass
+@dataclass(eq=False)
 class Bitstream:
-    """A complete bitstream: header plus configuration words."""
+    """A complete bitstream: header plus configuration words.
+
+    ``words`` is a ``uint32`` array (a sequence of ints is converted);
+    the words appear big-endian on the wire.
+    """
 
     header: BitstreamHeader
-    words: List[int] = field(default_factory=list)
+    words: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint32))
+
+    def __post_init__(self) -> None:
+        self.words = np.asarray(self.words, dtype=np.uint32)
 
     def to_bytes(self) -> bytes:
-        body = b"".join(word.to_bytes(4, "big") for word in self.words)
-        return self.header.encode() + body
+        return self.header.encode() + self.words.astype(">u4").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
         header, offset = BitstreamHeader.decode(data)
-        body = data[offset:]
-        if len(body) % 4:
-            raise BitstreamError(f"bitstream body of {len(body)} bytes is not word-aligned")
-        words = [
-            int.from_bytes(body[i : i + 4], "big") for i in range(0, len(body), 4)
-        ]
+        body_bytes = len(data) - offset
+        if body_bytes % 4:
+            raise BitstreamError(
+                f"bitstream body of {body_bytes} bytes is not word-aligned"
+            )
+        words = np.frombuffer(data, dtype=">u4", offset=offset).astype(np.uint32)
         return cls(header, words)
 
     def size_bytes(self) -> int:
@@ -159,13 +178,19 @@ class BitstreamWriter:
     def __init__(self, device: DevicePart, design_name: str) -> None:
         self._device = device
         self._far_codec = FarCodec(device)
-        self._words: List[int] = []
+        self._chunks: List[np.ndarray] = []
+        self._words: List[int] = []  # emitted since the last array chunk
         self._crc = XilinxBitstreamCrc()
         self._synced = False
         self._design_name = design_name
 
     def _emit(self, word: int) -> None:
         self._words.append(word & 0xFFFFFFFF)
+
+    def _emit_array(self, words: np.ndarray) -> None:
+        self._chunks.append(np.array(self._words, dtype=np.uint32))
+        self._chunks.append(words)
+        self._words = []
 
     def dummy(self, count: int = 1) -> "BitstreamWriter":
         for _ in range(count):
@@ -191,10 +216,10 @@ class BitstreamWriter:
         if not self._synced:
             raise BitstreamError("packets before sync word")
         self._emit(type1_header(PacketOp.WRITE, register, len(values)))
-        for value in values:
-            self._emit(value)
-            if register != ConfigRegister.CRC:
-                self._crc.feed(int(register), value & 0xFFFFFFFF)
+        words = [value & 0xFFFFFFFF for value in values]
+        self._words.extend(words)
+        if register != ConfigRegister.CRC:
+            self._crc.feed_words(int(register), words)
         return self
 
     def command(self, command: ConfigCommand) -> "BitstreamWriter":
@@ -209,32 +234,26 @@ class BitstreamWriter:
         """FAR + WCFG + FDRI packet writing ``frames`` from ``start_frame``.
 
         Large payloads use the type-1(0)/type-2 continuation form, exactly
-        like real full bitstreams.
+        like real full bitstreams.  The payload is emitted as one array.
         """
-        words_per_frame = self._device.words_per_frame
-        data_words: List[int] = []
         for frame in frames:
             if len(frame) != self._device.frame_bytes:
                 raise BitstreamError(
                     f"frame payload must be {self._device.frame_bytes} bytes, "
                     f"got {len(frame)}"
                 )
-            data_words.extend(
-                int.from_bytes(frame[i : i + 4], "big") for i in range(0, len(frame), 4)
-            )
+        data = np.frombuffer(b"".join(frames), dtype=">u4").astype(np.uint32)
         self.write_register(
             ConfigRegister.FAR, [self._far_codec.pack_linear(start_frame)]
         )
         self.command(ConfigCommand.WCFG)
-        if len(data_words) < (1 << _TYPE1_COUNT_BITS):
-            self.write_register(ConfigRegister.FDRI, data_words)
+        if len(data) < (1 << _TYPE1_COUNT_BITS):
+            self._emit(type1_header(PacketOp.WRITE, ConfigRegister.FDRI, len(data)))
         else:
             self._emit(type1_header(PacketOp.WRITE, ConfigRegister.FDRI, 0))
-            self._emit(type2_header(PacketOp.WRITE, len(data_words)))
-            for value in data_words:
-                self._emit(value)
-                self._crc.feed(int(ConfigRegister.FDRI), value)
-        del words_per_frame
+            self._emit(type2_header(PacketOp.WRITE, len(data)))
+        self._emit_array(data)
+        self._crc.feed_words(int(ConfigRegister.FDRI), data)
         return self
 
     def crc_check(self) -> "BitstreamWriter":
@@ -253,7 +272,8 @@ class BitstreamWriter:
 
     def finish(self) -> Bitstream:
         header = BitstreamHeader(self._design_name, self._device.name)
-        return Bitstream(header, list(self._words))
+        tail = np.array(self._words, dtype=np.uint32)
+        return Bitstream(header, np.concatenate([*self._chunks, tail]))
 
 
 def build_full_bitstream(
@@ -337,12 +357,15 @@ class BitstreamLoader:
 
     Implements the loader state machine: sync detection, register writes,
     FAR auto-increment across FDRI data, CRC verification, IDCODE check.
+    Packet headers are parsed as ints; payloads stay array slices, folded
+    into the CRC whole and written to the ICAP one FDRI packet at a time.
     """
 
     def __init__(self, icap: Icap) -> None:
         self._icap = icap
         self._device = icap.memory.device
         self._far_codec = FarCodec(self._device)
+        self._idcode = _idcode(self._device)
 
     def load(self, bitstream: Bitstream) -> LoadReport:
         if bitstream.header.part_name != self._device.name:
@@ -356,10 +379,11 @@ class BitstreamLoader:
         words = bitstream.words
         position = 0
         synced = False
-        pending_command: Optional[ConfigCommand] = None
+        # Target of a header-only type-1 write, awaiting its type-2 payload.
+        pending_register: Optional[int] = None
 
         while position < len(words):
-            word = words[position]
+            word = int(words[position])
             position += 1
             if not synced:
                 if word == SYNC_WORD:
@@ -375,32 +399,29 @@ class BitstreamLoader:
                 if op == PacketOp.WRITE:
                     if count == 0:
                         # Header-only write: a type-2 continuation follows.
-                        registers["pending_register"] = register
+                        pending_register = register
                         continue
                     payload = words[position : position + count]
                     if len(payload) != count:
                         raise BitstreamError("truncated type-1 payload")
                     position += count
-                    pending_command = self._apply_write(
+                    command = self._apply_write(
                         register, payload, crc, registers, report
                     )
-                    if pending_command is ConfigCommand.DESYNC:
+                    if command is ConfigCommand.DESYNC:
                         synced = False
-                        pending_command = None
                     continue
                 raise BitstreamError(f"unsupported type-1 op {op}")
             if packet_type == _TYPE2:
                 count = word & ((1 << _TYPE2_COUNT_BITS) - 1)
-                register = registers.pop("pending_register", None)
-                if register is None:
+                if pending_register is None:
                     raise BitstreamError("type-2 packet without preceding type-1")
+                register, pending_register = pending_register, None
                 payload = words[position : position + count]
                 if len(payload) != count:
                     raise BitstreamError("truncated type-2 payload")
                 position += count
-                pending_command = self._apply_write(
-                    register, payload, crc, registers, report
-                )
+                self._apply_write(register, payload, crc, registers, report)
                 continue
             raise BitstreamError(f"unknown packet type {packet_type:#05b}")
         return report
@@ -408,7 +429,7 @@ class BitstreamLoader:
     def _apply_write(
         self,
         register: int,
-        payload: Sequence[int],
+        payload: np.ndarray,
         crc: XilinxBitstreamCrc,
         registers: Dict[int, int],
         report: LoadReport,
@@ -417,34 +438,40 @@ class BitstreamLoader:
             if len(payload) != 1:
                 raise BitstreamError("CRC write must carry exactly one word")
             report.crc_checks += 1
-            if not crc.check(payload[0]):
+            if not crc.check(int(payload[0])):
                 raise BitstreamCrcError(
                     f"bitstream CRC mismatch at check #{report.crc_checks}"
                 )
             return None
 
         crc.feed_words(register, payload)
+        if not len(payload):
+            # A zero-word (type-2) write changes no register.
+            return None
+        value = int(payload[-1])
 
         if register == ConfigRegister.CMD:
-            command = ConfigCommand(payload[-1])
+            try:
+                command = ConfigCommand(value)
+            except ValueError:
+                raise BitstreamError(
+                    f"unknown configuration command {value:#x}"
+                ) from None
             report.commands.append(command)
             if command == ConfigCommand.RCRC:
                 crc.reset()
             return command
         if register == ConfigRegister.IDCODE:
-            expected = _idcode(self._device)
-            if payload[-1] != expected:
+            if value != self._idcode:
                 raise BitstreamError(
-                    f"IDCODE mismatch: bitstream {payload[-1]:#010x}, "
-                    f"device {expected:#010x}"
+                    f"IDCODE mismatch: bitstream {value:#010x}, "
+                    f"device {self._idcode:#010x}"
                 )
             return None
         if register == ConfigRegister.FAR:
             # The FAR carries a structured (block/row/major/minor) value;
             # keep the linear cursor internally.
-            registers[int(ConfigRegister.FAR)] = self._far_codec.unpack_to_linear(
-                payload[-1]
-            )
+            registers[int(ConfigRegister.FAR)] = self._far_codec.unpack_to_linear(value)
             return None
         if register == ConfigRegister.FDRI:
             words_per_frame = self._device.words_per_frame
@@ -452,15 +479,12 @@ class BitstreamLoader:
                 raise BitstreamError(
                     f"FDRI payload of {len(payload)} words is not frame-aligned"
                 )
-            frame_index = registers.get(int(ConfigRegister.FAR), 0)
-            for start in range(0, len(payload), words_per_frame):
-                chunk = payload[start : start + words_per_frame]
-                data = b"".join(value.to_bytes(4, "big") for value in chunk)
-                self._icap.write_frame(frame_index, data)
-                report.frames_written.append(frame_index)
-                frame_index += 1
-            registers[int(ConfigRegister.FAR)] = frame_index
+            first = registers.get(int(ConfigRegister.FAR), 0)
+            frames = range(first, first + len(payload) // words_per_frame)
+            self._icap.write_frames(frames, payload.astype(">u4").tobytes())
+            report.frames_written.extend(frames)
+            registers[int(ConfigRegister.FAR)] = frames.stop
             return None
         # Other registers (CTL0, COR0, MASK, ...) are accepted and ignored.
-        registers[register] = payload[-1] if payload else 0
+        registers[register] = value
         return None

@@ -113,9 +113,10 @@ class Icap:
         — same memory contents, same register invalidation, same word
         accounting — but the frame contents land in the configuration
         array as a single fancy-indexed assignment instead of one
-        reshape/copy per frame.  A batch is a handful of frames (four per
-        Ethernet payload on the XC6VLX240T), so the indices are checked
-        as plain ints rather than through numpy reductions.
+        reshape/copy per frame.  A protocol batch is a handful of frames
+        (four per Ethernet payload on the XC6VLX240T) and a boot image's
+        FDRI packet is one contiguous ``range``, so the indices are
+        checked as plain ints rather than through numpy reductions.
         """
         count = len(frame_indices)
         device = self._memory.device

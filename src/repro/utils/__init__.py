@@ -10,7 +10,7 @@ from repro.utils.bitops import (
     words_to_bytes,
     xor_bytes,
 )
-from repro.utils.crc import Crc16Ccitt, Crc32, XilinxBitstreamCrc, crc32
+from repro.utils.crc import Crc32, XilinxBitstreamCrc, crc32
 from repro.utils.rng import DeterministicRng
 from repro.utils.secret import SecretBytes, redact
 from repro.utils.units import MHZ, format_bytes, format_time_ns, period_ns
@@ -24,7 +24,6 @@ __all__ = [
     "set_bit",
     "words_to_bytes",
     "xor_bytes",
-    "Crc16Ccitt",
     "Crc32",
     "XilinxBitstreamCrc",
     "crc32",

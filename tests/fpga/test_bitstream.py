@@ -1,5 +1,6 @@
 """Unit tests for the bitstream codec and loader."""
 
+import numpy as np
 import pytest
 
 from repro.errors import BitstreamCrcError, BitstreamError
@@ -65,13 +66,17 @@ class TestHeader:
         with pytest.raises(BitstreamError):
             BitstreamHeader.decode(b"NOPE" + bytes(20))
 
+    def test_non_utf8_field_rejected(self):
+        with pytest.raises(BitstreamError, match="UTF-8"):
+            BitstreamHeader.decode(b"XBIT\x00\x01\xff" + bytes(4))
+
 
 class TestSerialization:
     def test_bytes_roundtrip(self, random_memory):
         bitstream = build_full_bitstream(random_memory, "design")
         parsed = Bitstream.from_bytes(bitstream.to_bytes())
         assert parsed.header == bitstream.header
-        assert parsed.words == bitstream.words
+        assert np.array_equal(parsed.words, bitstream.words)
 
     def test_unaligned_body_rejected(self):
         bitstream = build_full_bitstream(ConfigurationMemory(SIM_SMALL))
@@ -80,6 +85,19 @@ class TestSerialization:
 
     def test_sync_word_present(self, random_memory):
         assert SYNC_WORD in build_full_bitstream(random_memory).words
+
+    def test_words_are_one_uint32_array(self, random_memory):
+        bitstream = build_full_bitstream(random_memory)
+        assert bitstream.words.dtype == np.uint32
+        parsed = Bitstream.from_bytes(bitstream.to_bytes())
+        assert parsed.words.dtype == np.uint32
+        assert Bitstream(bitstream.header, [1, 2]).words.dtype == np.uint32
+
+    def test_header_only_bitstream(self):
+        header = BitstreamHeader("empty", "SIM-SMALL")
+        parsed = Bitstream.from_bytes(header.encode())
+        assert parsed.header == header
+        assert len(parsed.words) == 0
 
 
 class TestFullLoad:
@@ -105,6 +123,32 @@ class TestFullLoad:
         bitstream.words[index] ^= 1
         with pytest.raises(BitstreamCrcError):
             BitstreamLoader(_fresh_icap()).load(bitstream)
+
+
+    def test_unknown_command_rejected(self):
+        writer = BitstreamWriter(SIM_SMALL, "x")
+        writer.sync().write_register(ConfigRegister.CMD, [0xDEAD])
+        with pytest.raises(BitstreamError, match="unknown configuration command"):
+            BitstreamLoader(_fresh_icap()).load(writer.finish())
+
+    def test_one_bulk_icap_write_per_fdri_packet(self, random_memory):
+        bitstream = build_partial_bitstream(random_memory, [1, 2, 3, 7, 8], "runs")
+        icap = _fresh_icap()
+        report = BitstreamLoader(icap).load(bitstream)
+        assert report.frames_written == [1, 2, 3, 7, 8]
+        assert list(icap.stats.operations) == ["write[batch x3]", "write[batch x2]"]
+        assert icap.stats.frames_written == 5
+
+    def test_empty_type2_write_changes_nothing(self):
+        words = [
+            SYNC_WORD,
+            type1_header(PacketOp.WRITE, ConfigRegister.CMD, 0),
+            type2_header(PacketOp.WRITE, 0),
+        ]
+        bitstream = Bitstream(BitstreamHeader("x", SIM_SMALL.name), words)
+        report = BitstreamLoader(_fresh_icap()).load(bitstream)
+        assert report.commands == []
+        assert report.frames_written == []
 
 
 class TestPartialLoad:
