@@ -18,6 +18,7 @@ from repro.core.provisioning import provision_device
 from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
 from repro.fpga.device import SIM_MEDIUM
+from repro.net.arq import ArqTuning
 from repro.net.channel import Channel, LatencyModel
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
@@ -55,7 +56,7 @@ def test_batched_run_functional(benchmark):
             ),
             DeterministicRng(9302),
             reliable=True,
-            arq_window=1,
+            arq_tuning=ArqTuning(window=1),
             readback_batch_frames=batch,
         )
         return session.run(), session.tag

@@ -48,7 +48,7 @@ OUTAGE = FaultProfile(
 )
 
 
-def _make_session(window, batch, profile=None, adaptive=False):
+def _make_session(window, batch, profile=None):
     system = build_sacha_system(SIM_MEDIUM)
     provisioned, record = provision_device(system, "bench-net", seed=2019)
     simulator = Simulator()
@@ -61,13 +61,6 @@ def _make_session(window, batch, profile=None, adaptive=False):
     verifier = SachaVerifier(
         record.system, record.mac_key, DeterministicRng(7)
     )
-    timeout_ns = 2_000_000.0
-    tuning = ArqTuning(
-        initial_timeout_ns=timeout_ns,
-        min_timeout_ns=min(timeout_ns, ArqTuning.min_timeout_ns),
-        window=window,
-        adaptive=adaptive,
-    )
     return NetworkAttestationSession(
         simulator,
         channel,
@@ -75,21 +68,18 @@ def _make_session(window, batch, profile=None, adaptive=False):
         verifier,
         DeterministicRng(9),
         reliable=True,
-        arq_tuning=tuning,
+        arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
     )
 
 
-def _bench_session(benchmark, window, batch, rounds, profile=None,
-                   adaptive=False):
+def _bench_session(benchmark, window, batch, rounds, profile=None):
     """Time ``session.run()`` on a fresh session per round (sessions are
     single-shot), returning the last run's (result, tag)."""
     state = {}
 
     def setup():
-        state["session"] = _make_session(
-            window, batch, profile=profile, adaptive=adaptive
-        )
+        state["session"] = _make_session(window, batch, profile=profile)
         return (), {}
 
     def run():
@@ -133,8 +123,7 @@ def test_net_adaptive_lossy_attestation(benchmark):
     clean-link stop-and-wait tag for the same seeds.
     """
     result, tag = _bench_session(
-        benchmark, window=8, batch=256, rounds=10,
-        profile=LOSSY, adaptive=True,
+        benchmark, window=8, batch=256, rounds=10, profile=LOSSY,
     )
     assert result.report.accepted
     assert result.attempts == 1
@@ -157,8 +146,7 @@ def test_net_adaptive_outage_attestation(benchmark):
     """A 2 ms mid-run outage: the ARQ rides it out on retransmission
     backoff, the AIMD window collapses and regrows, the run accepts."""
     result, _ = _bench_session(
-        benchmark, window=8, batch=256, rounds=10,
-        profile=OUTAGE, adaptive=True,
+        benchmark, window=8, batch=256, rounds=10, profile=OUTAGE,
     )
     assert result.report.accepted
     assert result.attempts == 1

@@ -18,7 +18,7 @@ import zlib
 
 from repro import DeterministicRng, SIM_SMALL, build_sacha_system
 from repro.core import NetworkAttestationSession, SachaVerifier, provision_device
-from repro.net.arq import ETHERTYPE_ARQ
+from repro.net.arq import ETHERTYPE_ARQ, ArqTuning
 from repro.net.channel import Channel, LatencyModel
 from repro.net.messages import OPCODE_READBACK_BATCH_RESPONSE
 from repro.net.resequencer import ETHERTYPE_RSQ
@@ -45,7 +45,7 @@ def run_session(latency_ns: float, seed: int = 11, tap=None, reliable=True):
     # paper's timing argument describes.
     session = NetworkAttestationSession(
         simulator, channel, provisioned.prover, verifier, DeterministicRng(seed + 2),
-        reliable=reliable, arq_window=1, readback_batch_frames=1,
+        reliable=reliable, arq_tuning=ArqTuning(window=1), readback_batch_frames=1,
     )
     return session.run()
 

@@ -5,8 +5,9 @@ Commands:
 * ``attest [--device PART] [--seed N] [--tamper]`` — provision a device,
   run one attestation, print the report; with ``--loss`` /
   ``--fault-profile`` the run goes over the simulated network with fault
-  injection, ARQ (``--arq-backoff``) and session retry
-  (``--max-attempts``), and exits 2 on an ``inconclusive`` verdict;
+  injection, ARQ (``--arq-window``), batched readback
+  (``--readback-batch-frames``) and session retry (``--max-attempts``),
+  and exits 2 on an ``inconclusive`` verdict;
 * ``tables`` — regenerate Tables 2, 3 and 4 plus the JTAG reference;
 * ``security [--device PART]`` — run the Section-7.2 threat sweep;
 * ``trace [--device PART]`` — print the Figure-9 protocol trace;
@@ -55,6 +56,13 @@ from repro.obs.exporters import to_prometheus, write_jsonl, write_prometheus
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.spans import render_span_tree
 from repro.utils.rng import DeterministicRng
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_device_option(parser: argparse.ArgumentParser, default: str) -> None:
@@ -177,31 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_AES_BACKEND or auto)",
     )
     perf.add_argument(
-        "--arq-window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="ARQ sliding-window size for networked runs; 1 = stop-and-wait "
-        "(default: REPRO_ARQ_WINDOW or 8)",
-    )
-    perf.add_argument(
-        "--readback-batch-frames",
-        type=int,
-        default=None,
-        metavar="N",
-        help="frame indices per ICAP_readback_batch command in networked "
-        "runs; 1 = the paper's per-frame readback step "
-        "(default: REPRO_READBACK_BATCH_FRAMES or 256)",
-    )
-    perf.add_argument(
-        "--arq-adaptive",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="AIMD window adaptation: --arq-window becomes the ceiling of "
-        "a congestion window that halves on timeouts and regrows on clean "
-        "ACKs (default: REPRO_ARQ_ADAPTIVE or on)",
-    )
-    perf.add_argument(
         "--artifact-cache",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -236,11 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
         'e.g. "loss=0.05,corrupt=0.02,dup=0.02,outage=5ms+50ms"',
     )
     resilience.add_argument(
-        "--arq-backoff",
-        type=float,
-        default=2.0,
-        metavar="FACTOR",
-        help="ARQ retransmission backoff factor (default: 2.0)",
+        "--arq-window",
+        type=_positive_int,
+        default=8,
+        metavar="N",
+        help="ARQ send-window ceiling; the AIMD window halves on timeouts "
+        "and regrows on clean ACKs; 1 = stop-and-wait (default: 8)",
+    )
+    resilience.add_argument(
+        "--readback-batch-frames",
+        type=_positive_int,
+        default=256,
+        metavar="N",
+        help="frame indices per ICAP_readback_batch command; 1 = the "
+        "paper's per-frame readback step (default: 256)",
     )
     resilience.add_argument(
         "--max-attempts",
@@ -387,11 +379,6 @@ def _attest_over_network(args, provisioned, verifier) -> int:
     channel = Channel(
         simulator, LatencyModel(base_ns=5_000.0), fault_model=fault_model
     )
-    from repro.perf import get_config
-
-    # An explicit tuning is the session's single source of truth for the
-    # window, so thread the config through here — it already carries any
-    # --arq-window / --arq-adaptive / REPRO_ARQ_* override.
     session = NetworkAttestationSession(
         simulator,
         channel,
@@ -399,12 +386,9 @@ def _attest_over_network(args, provisioned, verifier) -> int:
         verifier,
         rng.fork("session"),
         reliable=not args.raw_transport,
-        arq_tuning=ArqTuning(
-            backoff_factor=args.arq_backoff,
-            window=get_config().arq_window,
-            adaptive=get_config().arq_adaptive,
-        ),
+        arq_tuning=ArqTuning(window=args.arq_window),
         max_attempts=args.max_attempts,
+        readback_batch_frames=args.readback_batch_frames,
     )
     result = session.run()
     print(result.report.explain())
@@ -588,12 +572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     overrides = {}
     if args.aes_backend is not None:
         overrides["aes_backend"] = args.aes_backend
-    if args.arq_window is not None:
-        overrides["arq_window"] = args.arq_window
-    if args.arq_adaptive is not None:
-        overrides["arq_adaptive"] = args.arq_adaptive
-    if args.readback_batch_frames is not None:
-        overrides["readback_batch_frames"] = args.readback_batch_frames
     if args.artifact_cache is not None:
         overrides["artifact_cache"] = args.artifact_cache
     try:

@@ -14,13 +14,15 @@ configuration is packed into MTU-sized ``ICAP_config_batch`` commands,
 the readback plan into ``ICAP_readback_batch`` commands of up to
 ``readback_batch_frames`` indices (``repro.net.batch``), and the whole
 schedule is streamed as one burst ahead of the responses.  The sliding-
-window ARQ keeps up to ``window`` payloads in flight, each config batch
-is confirmed by one cumulative :class:`~repro.net.messages.ConfigAck`,
-and the verifier appends each response fragment to one sweep buffer in
-plan order, which it judges once the tag has arrived.  A batch of one
-frame is the paper's per-frame exchange; CMAC is chunking-invariant, so
-the tag does not depend on the shape.  The plan-ordered fragment cursor
-keeps the sweep aligned with the plan.
+window ARQ, shaped by the session's ``arq_tuning``
+(:class:`~repro.net.arq.ArqTuning`), keeps up to ``window`` payloads in
+flight, each config batch is confirmed by one cumulative
+:class:`~repro.net.messages.ConfigAck`, and the verifier appends each
+response fragment to one sweep buffer in plan order, which it judges
+once the tag has arrived.  A batch of one frame is the paper's
+per-frame exchange; CMAC is chunking-invariant, so the tag does not
+depend on the shape.  The plan-ordered fragment cursor keeps the sweep
+aligned with the plan.
 
 Streaming needs in-order delivery, not reliability: the raw channel
 delivers each frame after its own serialization delay, so a burst of
@@ -77,7 +79,6 @@ from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.obs.spans import span
 from repro.net.resequencer import ResequencerLink
 from repro.obs.trace import trace_context, trace_id_from_nonce
-from repro.perf import get_config
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
@@ -114,7 +115,14 @@ class NetworkRunResult:
 
 
 class NetworkAttestationSession:
-    """One attestation run as network traffic on a channel."""
+    """One attestation run as network traffic on a channel.
+
+    ``arq_tuning`` shapes both ARQ links of a reliable session (``None``
+    means ``ArqTuning()``); ``readback_batch_frames`` is the number of
+    frame indices per ``ICAP_readback_batch`` command, where 1 is the
+    paper's per-frame readback step.  The MAC tag is the same for every
+    shape.
+    """
 
     def __init__(
         self,
@@ -124,17 +132,18 @@ class NetworkAttestationSession:
         verifier: SachaVerifier,
         rng: Optional[DeterministicRng] = None,
         reliable: bool = False,
-        arq_timeout_ns: float = 2_000_000.0,
         arq_tuning: Optional[ArqTuning] = None,
-        arq_max_retries: int = 25,
         max_attempts: int = 1,
-        arq_window: Optional[int] = None,
-        readback_batch_frames: Optional[int] = None,
+        readback_batch_frames: int = 256,
         prover_registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_attempts < 1:
             raise ProtocolError(
                 f"session needs at least one attempt, got {max_attempts}"
+            )
+        if readback_batch_frames < 1:
+            raise ProtocolError(
+                f"readback batch must be >= 1, got {readback_batch_frames}"
             )
         self._simulator = simulator
         self._channel = channel
@@ -142,47 +151,14 @@ class NetworkAttestationSession:
         self._verifier = verifier
         self._rng = rng or DeterministicRng(0)
         self._reliable = reliable
-        self._arq_timeout_ns = arq_timeout_ns
         self._arq_tuning = arq_tuning
-        self._arq_max_retries = arq_max_retries
+        self._batch_frames = readback_batch_frames
         self._max_attempts = max_attempts
         # Optional separate registry for prover-side telemetry.  With the
         # in-process prover both parties would otherwise share one span
         # store; a dedicated registry yields the genuinely multi-party
         # dumps the trace stitcher is built for.  None -> the active one.
         self._prover_registry = prover_registry
-        config = get_config()
-        # Explicit, validated window precedence: ``arq_tuning`` is the
-        # single source of truth when given; a redundant ``arq_window``
-        # must agree with it (no silent override), and with no tuning the
-        # explicit window falls back to the perf config.
-        if arq_window is not None:
-            if arq_window < 1:
-                raise ProtocolError(f"ARQ window must be >= 1, got {arq_window}")
-            if arq_tuning is not None and arq_tuning.window != arq_window:
-                raise ProtocolError(
-                    f"conflicting ARQ windows: arq_tuning.window="
-                    f"{arq_tuning.window} but arq_window={arq_window}; "
-                    "set the window on the tuning (or pass only one)"
-                )
-            self._arq_window = arq_window
-        elif arq_tuning is not None:
-            self._arq_window = arq_tuning.window
-        else:
-            self._arq_window = config.arq_window
-        # AIMD adaptation follows the tuning when one is given, the perf
-        # config otherwise (REPRO_ARQ_ADAPTIVE / --arq-adaptive).
-        self._arq_adaptive = (
-            arq_tuning.adaptive if arq_tuning is not None else config.arq_adaptive
-        )
-        if readback_batch_frames is not None:
-            if readback_batch_frames < 1:
-                raise ProtocolError(
-                    f"readback batch must be >= 1, got {readback_batch_frames}"
-                )
-            self._batch_frames = readback_batch_frames
-        else:
-            self._batch_frames = config.readback_batch_frames
 
         self.verifier_endpoint = Endpoint("vrf", VERIFIER_MAC)
         self.prover_endpoint = Endpoint("prv", PROVER_MAC)
@@ -223,16 +199,6 @@ class NetworkAttestationSession:
 
     # -- transport plumbing --------------------------------------------------------
 
-    def _effective_tuning(self) -> ArqTuning:
-        if self._arq_tuning is not None:
-            return self._arq_tuning
-        return ArqTuning(
-            initial_timeout_ns=self._arq_timeout_ns,
-            min_timeout_ns=min(self._arq_timeout_ns, ArqTuning.min_timeout_ns),
-            window=self._arq_window,
-            adaptive=self._arq_adaptive,
-        )
-
     def _install_ports(self) -> None:
         """(Re)create the transport for one attempt.
 
@@ -243,14 +209,11 @@ class NetworkAttestationSession:
         pairs so sequence numbers restart.
         """
         if self._reliable:
-            tuning = self._effective_tuning()
             self._verifier_port = ArqLink(
                 self._simulator,
                 self.verifier_endpoint,
                 PROVER_MAC,
-                self._arq_timeout_ns,
-                self._arq_max_retries,
-                tuning=tuning,
+                self._arq_tuning,
                 rng=self._rng.fork("arq-vrf"),
                 on_give_up=self._on_link_failure,
             )
@@ -258,9 +221,7 @@ class NetworkAttestationSession:
                 self._simulator,
                 self.prover_endpoint,
                 VERIFIER_MAC,
-                self._arq_timeout_ns,
-                self._arq_max_retries,
-                tuning=tuning,
+                self._arq_tuning,
                 rng=self._rng.fork("arq-prv"),
                 on_give_up=self._on_link_failure,
             )

@@ -51,9 +51,6 @@ class SessionOptions:
     #: configuration and readback phases: live registers take arbitrary
     #: values, which the mask must absorb.
     scramble_registers: bool = True
-    #: Declare the application design's storage elements once its frames
-    #: are configured (a freshly configured design starts flip-flopping).
-    declare_app_registers: bool = True
     #: Section-6.1 alternative: send the Msk to the prover with each
     #: readback; the prover masks before MACing and returns no frame
     #: content.  Similar communication latency, no tamper localization.
@@ -152,10 +149,10 @@ def run_attestation(
                         start, "ICAP_config", "vrf->prv", f"frame {command.frame_index}"
                     )
 
-        # The dynamic partition now runs the configured application.
+        # The dynamic partition now runs the configured application: its
+        # storage elements start flip-flopping once its frames are in.
         registers = prover.board.fpga.registers
-        if options.declare_app_registers:
-            verifier.system.app_impl.declare_registers(registers)
+        verifier.system.app_impl.declare_registers(registers)
         if options.scramble_registers:
             registers.scramble(rng.fork("app-activity"))
 

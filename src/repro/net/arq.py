@@ -7,8 +7,8 @@ endpoint with a selective-repeat automatic-repeat-request layer:
 * every payload goes out as ``DATA(seq)`` and is retransmitted on a
   per-sequence timeout until an ``ACK`` covering it arrives; up to
   ``ArqTuning.window`` payloads are in flight at once (window=1 is the
-  classic stop-and-wait this layer grew out of, and stays byte- and
-  telemetry-identical to it);
+  classic stop-and-wait this layer grew out of, and stays byte-identical
+  to it);
 * ``ACK(n)`` is *cumulative* — it acknowledges every sequence number up
   to and including ``n`` — and at window > 1 the receiver only answers
   frames whose sender marked them ack-soliciting (the last frame of
@@ -33,19 +33,18 @@ round trip feeds a Jacobson/Karels SRTT/RTTVAR estimator, and each
 payload's retransmission timeout backs off exponentially with
 deterministic jitter while it keeps timing out.
 
-With ``ArqTuning.adaptive`` the *send window* adapts too (AIMD, the
-TCP congestion-control shape): the effective window starts at the
-configured ``window`` ceiling, halves (``aimd_decrease``) on the first
-timeout of each loss window — one multiplicative decrease per
-window's worth of data, NewReno-style, so a burst of losses from a
-single congestion event is not punished repeatedly — and grows back
-additively (``aimd_increase`` per window's worth of clean cumulative
-ACKs) until it reaches the ceiling again.  A clean link therefore
-never leaves the ceiling and stays byte- and telemetry-identical to
-the static window; the adaptation is pure float arithmetic over the
+The *send window* adapts too (AIMD, the TCP congestion-control shape):
+the effective window starts at the configured ``ArqTuning.window``
+ceiling, halves on the first timeout of each loss window — one
+multiplicative decrease per window's worth of data, NewReno-style, so a
+burst of losses from a single congestion event is not punished
+repeatedly — and grows back additively (one payload per window's worth
+of clean cumulative ACKs) until it reaches the ceiling again.  A clean
+link therefore never leaves the ceiling, and a window-1 link has
+nothing to adapt; the adaptation is pure float arithmetic over the
 link's own loss signal, so trajectories are seed-deterministic and
-identical across processes.  When ``max_retries``
-is exhausted for any payload the link declares itself down: with an
+identical across processes.  When ``ArqTuning.max_retries`` is
+exhausted for any payload the link declares itself down: with an
 ``on_give_up`` callback installed it reports the failure and goes
 quiescent (so the session above can degrade to an ``inconclusive``
 verdict); without one it raises, preserving the fail-fast behaviour of
@@ -98,67 +97,69 @@ _CRC_BYTES = _CRC.size
 ARQ_OVERHEAD_BYTES = _HEADER_BYTES + _CRC_BYTES
 
 
+#: RFC 6298 (2.3): SRTT gain alpha = 1/8, RTTVAR gain beta = 1/4 and
+#: RTO = SRTT + K·RTTVAR with K = 4 — the Jacobson/Karels estimator.
+_SRTT_GAIN = 1.0 / 8.0
+_RTTVAR_GAIN = 1.0 / 4.0
+_RTTVAR_WEIGHT = 4.0
+#: RFC 6298 (5.5): each consecutive timeout of a payload doubles its RTO.
+_BACKOFF_FACTOR = 2.0
+#: Up to 10 % seeded jitter on every backed-off timeout, so the two
+#: directions of a link do not retransmit in lockstep.
+_JITTER_FRACTION = 0.1
+#: Ceiling of every RTO, backed off or not (RFC 6298 (2.5) allows any
+#: maximum of at least 60 s; a simulated link that stays silent for
+#: 0.5 s is down).
+MAX_TIMEOUT_NS = 500_000_000.0
+#: NewReno-style AIMD (RFC 5681, RFC 6582): halve the window once per
+#: loss window, regrow one payload per window's worth of clean ACKs.
+_AIMD_DECREASE = 0.5
+_AIMD_INCREASE = 1.0
+
+
 @dataclass(frozen=True)
 class ArqTuning:
-    """Window and retransmission-timer parameters of one :class:`ArqLink`.
+    """The transport shape of one :class:`ArqLink` (and of a session's two).
 
-    Defaults follow the classic TCP values: SRTT gain 1/8, RTTVAR gain
-    1/4, RTO = SRTT + 4·RTTVAR, doubled per consecutive timeout with up
-    to ``jitter_fraction`` deterministic jitter to break retransmission
-    synchronization between the two directions of a link.  ``window``
-    bounds how many payloads may be unacknowledged at once; 1 reproduces
-    stop-and-wait exactly.
-
-    ``adaptive`` turns ``window`` into a *ceiling* for an AIMD-governed
-    effective window: multiply by ``aimd_decrease`` on the first timeout
-    of each loss window, grow by ``aimd_increase`` per window's worth of
-    clean cumulative ACKs, never above ``window`` or below 1.  The
-    effective window starts at the ceiling, so a clean link behaves
-    exactly like the static configuration.
+    ``window`` bounds how many payloads may be unacknowledged at once
+    and is the ceiling of the AIMD congestion window; 1 is stop-and-wait.
+    ``initial_timeout_ns`` is the RTO before the first round-trip sample
+    and must lie in ``[min_timeout_ns, MAX_TIMEOUT_NS]``, the range every
+    RTO is clamped to.  A payload that times out more than
+    ``max_retries`` times takes the link down.  The defaults are what
+    every networked session runs.
     """
 
     initial_timeout_ns: float = 2_000_000.0
     min_timeout_ns: float = 200_000.0
-    max_timeout_ns: float = 500_000_000.0
-    backoff_factor: float = 2.0
-    jitter_fraction: float = 0.1
-    srtt_gain: float = 1.0 / 8.0
-    rttvar_gain: float = 1.0 / 4.0
-    rttvar_weight: float = 4.0
-    window: int = 1
-    adaptive: bool = False
-    aimd_increase: float = 1.0
-    aimd_decrease: float = 0.5
+    window: int = 8
+    max_retries: int = 25
 
     def __post_init__(self) -> None:
         if self.initial_timeout_ns <= 0:
             raise NetworkError(
                 f"ARQ timeout must be positive, got {self.initial_timeout_ns}"
             )
-        if not 0 < self.min_timeout_ns <= self.max_timeout_ns:
+        if not 0 < self.min_timeout_ns <= MAX_TIMEOUT_NS:
             raise NetworkError(
-                f"ARQ timeout bounds [{self.min_timeout_ns}, "
-                f"{self.max_timeout_ns}] are inverted or non-positive"
+                f"ARQ minimum timeout must be in (0, {MAX_TIMEOUT_NS}] ns, "
+                f"got {self.min_timeout_ns}"
             )
-        if self.backoff_factor < 1.0:
+        if not self.min_timeout_ns <= self.initial_timeout_ns <= MAX_TIMEOUT_NS:
             raise NetworkError(
-                f"backoff factor must be >= 1, got {self.backoff_factor}"
+                f"ARQ initial timeout {self.initial_timeout_ns} ns lies "
+                f"outside [{self.min_timeout_ns}, {MAX_TIMEOUT_NS}] ns "
+                "(min_timeout_ns, MAX_TIMEOUT_NS)"
             )
-        if not 0.0 <= self.jitter_fraction < 1.0:
+        if self.max_retries < 1:
             raise NetworkError(
-                f"jitter fraction {self.jitter_fraction} out of range [0, 1)"
+                f"ARQ needs at least one retry, got {self.max_retries}"
             )
         if self.window < 1:
             raise NetworkError(f"ARQ window must be >= 1, got {self.window}")
-        for name in ("srtt_gain", "rttvar_gain", "aimd_increase", "aimd_decrease"):
-            gain = getattr(self, name)
-            if not 0.0 < gain <= 1.0:
-                raise NetworkError(
-                    f"ARQ {name} must be in (0, 1], got {gain}"
-                )
 
     def clamp(self, timeout_ns: float) -> float:
-        return min(max(timeout_ns, self.min_timeout_ns), self.max_timeout_ns)
+        return min(max(timeout_ns, self.min_timeout_ns), MAX_TIMEOUT_NS)
 
 
 def _encode(frame_type: int, sequence: int, payload: bytes = b"") -> bytes:
@@ -204,33 +205,22 @@ class ArqLink:
         simulator: Simulator,
         endpoint: Endpoint,
         peer_mac: MacAddress,
-        timeout_ns: float = 2_000_000.0,
-        max_retries: int = 25,
         tuning: Optional[ArqTuning] = None,
         rng: Optional[DeterministicRng] = None,
         on_give_up: Optional[Callable[[NetworkError], None]] = None,
     ) -> None:
-        if timeout_ns <= 0:
-            raise NetworkError(f"ARQ timeout must be positive, got {timeout_ns}")
-        if max_retries < 1:
-            raise NetworkError(f"ARQ needs at least one retry, got {max_retries}")
         self._simulator = simulator
         self._endpoint = endpoint
         self._peer_mac = peer_mac
-        self._tuning = tuning or ArqTuning(
-            initial_timeout_ns=timeout_ns,
-            min_timeout_ns=min(timeout_ns, ArqTuning.min_timeout_ns),
-        )
+        self._tuning = tuning if tuning is not None else ArqTuning()
         self._window = self._tuning.window
         # AIMD state: the effective window starts at the configured
-        # ceiling, so a link that never loses never adapts (and stays
-        # byte-identical to the static configuration).  ``_recovery_until``
+        # ceiling, so a link that never loses never adapts.  ``_recovery_until``
         # marks the highest sequence sent when the window last halved;
         # timeouts at or below it belong to the same loss window and do
         # not halve again (NewReno-style single decrease per window).
         self._cwnd = float(self._window)
         self._recovery_until = -1
-        self._max_retries = max_retries
         self._rng = rng
         self.on_give_up = on_give_up
         endpoint.handler = self._on_frame
@@ -268,8 +258,7 @@ class ArqLink:
                 "Configured ARQ send-window size, by endpoint",
                 labels=("endpoint",),
             ).set(float(self._window), endpoint=self._endpoint.name)
-            if self._tuning.adaptive:
-                self._observe_cwnd(registry)
+            self._observe_cwnd(registry)
 
     @property
     def failed(self) -> Optional[NetworkError]:
@@ -293,10 +282,7 @@ class ArqLink:
 
     @property
     def cwnd(self) -> int:
-        """The effective send window: AIMD-governed when adaptive,
-        otherwise the configured window."""
-        if not self._tuning.adaptive:
-            return self._window
+        """The effective (AIMD-governed) send window."""
         return max(1, int(self._cwnd))
 
     @property
@@ -380,9 +366,9 @@ class ArqLink:
 
     def _current_timeout_ns(self, retries: int) -> float:
         """RTO backed off for the current retry, with deterministic jitter."""
-        timeout = self._rto_ns * (self._tuning.backoff_factor**retries)
-        if self._tuning.jitter_fraction and self._rng is not None:
-            timeout *= 1.0 + self._tuning.jitter_fraction * self._rng.random()
+        timeout = self._rto_ns * (_BACKOFF_FACTOR**retries)
+        if self._rng is not None:
+            timeout *= 1.0 + _JITTER_FRACTION * self._rng.random()
         return self._tuning.clamp(timeout)
 
     def _transmit(self, sequence: int, entry: _InFlight) -> None:
@@ -404,9 +390,10 @@ class ArqLink:
             return
         entry.retries += 1
         registry = get_registry()
-        if entry.retries > self._max_retries:
+        max_retries = self._tuning.max_retries
+        if entry.retries > max_retries:
             error = NetworkError(
-                f"ARQ gave up after {self._max_retries} retransmissions "
+                f"ARQ gave up after {max_retries} retransmissions "
                 f"(link from {self._endpoint.name} is down?)"
             )
             self._failed = error
@@ -426,12 +413,12 @@ class ArqLink:
                         "arq.give_up",
                         seq=sequence,
                         endpoint=self._endpoint.name,
-                        retries=self._max_retries,
+                        retries=max_retries,
                     )
                 _log.warning(
                     "arq_give_up",
                     endpoint=self._endpoint.name,
-                    retries=self._max_retries,
+                    retries=max_retries,
                 )
             if self.on_give_up is not None:
                 self.on_give_up(error)
@@ -456,8 +443,7 @@ class ArqLink:
                     endpoint=self._endpoint.name,
                     retry=entry.retries,
                 )
-        if self._tuning.adaptive:
-            self._cwnd_on_loss(sequence)
+        self._cwnd_on_loss(sequence)
         self._transmit(sequence, entry)
 
     # -- AIMD window adaptation ----------------------------------------------------
@@ -468,13 +454,16 @@ class ArqLink:
         A timeout for a sequence at or below ``_recovery_until`` belongs
         to a loss window the link already reacted to — a single
         congestion event typically costs several frames of one burst, and
-        halving for each would collapse the window to 1 on any blip.
+        halving for each would collapse the window to 1 on any blip.  A
+        window-1 link has no window to halve and counts nothing; a wider
+        window that has collapsed to 1 keeps counting its halvings, so
+        the collapse stays visible.
         """
-        if sequence <= self._recovery_until:
+        if self._window == 1 or sequence <= self._recovery_until:
             return
         self._recovery_until = self._next_tx_sequence - 1
         before = self.cwnd
-        self._cwnd = max(1.0, self._cwnd * self._tuning.aimd_decrease)
+        self._cwnd = max(1.0, self._cwnd * _AIMD_DECREASE)
         self.cwnd_halvings += 1
         registry = get_registry()
         if registry.enabled:
@@ -494,15 +483,15 @@ class ArqLink:
                 )
 
     def _cwnd_on_ack(self, acked_count: int, clean: bool) -> None:
-        """Additive increase: ``aimd_increase`` per window's worth of
-        clean cumulative ACKs (Karn-style, ACKs that retire retransmitted
+        """Additive increase: one payload per window's worth of clean
+        cumulative ACKs (Karn-style, ACKs that retire retransmitted
         payloads are ambiguous and do not grow the window)."""
         if not clean or self._cwnd >= self._window:
             return
         before = self.cwnd
         self._cwnd = min(
             float(self._window),
-            self._cwnd + self._tuning.aimd_increase * acked_count / self._cwnd,
+            self._cwnd + _AIMD_INCREASE * acked_count / self._cwnd,
         )
         registry = get_registry()
         if registry.enabled and self.cwnd != before:
@@ -622,16 +611,15 @@ class ArqLink:
 
     def _update_rtt(self, sample_ns: float, registry: MetricsRegistry) -> None:
         """Fold one clean round-trip sample into SRTT/RTTVAR (RFC 6298)."""
-        tuning = self._tuning
         if self._srtt_ns is None:
             self._srtt_ns = sample_ns
             self._rttvar_ns = sample_ns / 2.0
         else:
             deviation = abs(self._srtt_ns - sample_ns)
-            self._rttvar_ns += tuning.rttvar_gain * (deviation - self._rttvar_ns)
-            self._srtt_ns += tuning.srtt_gain * (sample_ns - self._srtt_ns)
-        self._rto_ns = tuning.clamp(
-            self._srtt_ns + tuning.rttvar_weight * self._rttvar_ns
+            self._rttvar_ns += _RTTVAR_GAIN * (deviation - self._rttvar_ns)
+            self._srtt_ns += _SRTT_GAIN * (sample_ns - self._srtt_ns)
+        self._rto_ns = self._tuning.clamp(
+            self._srtt_ns + _RTTVAR_WEIGHT * self._rttvar_ns
         )
         if registry.enabled:
             registry.gauge(
@@ -668,8 +656,7 @@ class ArqLink:
             acked += 1
         if not acked:
             return  # stale ACK
-        if self._tuning.adaptive:
-            self._cwnd_on_ack(acked, clean)
+        self._cwnd_on_ack(acked, clean)
         self._observe_in_flight(registry)
         self._pump()
 

@@ -1,8 +1,10 @@
 """Simulated network channel between verifier and prover.
 
 A :class:`Channel` connects exactly two :class:`Endpoint` objects through
-the discrete-event simulator.  Delivery time is PHY serialization plus a
-latency sample from a :class:`LatencyModel`; frames can be lost, and
+the discrete-event simulator.  Delivery time is PHY serialization plus
+the :class:`LatencyModel`'s one-way latency; a
+:class:`~repro.net.faults.FaultModel` is the one way a link misbehaves
+(it may drop, corrupt, duplicate, truncate or delay a frame), and
 :class:`NetworkTap` observers (the paper's local adversary "eavesdropping
 and/or controlling the communication") see every frame and may inject
 their own.
@@ -20,14 +22,13 @@ from repro.net.phy import GigabitPhy
 from repro.obs import log as obs_log
 from repro.obs.metrics import get_registry
 from repro.sim.events import Simulator
-from repro.utils.rng import DeterministicRng
 
 _log = obs_log.get_logger(__name__)
 
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Per-frame one-way latency: fixed base plus Gaussian jitter.
+    """Per-frame one-way latency on top of PHY serialization.
 
     ``base_ns`` models switch store-and-forward plus host network-stack
     time; the lab network of the paper is calibrated in
@@ -36,12 +37,6 @@ class LatencyModel:
     """
 
     base_ns: float = 0.0
-    jitter_sigma_ns: float = 0.0
-
-    def sample_ns(self, rng: Optional[DeterministicRng]) -> float:
-        if self.jitter_sigma_ns <= 0 or rng is None:
-            return self.base_ns
-        return max(0.0, rng.gauss(self.base_ns, self.jitter_sigma_ns))
 
 
 NetworkTap = Callable[[float, str, EthernetFrame], Optional[EthernetFrame]]
@@ -95,29 +90,18 @@ class Endpoint:
 
 
 class Channel:
-    """A point-to-point full-duplex link with latency, loss and taps."""
+    """A point-to-point full-duplex link with latency, faults and taps."""
 
     def __init__(
         self,
         simulator: Simulator,
         latency: Optional[LatencyModel] = None,
         phy: Optional[GigabitPhy] = None,
-        loss_probability: float = 0.0,
-        rng: Optional[DeterministicRng] = None,
         fault_model: Optional[FaultModel] = None,
     ) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise NetworkError(f"loss probability {loss_probability} out of range")
-        if loss_probability > 0.0 and rng is None:
-            raise NetworkError(
-                "loss_probability > 0 needs an rng; without one the loss "
-                "model would silently never fire"
-            )
         self._simulator = simulator
-        self._latency = latency if latency is not None else LatencyModel()
+        self._latency_ns = latency.base_ns if latency is not None else 0.0
         self._phy = phy if phy is not None else GigabitPhy()
-        self._loss_probability = loss_probability
-        self._rng = rng
         self._fault_model = fault_model
         # sender -> (peer, direction, event label), resolved in connect().
         self._routes: Dict[Endpoint, Tuple[Endpoint, str, str]] = {}
@@ -169,25 +153,9 @@ class Channel:
                         "sacha_net_tap_injections_total",
                         "Frames substituted by in-path taps (adversaries)",
                     ).inc()
-        if self._loss_probability and self._rng is not None:
-            if self._rng.chance(self._loss_probability):
-                self.frames_dropped += 1
-                if obs_on:
-                    registry.counter(
-                        "sacha_net_frames_lost_total",
-                        "Frames dropped by the channel loss model",
-                    ).inc()
-                    _log.debug(
-                        "frame_lost",
-                        direction=direction,
-                        time_ns=self._simulator.now_ns,
-                    )
-                return
         if self._fault_model is None:
             # Fault-free link: one copy, no extra delay.
-            delay = self._phy.serialization_ns(frame) + self._latency.sample_ns(
-                self._rng
-            )
+            delay = self._phy.serialization_ns(frame) + self._latency_ns
             self._schedule_delivery(peer, frame, delay, direction, label, obs_on)
             return
         deliveries = self._fault_model.perturb(
@@ -206,7 +174,7 @@ class Channel:
             delivered = delivery.frame
             delay = (
                 self._phy.serialization_ns(delivered)
-                + self._latency.sample_ns(self._rng)
+                + self._latency_ns
                 + delivery.extra_delay_ns
             )
             self._schedule_delivery(peer, delivered, delay, direction, label, obs_on)

@@ -6,8 +6,8 @@ mask-compares the readback against the golden bitstream.  ``repro.perf``
 makes that loop configurable and fast:
 
 * :class:`ReproConfig` selects the AES-CMAC *backend* (``reference``,
-  ``table`` or ``native``) and the swarm parallelism, from code or from
-  ``REPRO_*`` environment variables;
+  ``table`` or ``native``) and switches the artifact cache, from code or
+  from ``REPRO_*`` environment variables;
 * :mod:`repro.perf.backends` implements the backends — all byte-identical,
   enforced by known-answer and property tests;
 * the fpga/core layers use bulk ``update_frames`` folds, zero-copy frame

@@ -1,19 +1,20 @@
 """Runtime performance configuration.
 
 One process-wide :class:`ReproConfig` controls which AES-CMAC backend the
-crypto layer instantiates, the networked transport's shape and the
-artifact cache.  The defaults come from the environment so CLI runs and
-CI jobs can switch backends without code changes::
+crypto layer instantiates and whether the artifact cache memoizes system
+builds.  The defaults come from the environment so CLI runs and CI jobs
+can switch backends without code changes::
 
     REPRO_AES_BACKEND=reference   # reference | table | native | auto
-    REPRO_ARQ_WINDOW=8            # ARQ payloads in flight; 1 = stop-and-wait
-    REPRO_ARQ_ADAPTIVE=1          # AIMD window adaptation (window = ceiling)
-    REPRO_READBACK_BATCH_FRAMES=256  # frames per batched readback; 1 = per-frame
     REPRO_ARTIFACT_CACHE=1        # memoize built system artifacts per part
 
 ``auto`` (the default) picks ``native`` when the optional ``cryptography``
 package is importable and falls back to the pure-Python ``table`` backend
 otherwise, so a bare install still runs everywhere — just slower.
+
+A networked session's transport is not process-wide: each
+``NetworkAttestationSession`` takes its own ``arq_tuning``
+(:class:`repro.net.arq.ArqTuning`) and ``readback_batch_frames``.
 """
 
 from __future__ import annotations
@@ -42,20 +43,6 @@ class ReproConfig:
 
     #: AES-CMAC backend name: ``auto``, ``reference``, ``table``, ``native``.
     aes_backend: str = "auto"
-    #: ARQ send-window size for networked sessions: how many payloads may
-    #: be unacknowledged at once.  ``1`` is the legacy stop-and-wait and
-    #: stays byte-identical to it.
-    arq_window: int = 8
-    #: AIMD adaptation of the ARQ send window: ``arq_window`` becomes the
-    #: *ceiling* of a congestion window that halves on retransmission
-    #: timeouts and regrows additively on clean ACKs.  The window starts
-    #: at the ceiling, so clean links behave identically either way.
-    arq_adaptive: bool = True
-    #: Frame indices per ``ICAP_readback_batch`` command in the networked
-    #: session.  ``1`` sends the paper's per-frame readback step as a
-    #: one-index batch; larger values pack many frames per payload.  The
-    #: MAC tag is the same for every value.
-    readback_batch_frames: int = 256
     #: Master switch for the content-addressed artifact cache: with it on,
     #: devices of the same part share one memoized system build (golden
     #: template, combined mask, boot image).  Off forces every
@@ -69,15 +56,6 @@ class ReproConfig:
                 f"unknown AES backend {self.aes_backend!r}; "
                 f"choose from {', '.join(AES_BACKEND_CHOICES)}"
             )
-        if self.arq_window < 1:
-            raise ReproError(
-                f"arq_window must be >= 1, got {self.arq_window}"
-            )
-        if self.readback_batch_frames < 1:
-            raise ReproError(
-                f"readback_batch_frames must be >= 1, "
-                f"got {self.readback_batch_frames}"
-            )
 
     def with_overrides(self, **changes: object) -> "ReproConfig":
         """A copy with the given fields replaced (validation re-runs)."""
@@ -89,18 +67,6 @@ class ReproConfig:
         env = os.environ if environ is None else environ
         backend = env.get("REPRO_AES_BACKEND", "auto").strip().lower() or "auto"
 
-        def _int_env(name: str, default: str) -> int:
-            raw = env.get(name, default).strip() or default
-            try:
-                return int(raw)
-            except ValueError:
-                raise ReproError(
-                    f"{name} must be an integer, got {raw!r}"
-                ) from None
-
-        window = _int_env("REPRO_ARQ_WINDOW", "8")
-        batch_frames = _int_env("REPRO_READBACK_BATCH_FRAMES", "256")
-
         def _bool_env(name: str, default: str) -> bool:
             raw = env.get(name, default).strip().lower() or default
             if raw in _TRUTHY:
@@ -111,14 +77,9 @@ class ReproConfig:
                 f"{name} must be a boolean flag, got {raw!r}"
             )
 
-        adaptive = _bool_env("REPRO_ARQ_ADAPTIVE", "1")
-        artifact_cache = _bool_env("REPRO_ARTIFACT_CACHE", "1")
         return cls(
             aes_backend=backend,
-            arq_window=window,
-            arq_adaptive=adaptive,
-            readback_batch_frames=batch_frames,
-            artifact_cache=artifact_cache,
+            artifact_cache=_bool_env("REPRO_ARTIFACT_CACHE", "1"),
         )
 
 

@@ -1,6 +1,6 @@
 """Deterministic randomness for reproducible simulations.
 
-Every stochastic element in the library (PUF noise, channel jitter, nonce
+Every stochastic element in the library (PUF noise, link faults, nonce
 generation, attack payloads) draws from a :class:`DeterministicRng` seeded
 explicitly by the caller, so every experiment in EXPERIMENTS.md can be
 regenerated bit-for-bit.
@@ -34,7 +34,7 @@ class DeterministicRng:
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent stream identified by ``label``.
 
-        Forking keeps subsystems (e.g. PUF noise vs channel jitter)
+        Forking keeps subsystems (e.g. PUF noise vs link faults)
         decoupled: adding draws to one does not perturb the other.
 
         The derivation must be stable across processes — Python's

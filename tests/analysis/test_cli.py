@@ -27,6 +27,22 @@ class TestParser:
         args = build_parser().parse_args(["--no-artifact-cache", "list"])
         assert args.artifact_cache is False
 
+    def test_transport_flags_belong_to_attest(self):
+        args = build_parser().parse_args(
+            ["attest", "--arq-window", "1", "--readback-batch-frames", "4"]
+        )
+        assert (args.arq_window, args.readback_batch_frames) == (1, 4)
+        defaults = build_parser().parse_args(["attest"])
+        assert (defaults.arq_window, defaults.readback_batch_frames) == (8, 256)
+        for rejected in (
+            ["--arq-window", "1", "attest"],
+            ["attest", "--no-arq-adaptive"],
+            ["attest", "--arq-window", "0"],
+            ["attest", "--readback-batch-frames", "0"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(rejected)
+
 
 class TestCommands:
     def test_list(self, capsys):

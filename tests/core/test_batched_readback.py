@@ -16,6 +16,7 @@ from repro.core.report import Verdict
 from repro.core.verifier import SachaVerifier
 from repro.errors import ProtocolError
 from repro.fpga.device import SIM_MEDIUM
+from repro.net.arq import ArqTuning
 from repro.net.batch import contiguous_runs, pack_readback_plan
 from repro.net.channel import Channel, LatencyModel
 from repro.net.messages import IcapReadbackBatchCommand
@@ -45,7 +46,7 @@ def _run(provisioned, verifier, batch, seed, window=8, reliable=True):
         verifier,
         DeterministicRng(seed),
         reliable=reliable,
-        arq_window=window,
+        arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
     )
     return session, session.run()

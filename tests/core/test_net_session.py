@@ -14,10 +14,11 @@ from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
 from repro.errors import ProtocolError
 from repro.fpga.device import SIM_SMALL
-from repro.net.arq import ETHERTYPE_ARQ
+from repro.net.arq import ETHERTYPE_ARQ, ArqTuning
 from repro.net.batch import frames_per_config_batch
 from repro.net.channel import Channel, LatencyModel
 from repro.net.ethernet import EthernetFrame
+from repro.net.faults import FaultModel, FaultProfile
 from repro.net.messages import (
     OPCODE_READBACK_BATCH_RESPONSE,
     IcapConfigCommand,
@@ -90,8 +91,7 @@ class TestReliableSession:
         channel = Channel(
             simulator,
             LatencyModel(base_ns=5_000.0),
-            loss_probability=0.10,
-            rng=rng,
+            fault_model=FaultModel(FaultProfile(loss_probability=0.10), rng),
         )
         verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(90))
         session = NetworkAttestationSession(
@@ -121,7 +121,7 @@ class TestReliableSession:
         reliable = NetworkAttestationSession(
             simulator, channel, provisioned.prover, verifier,
             DeterministicRng(52), reliable=True,
-            arq_window=1, readback_batch_frames=1,
+            arq_tuning=ArqTuning(window=1), readback_batch_frames=1,
         ).run()
         assert reliable.report.accepted == baseline.report.accepted is True
         # Reliable mode roughly doubles frame counts (one ACK per DATA).
@@ -228,8 +228,6 @@ def _reliable_session(
     window, batch, seed=50, latency_ns=1_000.0, fault_profile=None,
     reliable=True, max_attempts=1,
 ):
-    from repro.net.faults import FaultModel, FaultProfile  # noqa: F401
-
     system = build_sacha_system(SIM_SMALL)
     provisioned, record = provision_device(system, "prv-pipe", seed=seed)
     simulator = Simulator()
@@ -250,7 +248,7 @@ def _reliable_session(
         DeterministicRng(seed + 2),
         reliable=reliable,
         max_attempts=max_attempts,
-        arq_window=window,
+        arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
     )
     return session, channel
@@ -394,8 +392,6 @@ class TestFaultCompatibility:
     in-order and exactly-once without requiring the full ARQ."""
 
     def _channel_with(self, profile):
-        from repro.net.faults import FaultModel
-
         simulator = Simulator()
         model = FaultModel(profile, DeterministicRng(5).fork("f"))
         channel = Channel(
@@ -421,8 +417,6 @@ class TestFaultCompatibility:
         )
 
     def test_duplication_on_raw_channel_resequenced(self):
-        from repro.net.faults import FaultProfile
-
         simulator, channel = self._channel_with(
             FaultProfile(duplication_probability=0.1)
         )
@@ -431,8 +425,6 @@ class TestFaultCompatibility:
         assert session.run().report.accepted
 
     def test_reorder_on_raw_channel_resequenced(self):
-        from repro.net.faults import FaultProfile
-
         simulator, channel = self._channel_with(
             FaultProfile(reorder_probability=0.1, reorder_extra_ns=1e5)
         )
@@ -441,8 +433,6 @@ class TestFaultCompatibility:
         assert session.run().report.accepted
 
     def test_same_faults_allowed_over_arq(self):
-        from repro.net.faults import FaultProfile
-
         simulator, channel = self._channel_with(
             FaultProfile(
                 duplication_probability=0.1,
@@ -456,58 +446,10 @@ class TestFaultCompatibility:
     def test_loss_alone_allowed_raw(self):
         """Loss fails towards inconclusive, never a wrong verdict, so it
         stays legal on the raw transport."""
-        from repro.net.faults import FaultProfile
-
         simulator, channel = self._channel_with(
             FaultProfile(loss_probability=0.01)
         )
         self._build(simulator, channel, reliable=False)  # must not raise
-
-
-class TestWindowPrecedence:
-    """`arq_tuning` is the single source of truth when supplied; a
-    conflicting explicit `arq_window` is a configuration error, not a
-    silent override."""
-
-    def _build(self, **kwargs):
-        system = build_sacha_system(SIM_SMALL)
-        provisioned, record = provision_device(system, "prv-wp", seed=71)
-        simulator = Simulator()
-        channel = Channel(simulator, LatencyModel(base_ns=1_000.0))
-        verifier = SachaVerifier(
-            record.system, record.mac_key, DeterministicRng(72)
-        )
-        return NetworkAttestationSession(
-            simulator, channel, provisioned.prover, verifier,
-            DeterministicRng(73), reliable=True, **kwargs,
-        )
-
-    def test_conflicting_windows_rejected(self):
-        from repro.net.arq import ArqTuning
-
-        with pytest.raises(ProtocolError, match="conflicting ARQ windows"):
-            self._build(arq_window=4, arq_tuning=ArqTuning(window=8))
-
-    def test_matching_windows_accepted(self):
-        from repro.net.arq import ArqTuning
-
-        session = self._build(arq_window=8, arq_tuning=ArqTuning(window=8))
-        assert session._arq_window == 8
-
-    def test_tuning_alone_sets_window_and_adaptivity(self):
-        from repro.net.arq import ArqTuning
-
-        session = self._build(arq_tuning=ArqTuning(window=16, adaptive=True))
-        assert session._arq_window == 16
-        assert session._arq_adaptive
-
-    def test_explicit_window_alone_accepted(self):
-        session = self._build(arq_window=3)
-        assert session._arq_window == 3
-
-    def test_nonpositive_window_rejected(self):
-        with pytest.raises(ProtocolError, match="window"):
-            self._build(arq_window=0)
 
 
 class TestCumulativeConfigAcks:

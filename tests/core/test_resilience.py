@@ -39,10 +39,8 @@ def _faulty_session(
     profile,
     seed=7,
     max_attempts=3,
-    arq_max_retries=25,
-    tuning=None,
+    tuning=ArqTuning(window=1),
     needs_rng=None,
-    arq_window=1,
     readback_batch_frames=1,
 ):
     # These scenarios pin the (window=1, batch=1) shape by default: at
@@ -71,9 +69,7 @@ def _faulty_session(
         DeterministicRng(seed + 3),
         reliable=True,
         arq_tuning=tuning,
-        arq_max_retries=arq_max_retries,
         max_attempts=max_attempts,
-        arq_window=arq_window,
         readback_batch_frames=readback_batch_frames,
     )
     return session, model
@@ -146,13 +142,13 @@ class TestPipelinedResilience:
     )
 
     def _pipelined_session(self):
-        # arq_window/readback_batch_frames are left at their config
-        # defaults (8 / 256): this scenario exists precisely to run the
-        # pipelined path under faults.
+        # The session defaults (window 8, 256-frame batches): this
+        # scenario exists precisely to run the pipelined path under
+        # faults.
         return _faulty_session(
             self.PIPELINED_PROFILE,
-            arq_window=None,
-            readback_batch_frames=None,
+            tuning=ArqTuning(),
+            readback_batch_frames=256,
         )
 
     def test_pipelined_defaults_survive_faults(self):
@@ -184,9 +180,11 @@ class TestSessionDegradation:
             FaultProfile(loss_probability=0.97),
             seed=11,
             max_attempts=2,
-            arq_max_retries=6,
             tuning=ArqTuning(
-                initial_timeout_ns=100_000.0, min_timeout_ns=50_000.0
+                initial_timeout_ns=100_000.0,
+                min_timeout_ns=50_000.0,
+                window=1,
+                max_retries=6,
             ),
         )
         result = session.run()
@@ -206,9 +204,11 @@ class TestSessionDegradation:
             FaultProfile(outages=(OutageWindow(0.0, 2e7),)),  # 20 ms dead
             seed=12,
             max_attempts=40,
-            arq_max_retries=4,
             tuning=ArqTuning(
-                initial_timeout_ns=100_000.0, min_timeout_ns=50_000.0
+                initial_timeout_ns=100_000.0,
+                min_timeout_ns=50_000.0,
+                window=1,
+                max_retries=4,
             ),
         )
         result = session.run()

@@ -80,7 +80,7 @@ def session_fingerprint(provisioned_medium, reliable, window, batch, loss):
         SachaVerifier(record.system, record.mac_key, rng.fork("verifier")),
         rng.fork("session"),
         reliable=reliable,
-        arq_tuning=ArqTuning(window=window, adaptive=True),
+        arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
         max_attempts=3,
     )

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.arq import ArqLink, ArqTuning
+from repro.net.arq import MAX_TIMEOUT_NS, ArqLink, ArqTuning
 from repro.net.channel import Channel, Endpoint, LatencyModel
 from repro.net.ethernet import EthernetFrame, MacAddress
+from repro.net.faults import FaultModel, FaultProfile
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
@@ -13,16 +14,23 @@ MAC_A = MacAddress(0x020000000011)
 MAC_B = MacAddress(0x020000000012)
 
 
-def _linked_pair(loss=0.0, rng=None, timeout_ns=50_000.0, max_retries=25,
-                 tuning=None):
+def _linked_pair(loss=0.0, rng=None, max_retries=25, tuning=None):
+    """Two ARQ links over a 1 µs link; by default stop-and-wait with a
+    fixed 50 µs RTO floor."""
     simulator = Simulator()
-    channel = Channel(
-        simulator, LatencyModel(base_ns=1_000.0), loss_probability=loss, rng=rng
-    )
+    model = FaultModel(FaultProfile(loss_probability=loss), rng) if loss else None
+    channel = Channel(simulator, LatencyModel(base_ns=1_000.0), fault_model=model)
     left_ep, right_ep = Endpoint("left", MAC_A), Endpoint("right", MAC_B)
     channel.connect(left_ep, right_ep)
-    left = ArqLink(simulator, left_ep, MAC_B, timeout_ns, max_retries, tuning)
-    right = ArqLink(simulator, right_ep, MAC_A, timeout_ns, max_retries, tuning)
+    if tuning is None:
+        tuning = ArqTuning(
+            initial_timeout_ns=50_000.0,
+            min_timeout_ns=50_000.0,
+            window=1,
+            max_retries=max_retries,
+        )
+    left = ArqLink(simulator, left_ep, MAC_B, tuning)
+    right = ArqLink(simulator, right_ep, MAC_A, tuning)
     return simulator, channel, left, right
 
 
@@ -116,15 +124,10 @@ class TestLossyDelivery:
             simulator.run()
 
 
-def _adaptive_tuning(window=8, **overrides):
-    defaults = dict(
-        initial_timeout_ns=50_000.0,
-        min_timeout_ns=20_000.0,
-        window=window,
-        adaptive=True,
+def _adaptive_tuning(window=8):
+    return ArqTuning(
+        initial_timeout_ns=50_000.0, min_timeout_ns=20_000.0, window=window
     )
-    defaults.update(overrides)
-    return ArqTuning(**defaults)
 
 
 class TestAdaptiveWindow:
@@ -176,11 +179,29 @@ class TestAdaptiveWindow:
         assert left.cwnd_halvings == 2
 
     def test_cwnd_floor_is_one(self):
+        """A collapsed window stays at 1 and keeps counting its halvings,
+        so the collapse stays visible to the health rules."""
         simulator, _, left, _ = _linked_pair(tuning=_adaptive_tuning(window=2))
         for sequence in (5, 15, 25, 35):
             left._next_tx_sequence = sequence + 1
             left._cwnd_on_loss(sequence)
         assert left.cwnd == 1
+        assert left.cwnd_halvings == 4
+
+    def test_window_one_counts_no_halvings(self):
+        """A window-1 link has no window to halve: a timeout neither
+        counts a halving nor exports one."""
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            simulator, _, left, _ = _linked_pair(tuning=_adaptive_tuning(window=1))
+            for sequence in (5, 15, 25):
+                left._next_tx_sequence = sequence + 1
+                left._cwnd_on_loss(sequence)
+        assert left.cwnd == 1
+        assert left.cwnd_halvings == 0
+        assert registry.get("sacha_arq_cwnd_halvings_total") is None
 
     def test_additive_regrowth_is_capped_at_ceiling(self):
         simulator, _, left, _ = _linked_pair(tuning=_adaptive_tuning(window=4))
@@ -199,11 +220,6 @@ class TestAdaptiveWindow:
         before = left._cwnd
         left._cwnd_on_ack(3, clean=False)
         assert left._cwnd == before
-
-    def test_static_tuning_ignores_aimd_state(self):
-        simulator, _, left, _ = _linked_pair()
-        assert not left._tuning.adaptive
-        assert left.cwnd == left.window
 
     def test_deterministic_trajectory(self):
         """Same seed, same faults -> identical cwnd trajectory."""
@@ -235,6 +251,7 @@ import json, sys
 from repro.net.arq import ArqLink, ArqTuning
 from repro.net.channel import Channel, Endpoint, LatencyModel
 from repro.net.ethernet import EthernetFrame, MacAddress
+from repro.net.faults import FaultModel, FaultProfile
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
@@ -243,16 +260,16 @@ simulator = Simulator()
 rng = DeterministicRng(2024)
 channel = Channel(
     simulator, LatencyModel(base_ns=1_000.0),
-    loss_probability=0.2, rng=rng.fork("loss"),
+    fault_model=FaultModel(FaultProfile(loss_probability=0.2), rng.fork("loss")),
 )
 left_ep, right_ep = Endpoint("left", MAC_A), Endpoint("right", MAC_B)
 channel.connect(left_ep, right_ep)
 tuning = ArqTuning(
     initial_timeout_ns=50_000.0, min_timeout_ns=20_000.0,
-    window=8, adaptive=True,
+    window=8, max_retries=60,
 )
-left = ArqLink(simulator, left_ep, MAC_B, max_retries=60, tuning=tuning)
-right = ArqLink(simulator, right_ep, MAC_A, max_retries=60, tuning=tuning)
+left = ArqLink(simulator, left_ep, MAC_B, tuning)
+right = ArqLink(simulator, right_ep, MAC_A, tuning)
 right.handler = lambda frame: None
 trajectory = []
 original = left._cwnd_on_loss
@@ -302,27 +319,36 @@ class TestTuningValidation:
         with pytest.raises(NetworkError, match="window"):
             ArqTuning(window=0)
 
-    @pytest.mark.parametrize(
-        "field", ["srtt_gain", "rttvar_gain", "aimd_increase", "aimd_decrease"]
-    )
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
-    def test_gains_must_be_in_unit_interval(self, field, bad):
-        with pytest.raises(NetworkError, match=field):
-            ArqTuning(**{field: bad})
+    @pytest.mark.parametrize("initial", [100_000.0, 2e9])
+    def test_initial_timeout_outside_bounds_rejected(self, initial):
+        """An initial RTO below the floor or above the ceiling would be
+        clamped at its first timeout while ``rto_ns`` still reported it;
+        it is a configuration error instead, naming the bounds."""
+        with pytest.raises(NetworkError, match=r"outside \[200000.0, 500000000.0\]"):
+            ArqTuning(initial_timeout_ns=initial)
+
+    @pytest.mark.parametrize("initial", [200_000.0, MAX_TIMEOUT_NS])
+    def test_initial_timeout_at_the_bounds_accepted(self, initial):
+        assert ArqTuning(initial_timeout_ns=initial).initial_timeout_ns == initial
+
+    def test_defaults_are_the_session_transport(self):
+        tuning = ArqTuning()
+        assert (
+            tuning.initial_timeout_ns,
+            tuning.min_timeout_ns,
+            tuning.window,
+            tuning.max_retries,
+        ) == (2_000_000.0, 200_000.0, 8, 25)
 
 
 class TestValidation:
     def test_bad_timeout(self):
-        simulator = Simulator()
-        endpoint = Endpoint("x", MAC_A)
-        with pytest.raises(NetworkError):
-            ArqLink(simulator, endpoint, MAC_B, timeout_ns=0)
+        with pytest.raises(NetworkError, match="positive"):
+            ArqTuning(initial_timeout_ns=0)
 
     def test_bad_retries(self):
-        simulator = Simulator()
-        endpoint = Endpoint("x", MAC_A)
-        with pytest.raises(NetworkError):
-            ArqLink(simulator, endpoint, MAC_B, max_retries=0)
+        with pytest.raises(NetworkError, match="retry"):
+            ArqTuning(max_retries=0)
 
     def test_truncated_arq_frame_dropped(self):
         """A truncated frame is indistinguishable from line noise: it is

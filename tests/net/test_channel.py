@@ -1,4 +1,8 @@
-"""Unit tests for the simulated channel: delivery, latency, loss, taps."""
+"""Unit tests for the simulated channel: delivery, latency, taps.
+
+Loss and the other link faults are the fault model's, tested in
+``test_faults.py``.
+"""
 
 import pytest
 
@@ -6,15 +10,14 @@ from repro.errors import NetworkError
 from repro.net.channel import Channel, Endpoint, LatencyModel
 from repro.net.ethernet import EthernetFrame, MacAddress
 from repro.sim.events import Simulator
-from repro.utils.rng import DeterministicRng
 
 MAC_A = MacAddress(0x020000000001)
 MAC_B = MacAddress(0x020000000002)
 
 
-def _pair(latency=LatencyModel(), loss=0.0, rng=None):
+def _pair(latency=LatencyModel()):
     sim = Simulator()
-    channel = Channel(sim, latency, loss_probability=loss, rng=rng)
+    channel = Channel(sim, latency)
     left, right = Endpoint("left", MAC_A), Endpoint("right", MAC_B)
     channel.connect(left, right)
     return sim, channel, left, right
@@ -82,35 +85,6 @@ class TestErrors:
         sim, channel, _, _ = _pair()
         with pytest.raises(NetworkError):
             channel.connect(Endpoint("x", MAC_A), Endpoint("y", MAC_B))
-
-    def test_bad_loss_probability(self):
-        with pytest.raises(NetworkError):
-            Channel(Simulator(), loss_probability=1.0)
-
-
-class TestLossAndJitter:
-    def test_lossy_channel_drops_frames(self):
-        rng = DeterministicRng(5)
-        sim, channel, left, right = _pair(loss=0.5, rng=rng)
-        received = []
-        right.handler = received.append
-        for _ in range(200):
-            left.send(_frame())
-        sim.run()
-        assert channel.frames_dropped > 0
-        assert len(received) + channel.frames_dropped == 200
-        assert 40 < len(received) < 160
-
-    def test_jitter_varies_latency(self):
-        rng = DeterministicRng(6)
-        model = LatencyModel(base_ns=1000.0, jitter_sigma_ns=100.0)
-        samples = {model.sample_ns(rng) for _ in range(20)}
-        assert len(samples) > 1
-        assert all(sample >= 0 for sample in samples)
-
-    def test_no_rng_means_no_jitter(self):
-        model = LatencyModel(base_ns=1000.0, jitter_sigma_ns=100.0)
-        assert model.sample_ns(None) == 1000.0
 
 
 class TestTaps:

@@ -160,9 +160,18 @@ class TestChannelIntegration:
         channel.connect(left, right)
         return simulator, channel, left, right, model
 
-    def test_loss_probability_without_rng_rejected(self):
-        with pytest.raises(NetworkError, match="rng"):
-            Channel(Simulator(), loss_probability=0.1, rng=None)
+    def test_loss_drops_frames_on_the_channel(self):
+        simulator, channel, left, right, model = self._channel(
+            FaultProfile(loss_probability=0.5), seed=5
+        )
+        received = []
+        right.handler = received.append
+        for _ in range(200):
+            left.send(_frame())
+        simulator.run()
+        assert channel.frames_dropped == model.counters.lost > 0
+        assert len(received) + channel.frames_dropped == 200
+        assert 40 < len(received) < 160
 
     def test_outage_drops_frames_on_the_channel(self):
         simulator, channel, left, right, model = self._channel(

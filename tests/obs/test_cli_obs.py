@@ -1,6 +1,7 @@
 """End-to-end CLI: attest with telemetry, then analyse it offline."""
 
 import json
+import re
 
 import pytest
 
@@ -109,6 +110,38 @@ class TestObsHealth:
         )
         assert main(["obs", "health", str(path)]) == 2
         assert "CRIT" in capsys.readouterr().out
+
+    def test_lossy_window_one_run_has_no_cwnd_collapse(self, tmp_path, capsys):
+        """A window-1 link has no window to halve: a lossy stop-and-wait
+        run retransmits, but exports no halvings, so the collapse rule
+        stays OK."""
+        snapshot = tmp_path / "window-one.json"
+        rc = main(
+            [
+                "attest",
+                "--device",
+                "SIM-SMALL",
+                "--seed",
+                "7",
+                "--fault-profile",
+                "loss=0.05",
+                "--max-attempts",
+                "3",
+                "--arq-window",
+                "1",
+                "--readback-batch-frames",
+                "1",
+                "--snapshot-out",
+                str(snapshot),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        main(["obs", "health", str(snapshot)])
+        out = capsys.readouterr().out
+        # The link did lose frames, but no window halved.
+        assert re.search(r"\[WARN +\] arq_retransmission_ratio: .* = 8/73 ", out)
+        assert re.search(r"\[OK +\] arq_cwnd_collapse: .* = 0/73 ", out)
 
     def test_multiple_snapshots_merge(
         self, networked_artifacts, tmp_path, capsys

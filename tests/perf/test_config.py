@@ -17,7 +17,7 @@ class TestValidation:
     def test_defaults(self):
         config = ReproConfig()
         assert config.aes_backend == "auto"
-        assert config.arq_adaptive is True
+        assert config.artifact_cache is True
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError):
@@ -26,7 +26,7 @@ class TestValidation:
     def test_with_overrides(self):
         config = ReproConfig().with_overrides(aes_backend="table")
         assert config.aes_backend == "table"
-        assert config.arq_window == ReproConfig().arq_window
+        assert config.artifact_cache == ReproConfig().artifact_cache
 
 
 class TestEnvironment:
@@ -34,32 +34,19 @@ class TestEnvironment:
         monkeypatch.setenv("REPRO_AES_BACKEND", "reference")
         assert ReproConfig.from_env().aes_backend == "reference"
 
-    def test_integer_env_parsed_and_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARQ_WINDOW", "4")
-        assert ReproConfig.from_env().arq_window == 4
-        monkeypatch.setenv("REPRO_ARQ_WINDOW", "many")
-        with pytest.raises(ReproError, match="REPRO_ARQ_WINDOW"):
-            ReproConfig.from_env()
-
     @pytest.mark.parametrize("token", sorted(_TRUTHY))
-    def test_arq_adaptive_truthy(self, monkeypatch, token):
-        monkeypatch.setenv("REPRO_ARQ_ADAPTIVE", token)
-        assert ReproConfig.from_env().arq_adaptive is True
+    def test_artifact_cache_truthy(self, monkeypatch, token):
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", token)
+        assert ReproConfig.from_env().artifact_cache is True
 
     @pytest.mark.parametrize("token", sorted(_FALSY))
-    def test_arq_adaptive_falsy(self, monkeypatch, token):
-        monkeypatch.setenv("REPRO_ARQ_ADAPTIVE", token)
-        assert ReproConfig.from_env().arq_adaptive is False
+    def test_artifact_cache_falsy(self, monkeypatch, token):
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", token)
+        assert ReproConfig.from_env().artifact_cache is False
 
-    def test_arq_adaptive_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARQ_ADAPTIVE", "0")
-        assert ReproConfig.from_env().arq_adaptive is False
-        monkeypatch.setenv("REPRO_ARQ_ADAPTIVE", "yes")
-        assert ReproConfig.from_env().arq_adaptive is True
-
-    def test_arq_adaptive_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARQ_ADAPTIVE", "sometimes")
-        with pytest.raises(ReproError):
+    def test_artifact_cache_garbage_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "sometimes")
+        with pytest.raises(ReproError, match="REPRO_ARTIFACT_CACHE"):
             ReproConfig.from_env()
 
 
@@ -70,11 +57,11 @@ class TestProcessGlobal:
 
     def test_configured_scopes_override(self):
         set_config(ReproConfig(aes_backend="reference"))
-        with configured(aes_backend="table", arq_window=2):
+        with configured(aes_backend="table", artifact_cache=False):
             assert get_config().aes_backend == "table"
-            assert get_config().arq_window == 2
+            assert get_config().artifact_cache is False
         assert get_config().aes_backend == "reference"
-        assert get_config().arq_window == 8
+        assert get_config().artifact_cache is True
 
     def test_configured_restores_on_error(self):
         set_config(ReproConfig())

@@ -52,8 +52,7 @@ def _profile_for(combo) -> FaultProfile:
     )
 
 
-def _run_exchange(profile: FaultProfile, seed: int, payloads, window=1,
-                  adaptive=False):
+def _run_exchange(profile: FaultProfile, seed: int, payloads, window=1):
     simulator = Simulator()
     rng = DeterministicRng(seed)
     model = (
@@ -69,14 +68,13 @@ def _run_exchange(profile: FaultProfile, seed: int, payloads, window=1,
         initial_timeout_ns=50_000.0,
         min_timeout_ns=20_000.0,
         window=window,
-        adaptive=adaptive,
+        max_retries=60,
     )
     left = ArqLink(
         simulator,
         left_ep,
         MAC_B,
-        max_retries=60,
-        tuning=tuning,
+        tuning,
         rng=rng.fork("arq-left"),
         on_give_up=give_ups.append,
     )
@@ -84,8 +82,7 @@ def _run_exchange(profile: FaultProfile, seed: int, payloads, window=1,
         simulator,
         right_ep,
         MAC_A,
-        max_retries=60,
-        tuning=tuning,
+        tuning,
         rng=rng.fork("arq-right"),
         on_give_up=give_ups.append,
     )
@@ -132,7 +129,7 @@ class TestAdaptiveExactlyOnce:
     def test_delivery_with_adaptive_window(self, combo, seed, count):
         payloads = [bytes([index % 256]) * 16 for index in range(count)]
         received, give_ups, left = _run_exchange(
-            _profile_for(combo), seed, payloads, window=8, adaptive=True
+            _profile_for(combo), seed, payloads, window=8
         )
         assert not give_ups, f"link gave up: {give_ups}"
         assert received == payloads
@@ -227,7 +224,9 @@ class TestWindowOneIsStopAndWait:
     captured from the pre-sliding-window implementation.  Any divergence
     (an extra ACK, a different ACK sequence number, a shifted timer)
     changes at least the wire hash, so this is a byte-level equivalence
-    proof over faulty exchanges, not just a behavioural one.
+    proof over faulty exchanges, not just a behavioural one.  The AIMD
+    window has nothing to adapt at window 1, so it counts no halvings
+    either.
     """
 
     # (seed, payload count) -> (retransmissions, backoff_events,
@@ -271,15 +270,16 @@ class TestWindowOneIsStopAndWait:
         left_ep, right_ep = Endpoint("left", MAC_A), Endpoint("right", MAC_B)
         channel.connect(left_ep, right_ep)
         tuning = ArqTuning(
-            initial_timeout_ns=50_000.0, min_timeout_ns=20_000.0, window=1
+            initial_timeout_ns=50_000.0, min_timeout_ns=20_000.0, window=1,
+            max_retries=60,
         )
         give_ups = []
         left = ArqLink(
-            simulator, left_ep, MAC_B, max_retries=60, tuning=tuning,
+            simulator, left_ep, MAC_B, tuning,
             rng=rng.fork("arq-left"), on_give_up=give_ups.append,
         )
         right = ArqLink(
-            simulator, right_ep, MAC_A, max_retries=60, tuning=tuning,
+            simulator, right_ep, MAC_A, tuning,
             rng=rng.fork("arq-right"), on_give_up=give_ups.append,
         )
         received = []
@@ -307,14 +307,13 @@ class TestWindowOneIsStopAndWait:
             wire.hexdigest(),
         )
         assert observed == self.LEGACY_FINGERPRINTS[(seed, count)]
+        assert (left.cwnd_halvings, right.cwnd_halvings) == (0, 0)
 
 
-def _fingerprint_exchange(seed, count, window, adaptive, profile=None):
+def _fingerprint_exchange(seed, count, window, profile):
     """One bursty exchange, fingerprinted: counters, clock, wire hash."""
     import hashlib
 
-    if profile is None:
-        profile = TestWindowOneIsStopAndWait.HARSH_PROFILE
     simulator = Simulator()
     rng = DeterministicRng(seed)
     model = (
@@ -329,15 +328,15 @@ def _fingerprint_exchange(seed, count, window, adaptive, profile=None):
         initial_timeout_ns=50_000.0,
         min_timeout_ns=20_000.0,
         window=window,
-        adaptive=adaptive,
+        max_retries=60,
     )
     give_ups = []
     left = ArqLink(
-        simulator, left_ep, MAC_B, max_retries=60, tuning=tuning,
+        simulator, left_ep, MAC_B, tuning,
         rng=rng.fork("arq-left"), on_give_up=give_ups.append,
     )
     right = ArqLink(
-        simulator, right_ep, MAC_A, max_retries=60, tuning=tuning,
+        simulator, right_ep, MAC_A, tuning,
         rng=rng.fork("arq-right"), on_give_up=give_ups.append,
     )
     received = []
@@ -366,62 +365,29 @@ def _fingerprint_exchange(seed, count, window, adaptive, profile=None):
     )
 
 
-class TestStaticWindowIsByteIdentical:
-    """``adaptive=False`` reproduces the pre-AIMD sliding-window ARQ
-    *exactly*.
+class TestCleanLinkFingerprint:
+    """On a clean link the AIMD window starts at its ceiling and never
+    moves, so a windowed exchange is pinned byte for byte: counters,
+    clock and a SHA-256 over both directions' wire.  Captured when a
+    static (non-adaptive) window still existed, where static and
+    adaptive links produced exactly these tuples."""
 
-    The fingerprints were captured from the implementation as merged in
-    PR 5, before the congestion window existed, over harsh-profile
-    exchanges at windows 4 and 8.  The wire hash covers every frame
-    payload in both directions, so any AIMD leakage into the static
-    path — a reordered retransmission, a shifted timer, an extra
-    frame — fails this suite.
-    """
-
-    # (seed, count, window) -> same tuple layout as LEGACY_FINGERPRINTS.
-    PR5_FINGERPRINTS = {
-        (12345, 10, 4): (
-            19, 19, 10, 15, 3, 661957.6339411696, 29, 14,
-            "0a1e266ae0878a76d3d4ce0baec0247a22a7e446ae3e02b66166697993dc4f6b",
+    # window -> same tuple layout as LEGACY_FINGERPRINTS (seed 424242,
+    # 20 payloads, no faults).
+    CLEAN_FINGERPRINTS = {
+        4: (
+            0, 0, 20, 0, 0, 16720.0, 20, 5,
+            "14d8f66cacbebfdd75cf54bebea38a4253dd1189268e0869dc6437347ec2d557",
         ),
-        (777, 6, 4): (
-            5, 5, 6, 5, 1, 322876.191180148, 11, 9,
-            "c593182c72e3c0e894392e6a56478fdcc72887d249448fa6f221659b9142980c",
-        ),
-        (2026, 12, 4): (
-            12, 12, 12, 8, 3, 472199.7281691076, 24, 11,
-            "39d93e41265adc58f533125ab9e2f9582b5a9655c9a0f84192cdc9042d10b7b6",
-        ),
-        (12345, 10, 8): (
-            17, 17, 10, 11, 4, 618318.4626929129, 27, 8,
-            "2fa3d9c1fc0cbd127ae289fa3e5271cb3455740b2160267d7ce1377367a08ec3",
-        ),
-        (777, 6, 8): (
-            5, 5, 6, 5, 1, 321360.86735898454, 11, 9,
-            "5bb97e8c58c5dde97930ddfef26f07bfc138752fcd3fc689eb13cf7dedeb2150",
-        ),
-        (2026, 12, 8): (
-            18, 18, 12, 15, 3, 737071.1916505571, 30, 16,
-            "01c02f5c89c095b499a7d29203547d969430bc4f8faa90aae73b9d2e66a666ca",
+        8: (
+            0, 0, 20, 0, 0, 10032.0, 20, 3,
+            "7b8fe8c1dbbb7e4237429fcb6e9a7220ed3db5fadafedc0f1684b1deb214c3ed",
         ),
     }
 
     @pytest.mark.parametrize(
-        "seed,count,window", sorted(PR5_FINGERPRINTS), ids=lambda v: str(v)
+        "window", sorted(CLEAN_FINGERPRINTS), ids=lambda w: f"w{w}"
     )
-    def test_static_window_matches_pr5_fingerprint(self, seed, count, window):
-        observed = _fingerprint_exchange(seed, count, window, adaptive=False)
-        assert observed == self.PR5_FINGERPRINTS[(seed, count, window)]
-
-    @pytest.mark.parametrize("window", [4, 8], ids=lambda w: f"w{w}")
-    def test_adaptive_is_byte_identical_on_clean_links(self, window):
-        """With no losses the congestion window starts at the ceiling and
-        never moves, so the adaptive wire is identical to the static one."""
-        clean = FaultProfile()
-        static = _fingerprint_exchange(
-            424242, 20, window, adaptive=False, profile=clean
-        )
-        adaptive = _fingerprint_exchange(
-            424242, 20, window, adaptive=True, profile=clean
-        )
-        assert adaptive == static
+    def test_clean_link_matches_fingerprint(self, window):
+        observed = _fingerprint_exchange(424242, 20, window, FaultProfile())
+        assert observed == self.CLEAN_FINGERPRINTS[window]
