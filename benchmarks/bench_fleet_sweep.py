@@ -9,19 +9,20 @@ telemetry, and the store's transaction per record.
 
 ``test_fleet_sweep_sequential`` is the gated sweep; its per-device MAC
 tags must match a digest pinned before the sweep thread pool was
-removed.  ``cold_rebuild`` runs the same sweep with the artifact cache
-bypassed, so every device pays a full system build, and the
-``materialize_dedup`` leg pins the in-sweep dedup itself: eight
-same-part materializations against a fresh memo cost one build.
+removed.  ``cold_rebuild`` runs the same sweep with a fresh, empty
+artifact cache handed to every materialization, so every device pays a
+full system build, and the ``materialize_dedup`` leg pins the in-sweep
+dedup itself: eight same-part materializations against a fresh memo
+cost one build.
 """
 
 import hashlib
 
-from repro.cache import reset_artifact_cache
+import repro.core.provisioning
+from repro.cache import ArtifactCache, reset_artifact_cache
 from repro.core.provisioning import materialize_device
 from repro.fleet.controller import FleetController
 from repro.fleet.store import DeviceRecord, FleetStore
-from repro.perf.config import configured
 
 FLEET_SIZE = 8
 #: SHA-256 over the concatenated per-device tags of ``attest(seed=7)``.
@@ -76,10 +77,12 @@ def test_fleet_sweep_sequential(benchmark, tmp_path):
     assert hashlib.sha256(tags).hexdigest() == TAGS_SHA256
 
 
-def test_fleet_sweep_cold_rebuild(benchmark, tmp_path):
-    """The cache-bypassed baseline: every device rebuilds its system."""
-    with configured(artifact_cache=False):
-        result = _bench_sweep(benchmark, tmp_path, rounds=3)
+def test_fleet_sweep_cold_rebuild(benchmark, tmp_path, monkeypatch):
+    """The cold baseline: every device rebuilds its system."""
+    monkeypatch.setattr(
+        repro.core.provisioning, "get_artifact_cache", ArtifactCache
+    )
+    result = _bench_sweep(benchmark, tmp_path, rounds=3)
     assert len(result.accepted) == FLEET_SIZE
 
 

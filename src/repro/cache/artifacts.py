@@ -1,88 +1,39 @@
-"""The cached unit: everything one system build produces that is shareable.
+"""The cached unit: one part's implemented, frozen SACHa system.
 
-A :class:`SystemArtifacts` bundles the immutable, nonce- and
-key-independent outputs of ``build_sacha_system`` for one fingerprint:
-the implemented system design (with its golden template, combined mask
-and boot image eagerly frozen), the boot image bytes, the BootMem
-sizing, and the readback coverage plan.  One bundle is shared by every
-device of the same part in a sweep; per-device mutable state (board,
-PUF, live registers, prover) is explicitly *not* part of it.
+Building a part's system — placement, register-bit derivation, Philox
+frame content, golden template, combined ``Msk``, boot image — is a pure
+function of the part name.  :func:`build_system` runs it once and freezes
+every lazily-built artifact, so the one system object can be shared
+read-only by every device of that part.  Per-device mutable state
+(board, PUF, live registers, prover) is explicitly *not* part of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
-
-from repro.cache.fingerprint import plan_fingerprint
-from repro.design.cores import CoreSpec
 from repro.design.sacha_design import (
     SachaSystemDesign,
-    SystemPlan,
     implement_plan,
     plan_sacha_system,
 )
-from repro.fpga.device import DevicePart, get_part
+from repro.fpga.device import get_part
 
 
-@dataclass(frozen=True)
-class SystemArtifacts:
-    """One content-addressed bundle of shared build outputs."""
-
-    fingerprint: str
-    part: str
-    system: SachaSystemDesign
-    boot_image: bytes
-    bootmem_bytes: int
-    #: The full-coverage readback plan: every frame index, ascending.
-    #: Sessions derive their nonce-dependent permutations from this
-    #: shared tuple instead of re-enumerating the device geometry.
-    readback_frames: Tuple[int, ...]
-
-    def memory_bytes(self) -> int:
-        """Approximate resident size, for the ``sacha_cache_bytes`` gauge."""
-        system = self.system
-        total = len(self.boot_image)
-        template = system._golden_template
-        if template is not None:
-            total += template.frames_array().nbytes
-        mask = system._combined_mask
-        if mask is not None:
-            total += 2 * mask.bits_array().nbytes  # bits + frozen keep bits
-        for impl in (system.static_impl, system.app_impl):
-            total += len(impl.frame_content) * system.device.frame_bytes
-        return total
-
-
-def resolve_plan(
-    part: Union[str, DevicePart],
-    app_cores: Optional[Sequence[CoreSpec]] = None,
-    include_dynamic_puf: bool = False,
-) -> SystemPlan:
-    """The plan for a part name or part object (cheap; no build)."""
-    device = get_part(part) if isinstance(part, str) else part
-    return plan_sacha_system(
-        device, app_cores=app_cores, include_dynamic_puf=include_dynamic_puf
-    )
-
-
-def artifacts_from_system(
-    fingerprint: str, system: SachaSystemDesign
-) -> SystemArtifacts:
-    """Freeze a built system and wrap it as a shareable bundle."""
+def build_system(part: str) -> SachaSystemDesign:
+    """The cold path: plan and implement the part's system, then freeze it."""
+    system = implement_plan(plan_sacha_system(get_part(part)))
     system.freeze_artifacts()
-    return SystemArtifacts(
-        fingerprint=fingerprint,
-        part=system.device.name,
-        system=system,
-        boot_image=system.boot_image(),
-        bootmem_bytes=system.recommended_bootmem_bytes(),
-        readback_frames=tuple(range(system.device.total_frames)),
-    )
+    return system
 
 
-def build_artifacts(plan: SystemPlan, fingerprint: str = "") -> SystemArtifacts:
-    """The cold path: implement the plan and freeze the outputs."""
-    return artifacts_from_system(
-        fingerprint or plan_fingerprint(plan), implement_plan(plan)
-    )
+def resident_bytes(system: SachaSystemDesign) -> int:
+    """Approximate resident size, for the ``sacha_cache_bytes`` gauge."""
+    total = len(system.boot_image())
+    template = system._golden_template
+    if template is not None:
+        total += template.frames_array().nbytes
+    mask = system._combined_mask
+    if mask is not None:
+        total += 2 * mask.bits_array().nbytes  # bits + frozen keep bits
+    for impl in (system.static_impl, system.app_impl):
+        total += len(impl.frame_content) * system.device.frame_bytes
+    return total

@@ -3,11 +3,12 @@
 Commands:
 
 * ``attest [--device PART] [--seed N] [--tamper]`` — provision a device,
-  run one attestation, print the report; with ``--loss`` /
-  ``--fault-profile`` the run goes over the simulated network with fault
-  injection, ARQ (``--arq-window``), batched readback
-  (``--readback-batch-frames``) and session retry (``--max-attempts``),
-  and exits 2 on an ``inconclusive`` verdict;
+  run one attestation, print the report; any resilience flag
+  (``--loss``, ``--fault-profile``, ``--arq-window``,
+  ``--readback-batch-frames``, ``--max-attempts``, ``--raw-transport``)
+  runs it over the simulated network with fault injection, ARQ,
+  batched readback and session retry, and exits 2 on an
+  ``inconclusive`` verdict;
 * ``tables`` — regenerate Tables 2, 3 and 4 plus the JTAG reference;
 * ``security [--device PART]`` — run the Section-7.2 threat sweep;
 * ``trace [--device PART]`` — print the Figure-9 protocol trace;
@@ -35,7 +36,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.experiments import (
     EXPERIMENTS,
@@ -63,6 +64,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+#: The transport of a networked ``attest`` run for each resilience flag
+#: not given.  The flags themselves default to ``None``: giving any flag
+#: of the resilience group is what selects the networked run.
+_NETWORK_DEFAULTS = {
+    "arq_window": 8,
+    "readback_batch_frames": 256,
+    "max_attempts": 3,
+}
 
 
 def _add_device_option(parser: argparse.ArgumentParser, default: str) -> None:
@@ -176,21 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="SACHa: self-attestation of configurable hardware",
     )
-    perf = parser.add_argument_group("performance (before the subcommand)")
-    perf.add_argument(
-        "--aes-backend",
-        default=None,
-        choices=["auto", "reference", "table", "native"],
-        help="AES implementation for the MAC chain "
-        "(default: REPRO_AES_BACKEND or auto)",
-    )
-    perf.add_argument(
-        "--artifact-cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="memoize built system artifacts so same-part devices share "
-        "one build (default: REPRO_ARTIFACT_CACHE or on)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     attest = commands.add_parser("attest", help="run one attestation")
@@ -221,25 +217,28 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--arq-window",
         type=_positive_int,
-        default=8,
+        default=None,
         metavar="N",
         help="ARQ send-window ceiling; the AIMD window halves on timeouts "
-        "and regrows on clean ACKs; 1 = stop-and-wait (default: 8)",
+        "and regrows on clean ACKs; 1 = stop-and-wait "
+        f"(default: {_NETWORK_DEFAULTS['arq_window']})",
     )
     resilience.add_argument(
         "--readback-batch-frames",
         type=_positive_int,
-        default=256,
+        default=None,
         metavar="N",
         help="frame indices per ICAP_readback_batch command; 1 = the "
-        "paper's per-frame readback step (default: 256)",
+        "paper's per-frame readback step "
+        f"(default: {_NETWORK_DEFAULTS['readback_batch_frames']})",
     )
     resilience.add_argument(
         "--max-attempts",
         type=int,
-        default=3,
+        default=None,
         metavar="N",
-        help="session-level retries (fresh nonce) before giving up (default: 3)",
+        help="session-level retries (fresh nonce) before giving up "
+        f"(default: {_NETWORK_DEFAULTS['max_attempts']})",
     )
     resilience.add_argument(
         "--raw-transport",
@@ -330,6 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _network_transport(args: argparse.Namespace) -> Optional[Dict[str, int]]:
+    """The networked run's transport settings, or ``None`` to run in memory."""
+    networked = (
+        args.raw_transport or args.loss is not None or args.fault_profile is not None
+    )
+    transport = {}
+    for dest, default in _NETWORK_DEFAULTS.items():
+        value = getattr(args, dest)
+        networked = networked or value is not None
+        transport[dest] = default if value is None else value
+    return transport if networked else None
+
+
 def _command_attest(args: argparse.Namespace) -> int:
     system = get_artifact_cache().get_system(args.device)
     provisioned, record = provision_device(system, "cli-board", seed=args.seed)
@@ -342,8 +354,9 @@ def _command_attest(args: argparse.Namespace) -> int:
     verifier = SachaVerifier(
         record.system, record.mac_key, DeterministicRng(args.seed + 1)
     )
-    if args.loss is not None or args.fault_profile is not None:
-        return _attest_over_network(args, provisioned, verifier)
+    transport = _network_transport(args)
+    if transport is not None:
+        return _attest_over_network(args, transport, provisioned, verifier)
     result = run_attestation(
         provisioned.prover,
         verifier,
@@ -354,7 +367,7 @@ def _command_attest(args: argparse.Namespace) -> int:
     return 0 if result.report.accepted == (not args.tamper) else 1
 
 
-def _attest_over_network(args, provisioned, verifier) -> int:
+def _attest_over_network(args, transport, provisioned, verifier) -> int:
     """Attest through the simulated channel under an injected fault profile."""
     import dataclasses
 
@@ -386,9 +399,9 @@ def _attest_over_network(args, provisioned, verifier) -> int:
         verifier,
         rng.fork("session"),
         reliable=not args.raw_transport,
-        arq_tuning=ArqTuning(window=args.arq_window),
-        max_attempts=args.max_attempts,
-        readback_batch_frames=args.readback_batch_frames,
+        arq_tuning=ArqTuning(window=transport["arq_window"]),
+        max_attempts=transport["max_attempts"],
+        readback_batch_frames=transport["readback_batch_frames"],
     )
     result = session.run()
     print(result.report.explain())
@@ -567,27 +580,20 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     from repro.errors import ReproError
-    from repro.perf import configured
 
-    overrides = {}
-    if args.aes_backend is not None:
-        overrides["aes_backend"] = args.aes_backend
-    if args.artifact_cache is not None:
-        overrides["artifact_cache"] = args.artifact_cache
     try:
-        with configured(**overrides):
-            scope = _setup_obs(args)
+        scope = _setup_obs(args)
+        try:
+            status = _HANDLERS[args.command](args)
+        finally:
             try:
-                status = _HANDLERS[args.command](args)
-            finally:
-                try:
-                    _finish_obs(args, scope)
-                except OSError as exc:
-                    print(
-                        f"repro: error writing observability output: {exc}",
-                        file=sys.stderr,
-                    )
-                    return 1
+                _finish_obs(args, scope)
+            except OSError as exc:
+                print(
+                    f"repro: error writing observability output: {exc}",
+                    file=sys.stderr,
+                )
+                return 1
     except ReproError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 1

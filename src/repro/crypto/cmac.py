@@ -8,8 +8,9 @@ command (Figure 9).  :class:`AesCmac` mirrors exactly that structure.
 The chain itself runs on a pluggable block-cipher backend (see
 :mod:`repro.perf.backends`): the from-scratch ``reference`` model, the
 pure-Python ``table`` fast path, or the platform-AES ``native`` fold.
-All are byte-identical; the active one comes from
-:class:`repro.perf.ReproConfig` unless a backend is named explicitly.
+All are byte-identical.  Unless a backend is named explicitly the
+platform decides: ``native`` when the optional ``cryptography`` package
+imports, ``table`` otherwise.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class AesCmac:
     buffering.
 
     ``backend`` selects the block-cipher implementation by name
-    (``reference`` / ``table`` / ``native``); when omitted, the process
-    :class:`repro.perf.ReproConfig` decides.
+    (``reference`` / ``table`` / ``native``); when omitted, the platform
+    decides (:func:`repro.perf.backends.resolve_backend_name`).
     """
 
     def __init__(self, key: bytes, backend: Optional[str] = None) -> None:

@@ -98,10 +98,9 @@ class SystemPlan:
     """The nonce-independent inputs of one SACHa system build.
 
     Everything here is a cheap, pure function of the device part and the
-    requested application cores — no placement, no bit generation.  The
-    plan is what the artifact cache fingerprints: two identical plans
-    implement to byte-identical golden templates, masks and boot images,
-    so a plan hash is a sound content address for the built artifacts.
+    requested application cores — no placement, no bit generation.  Two
+    identical plans implement to byte-identical golden templates, masks
+    and boot images.
     """
 
     device: DevicePart
@@ -294,9 +293,8 @@ def plan_sacha_system(
     """The cheap, deterministic front half of :func:`build_sacha_system`.
 
     Resolves the floorplan and both netlists without placing or
-    generating a single frame — milliseconds even on the full part —
-    so callers (the artifact cache above all) can fingerprint a build
-    before paying for it.
+    generating a single frame — milliseconds even on the full part.
+    :func:`implement_plan` is the expensive back half.
     """
     partition = floorplan or default_floorplan(device)
     fabric = Fabric(device)

@@ -31,11 +31,9 @@ LAYER_DAG: Mapping[str, Optional[FrozenSet[str]]] = {
     "net": frozenset({"errors", "obs", "sim", "utils"}),
     "perf": frozenset({"crypto", "errors", "obs", "utils"}),
     # the artifact cache memoizes design builds: it may see the design
-    # and fpga layers it caches plus config/metrics, never core or fleet
-    # (which consume it) and never the network
-    "cache": frozenset(
-        {"crypto", "design", "errors", "fpga", "obs", "perf", "utils"}
-    ),
+    # and fpga layers it caches plus metrics, never core or fleet (which
+    # consume it), never the network and never crypto or perf
+    "cache": frozenset({"design", "errors", "fpga", "obs", "utils"}),
     "timing": frozenset({"fpga", "utils"}),
     "baselines": frozenset({"crypto", "errors", "fpga", "utils"}),
     "core": frozenset(

@@ -74,17 +74,17 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Map a requested backend (or ``None``/``auto``) to a concrete one."""
-    if name is None or name == "auto":
-        from repro.perf.config import get_config
+    """Map a requested backend (or ``None``/``auto``) to a concrete one.
 
-        name = get_config().aes_backend
-    if name == "auto":
+    ``None`` and ``auto`` follow the platform: ``native`` when the
+    optional ``cryptography`` package imports, ``table`` otherwise.
+    """
+    if name is None or name == "auto":
         return BACKEND_NATIVE if native_available() else BACKEND_TABLE
     if name == BACKEND_NATIVE and not native_available():
         raise ReproError(
             "the 'native' AES backend needs the optional 'cryptography' "
-            "package; install it or select 'table'/'reference'"
+            "package, which is not installed (install the 'perf' extra)"
         )
     if name not in (BACKEND_REFERENCE, BACKEND_TABLE, BACKEND_NATIVE):
         raise ReproError(

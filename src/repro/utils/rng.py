@@ -58,9 +58,6 @@ class DeterministicRng:
     def random(self) -> float:
         return self._random.random()
 
-    def gauss(self, mean: float, sigma: float) -> float:
-        return self._random.gauss(mean, sigma)
-
     def chance(self, probability: float) -> bool:
         """Return True with the given probability."""
         if not 0.0 <= probability <= 1.0:

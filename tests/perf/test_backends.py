@@ -1,11 +1,14 @@
 """Backend registry: resolution rules, fold_frames, obs counters."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.crypto.cmac import AesCmac
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.perf import configured, set_config
 from repro.perf.backends import (
     available_backends,
     fold_frames,
@@ -15,12 +18,6 @@ from repro.perf.backends import (
 )
 
 KEY = bytes(range(16))
-
-
-@pytest.fixture(autouse=True)
-def _reset_config():
-    yield
-    set_config(None)
 
 
 class TestResolution:
@@ -33,14 +30,35 @@ class TestResolution:
 
     def test_auto_prefers_native_else_table(self):
         expected = "native" if native_available() else "table"
-        # Both follow the process config, which REPRO_AES_BACKEND may pin.
-        with configured(aes_backend="auto"):
-            assert resolve_backend_name("auto") == expected
-            assert resolve_backend_name(None) == expected
+        assert resolve_backend_name("auto") == expected
+        assert resolve_backend_name(None) == expected
 
-    def test_none_follows_process_config(self):
-        with configured(aes_backend="reference"):
-            assert resolve_backend_name(None) == "reference"
+    def test_without_cryptography_the_default_is_table(self):
+        """On a platform where ``cryptography`` does not import, the
+        default backend is ``table`` and still computes RFC 4493 tags."""
+        script = (
+            "import sys\n"
+            "sys.modules['cryptography'] = None\n"
+            "from repro.crypto.cmac import AesCmac\n"
+            "from repro.perf.backends import resolve_backend_name\n"
+            "mac = AesCmac(bytes.fromhex('2b7e151628aed2a6abf7158809cf4f3c'))\n"
+            "mac.update(bytes.fromhex('6bc1bee22e409f96e93d7e117393172a'))\n"
+            "print(resolve_backend_name(), mac.backend, mac.finalize().hex())\n"
+        )
+        src = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH", "")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert completed.stdout.split() == [
+            "table", "table", "070a16b46b4d4144f79bdd9dd04a287c"
+        ]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ReproError):

@@ -1,21 +1,22 @@
 """The artifact cache's contract: it changes speed, never answers.
 
 Memo-warm runs, where same-part devices share one build, must be
-byte-identical to cold (cache-bypassed) runs: same MAC tags, same wire
-traces, same per-device verdicts, on both test parts.
+byte-identical to cold runs, where every device builds its own system:
+same MAC tags, same wire traces, same per-device verdicts, on both test
+parts.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import get_artifact_cache, reset_artifact_cache
+import repro.core.provisioning
+from repro.cache import ArtifactCache, get_artifact_cache, reset_artifact_cache
 from repro.core.protocol import SessionOptions, run_attestation
 from repro.core.provisioning import materialize_device, provision_device
 from repro.core.verifier import SachaVerifier
 from repro.fleet.controller import FleetController
 from repro.fleet.store import DeviceRecord, FleetStore
-from repro.perf.config import configured
 from repro.utils.rng import DeterministicRng
 
 FLEET_SIZE = 3
@@ -56,8 +57,10 @@ def _sweep_outcomes(path, part):
 
 @pytest.mark.parametrize("part", ["SIM-SMALL", "SIM-MEDIUM"])
 def test_warm_sweeps_are_byte_identical_to_cold(tmp_path, part):
-    """Cold bypass and memo-warm sweeps agree tag-for-tag."""
-    with configured(artifact_cache=False):
+    """Cold (a build per device) and memo-warm sweeps agree tag-for-tag."""
+    with pytest.MonkeyPatch.context() as patch:
+        # Every materialize_device call gets a fresh, empty cache.
+        patch.setattr(repro.core.provisioning, "get_artifact_cache", ArtifactCache)
         cold = _sweep_outcomes(tmp_path / "cold.db", part)
     reset_artifact_cache()
     populate = _sweep_outcomes(tmp_path / "populate.db", part)
@@ -72,8 +75,8 @@ def test_warm_sweeps_are_byte_identical_to_cold(tmp_path, part):
 def test_warm_wire_trace_is_byte_identical_to_cold(part):
     """The protocol transcript — every message either way — matches."""
 
-    def attest_once():
-        system = get_artifact_cache().get_system(part)
+    def attest_once(cache):
+        system = cache.get_system(part)
         provisioned, record = provision_device(system, "prop-wire", seed=311)
         verifier = SachaVerifier(
             record.system, record.mac_key, DeterministicRng(312)
@@ -87,11 +90,10 @@ def test_warm_wire_trace_is_byte_identical_to_cold(part):
         assert result.report.accepted
         return result.report.trace.to_jsonl()
 
-    with configured(artifact_cache=False):
-        cold_trace = attest_once()
+    cold_trace = attest_once(ArtifactCache())  # a build of its own
     reset_artifact_cache()
-    assert attest_once() == cold_trace  # cold build through the cache
-    assert attest_once() == cold_trace  # memo-warm
+    assert attest_once(get_artifact_cache()) == cold_trace  # cold build, memoized
+    assert attest_once(get_artifact_cache()) == cold_trace  # memo-warm
 
 
 def test_memo_hit_miss_counts_one_build_per_part(tmp_path):

@@ -67,8 +67,3 @@ class TestDraws:
     def test_sample_unique(self, rng):
         picked = rng.sample(range(100), 10)
         assert len(set(picked)) == 10
-
-    def test_gauss_centers(self, rng):
-        values = [rng.gauss(10.0, 1.0) for _ in range(2000)]
-        mean = sum(values) / len(values)
-        assert abs(mean - 10.0) < 0.2
