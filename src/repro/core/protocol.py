@@ -129,6 +129,7 @@ def run_attestation(
             "Simulated end-to-end duration of one attestation run",
         )
     frame_spans = obs_on and options.span_frames
+    handle_command = prover.handle_command
 
     with span(
         "attestation", clock=clock, registry=registry, device=device.name
@@ -141,7 +142,7 @@ def run_attestation(
             for command in config_commands:
                 start = elapsed
                 elapsed += a1
-                prover.handle_command(command)
+                handle_command(command)
                 elapsed += a2
                 config_ns += elapsed - start
                 if tracing:
@@ -180,7 +181,7 @@ def run_attestation(
                         if frame_spans
                         else _NO_SPAN
                     ):
-                        ack = prover.handle_command(command)
+                        ack = handle_command(command)
                         if not isinstance(ack, MaskedReadbackAck):
                             raise ProtocolError(
                                 f"prover returned {type(ack).__name__} to "
@@ -215,9 +216,7 @@ def run_attestation(
                         if frame_spans
                         else _NO_SPAN
                     ):
-                        response = prover.handle_command(
-                            IcapReadbackCommand(frame_index)
-                        )
+                        response = handle_command(IcapReadbackCommand(frame_index))
                         if not isinstance(response, ReadbackResponse):
                             raise ProtocolError(
                                 f"prover returned {type(response).__name__} "
@@ -242,7 +241,7 @@ def run_attestation(
         with span("checksum", clock=clock, registry=registry):
             start = elapsed
             elapsed += a9
-            checksum_response = prover.handle_command(MacChecksumCommand())
+            checksum_response = handle_command(MacChecksumCommand())
             if not isinstance(checksum_response, MacChecksumResponse):
                 raise ProtocolError(
                     f"prover returned {type(checksum_response).__name__} to "

@@ -10,7 +10,7 @@ the verifier, exactly as in the paper.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -123,11 +123,11 @@ class SachaProver:
         self.checksums_handled = 0
         # Trace id announced by the verifier's TraceHello (hex), if any.
         self.last_trace_id = ""
-        # Per-kind command counts since the last flush.  Accumulated as
+        # Per-type command counts since the last flush.  Accumulated as
         # plain ints on the per-command hot path and folded into the
-        # active registry at run boundaries (checksum / abort) — one
-        # metric update per run instead of one per command.
-        self._pending_commands: dict = {}
+        # active registry, by kind name, at run boundaries (checksum /
+        # abort) — one metric update per run instead of one per command.
+        self._pending_commands: Dict[type, int] = {}
 
     def _new_checksum(self) -> ChecksumEngine:
         """Init MAC_K (A5).  Subclasses may substitute another engine
@@ -145,22 +145,22 @@ class SachaProver:
 
         Returns the response, a list of responses (batched readback
         answers fragment to the MTU), or ``None`` for fire-and-forget
-        commands.
+        commands.  The two per-frame commands of the paper's protocol are
+        matched first, by exact type.
         """
         if not self.board.powered_on:
             raise ProtocolError("prover board is not powered on")
         counts = self._pending_commands
-        kind = type(command).__name__
-        counts[kind] = counts.get(kind, 0) + 1
-        if isinstance(command, IcapConfigCommand):
+        counts[type(command)] = counts.get(type(command), 0) + 1
+        if type(command) is IcapReadbackCommand:
+            frame_index = command.frame_index
+            return ReadbackResponse(frame_index, self.handle_readback(frame_index))
+        if type(command) is IcapConfigCommand:
             self.handle_config(command.frame_index, command.data)
             return None
         if isinstance(command, IcapConfigBatchCommand):
             self.handle_config_batch(command.frame_indices, command.data)
             return None
-        if isinstance(command, IcapReadbackCommand):
-            data = self.handle_readback(command.frame_index)
-            return ReadbackResponse(frame_index=command.frame_index, data=data)
         if isinstance(command, IcapReadbackBatchCommand):
             return self.handle_readback_batch(
                 command.base_slot, command.frame_indices
@@ -288,8 +288,9 @@ class SachaProver:
             "Commands handled by provers, by command kind",
             labels=("kind",),
         )
-        for kind in sorted(counts):
-            counter.inc(counts[kind], kind=kind)
+        by_name = {kind.__name__: count for kind, count in counts.items()}
+        for name in sorted(by_name):
+            counter.inc(by_name[name], kind=name)
 
     def abort_run(self) -> None:
         """Drop any in-progress MAC (e.g. the verifier timed out)."""

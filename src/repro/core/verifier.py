@@ -124,10 +124,7 @@ class SachaVerifier:
         DynMem.
         """
         indices, rows = self._config_frames(nonce)
-        return [
-            IcapConfigCommand(frame_index=frame_index, data=data)
-            for frame_index, data in zip(indices, rows)
-        ]
+        return list(map(IcapConfigCommand, indices, rows))
 
     def config_schedule(self, nonce: bytes) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`config_commands` as arrays: (frame indices, frame rows).

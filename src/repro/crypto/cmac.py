@@ -3,7 +3,11 @@
 The SACHa prover computes the MAC of the configuration memory in 28,488
 per-frame steps: ``Init MAC_K``, one ``Update MAC_K`` per frame read back,
 and a ``finalize MAC_K`` when the verifier sends the ``MAC_checksum``
-command (Figure 9).  :class:`AesCmac` mirrors exactly that structure.
+command (Figure 9).  :class:`AesCmac` mirrors exactly that structure:
+one :meth:`AesCmac.update` call per frame.  Absorption into the chain is
+deferred: updates queue their bytes, and the queue is folded once
+:data:`ABSORB_BYTES` are pending and at :meth:`AesCmac.finalize`.  CMAC
+does not depend on how its input is chunked, so the tag is the same.
 
 The chain itself runs on a pluggable block-cipher backend (see
 :mod:`repro.perf.backends`): the from-scratch ``reference`` model, the
@@ -15,13 +19,17 @@ imports, ``table`` otherwise.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.crypto.aes import BLOCK_SIZE
 from repro.utils.bitops import xor_bytes
 
 _MSB = 0x80
 _RB = 0x87  # the constant R_128 from RFC 4493
+
+#: Pending bytes at which :meth:`AesCmac.update` folds its queue into the
+#: chain: one fold per ~200 XC6VLX240T frames instead of one per frame.
+ABSORB_BYTES = 1 << 16
 
 BytesLike = Union[bytes, bytearray, memoryview]
 
@@ -46,9 +54,11 @@ class AesCmac:
 
     ``update`` may be called with arbitrary-length chunks; the result is
     identical to one-shot CMAC over the concatenation (a property test in
-    ``tests/crypto`` checks this).  ``update_frames`` folds a whole
-    readback sweep in one pass — same tag, none of the per-frame
-    buffering.
+    ``tests/crypto`` checks this).  An update only queues its bytes (a
+    copy of a mutable input); the queue is folded through
+    :func:`repro.perf.backends.fold_frames` when :data:`ABSORB_BYTES`
+    are pending, by ``update_frames`` and by ``finalize``.  So a
+    full-device sweep of 28,488 frame updates costs ~141 chain folds.
 
     ``backend`` selects the block-cipher implementation by name
     (``reference`` / ``table`` / ``native``); when omitted, the platform
@@ -63,7 +73,10 @@ class AesCmac:
         self._k1 = _double(zero)
         self._k2 = _double(self._k1)
         self._state = bytes(BLOCK_SIZE)
+        #: The 0..16 unabsorbed bytes the final block is taken from.
         self._buffer = b""
+        self._pending: List[BytesLike] = []
+        self._pending_bytes = 0
         self._finalized = False
 
     @property
@@ -74,39 +87,39 @@ class AesCmac:
     def update(self, data: BytesLike) -> "AesCmac":
         if self._finalized:
             raise ValueError("CMAC already finalized; create a new instance")
-        buffer = self._buffer + bytes(data)
-        # Keep at least one byte buffered: the final block needs subkey
-        # treatment, so we may only absorb a block once we know more data
-        # follows it.
-        if len(buffer) > BLOCK_SIZE:
-            keep = len(buffer) % BLOCK_SIZE or BLOCK_SIZE
-            foldable = len(buffer) - keep
-            self._state = self._cipher.fold(
-                self._state, memoryview(buffer)[:foldable]
-            )
-            buffer = buffer[foldable:]
-        self._buffer = buffer
+        chunk = bytes(data)
+        self._pending.append(chunk)
+        self._pending_bytes += len(chunk)
+        if self._pending_bytes >= ABSORB_BYTES:
+            self._absorb()
         return self
 
     def update_frames(self, frames: Iterable[BytesLike]) -> "AesCmac":
         """Fold a whole frame sweep: one join, one chain fold.
 
-        Equivalent to calling :meth:`update` once per frame, without the
-        28,488 intermediate buffer mutations of a full-device readback.
+        Equivalent to calling :meth:`update` once per frame.
         """
         if self._finalized:
             raise ValueError("CMAC already finalized; create a new instance")
+        self._pending.extend(frames)
+        self._absorb()
+        return self
+
+    def _absorb(self) -> None:
+        """Fold the queued bytes into the chain, keeping the final block."""
         from repro.perf.backends import fold_frames
 
         self._state, tail = fold_frames(
-            self._cipher, self._state, self._buffer, list(frames)
+            self._cipher, self._state, self._buffer, self._pending
         )
         self._buffer = bytes(tail)
-        return self
+        self._pending = []
+        self._pending_bytes = 0
 
     def finalize(self) -> bytes:
         if self._finalized:
             raise ValueError("CMAC already finalized; create a new instance")
+        self._absorb()
         self._finalized = True
         block = self._buffer
         if len(block) == BLOCK_SIZE:

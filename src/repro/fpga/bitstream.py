@@ -230,19 +230,20 @@ class BitstreamWriter:
             return self
         return self.write_register(ConfigRegister.CMD, [int(command)])
 
-    def write_frames(self, start_frame: int, frames: Sequence[bytes]) -> "BitstreamWriter":
-        """FAR + WCFG + FDRI packet writing ``frames`` from ``start_frame``.
+    def write_frames(self, start_frame: int, payload: bytes) -> "BitstreamWriter":
+        """FAR + WCFG + FDRI packet writing the frames of ``payload``.
 
-        Large payloads use the type-1(0)/type-2 continuation form, exactly
-        like real full bitstreams.  The payload is emitted as one array.
+        ``payload`` is whole frames, concatenated, starting at
+        ``start_frame``.  Large payloads use the type-1(0)/type-2
+        continuation form, exactly like real full bitstreams.  The payload
+        is emitted as one array.
         """
-        for frame in frames:
-            if len(frame) != self._device.frame_bytes:
-                raise BitstreamError(
-                    f"frame payload must be {self._device.frame_bytes} bytes, "
-                    f"got {len(frame)}"
-                )
-        data = np.frombuffer(b"".join(frames), dtype=">u4").astype(np.uint32)
+        if len(payload) % self._device.frame_bytes:
+            raise BitstreamError(
+                f"frame payload of {len(payload)} bytes is not whole "
+                f"{self._device.frame_bytes}-byte frames"
+            )
+        data = np.frombuffer(payload, dtype=">u4").astype(np.uint32)
         self.write_register(
             ConfigRegister.FAR, [self._far_codec.pack_linear(start_frame)]
         )
@@ -285,8 +286,7 @@ def build_full_bitstream(
     writer.dummy(8).sync().nop(2)
     writer.command(ConfigCommand.RCRC)
     writer.write_register(ConfigRegister.IDCODE, [_idcode(device)])
-    frames = [memory.read_frame(index) for index in range(device.total_frames)]
-    writer.write_frames(0, frames)
+    writer.write_frames(0, memory.read_frames(0, device.total_frames))
     writer.crc_check()
     writer.command(ConfigCommand.START)
     writer.desync()
@@ -324,8 +324,7 @@ def build_partial_bitstream(
     runs.append((run_start, previous))
 
     for first, last in runs:
-        frames = [memory.read_frame(i) for i in range(first, last + 1)]
-        writer.write_frames(first, frames)
+        writer.write_frames(first, memory.read_frames(first, last - first + 1))
     writer.crc_check()
     writer.desync()
     return writer.finish()

@@ -8,7 +8,9 @@ readable and writable through the ICAP.
 Frames are stored as a NumPy big-endian ``>u4`` array of shape
 ``(total_frames, words_per_frame)``, matching the wire byte order, so
 per-frame reads and whole-sweep reads are plain buffer copies with no
-byte-order conversion on the hot path.
+byte-order conversion on the hot path.  A flat byte view of the same
+array serves single-frame writes and reads without a NumPy object per
+frame.
 """
 
 from __future__ import annotations
@@ -32,9 +34,16 @@ class ConfigurationMemory:
 
     def __init__(self, device: DevicePart) -> None:
         self._device = device
-        self._frames = np.zeros(
-            (device.total_frames, device.words_per_frame), dtype=">u4"
+        self._total_frames = device.total_frames
+        self._frame_bytes = device.frame_bytes
+        self._bind(
+            np.zeros((device.total_frames, device.words_per_frame), dtype=">u4")
         )
+
+    def _bind(self, frames: np.ndarray) -> None:
+        """Hold ``frames`` (C-contiguous) and its flat byte view."""
+        self._frames = frames
+        self._bytes = memoryview(frames).cast("B")
 
     @classmethod
     def from_frames(cls, device: DevicePart, frames: np.ndarray) -> "ConfigurationMemory":
@@ -46,7 +55,7 @@ class ConfigurationMemory:
                 f"{device.name} ({expected[0]} x {expected[1]} words)"
             )
         memory = cls(device)
-        memory._frames = frames.astype(">u4")
+        memory._bind(frames.astype(">u4"))
         return memory
 
     @property
@@ -62,7 +71,7 @@ class ConfigurationMemory:
         return self._device.frame_bytes
 
     def _check_index(self, frame_index: int) -> None:
-        if not 0 <= frame_index < self._device.total_frames:
+        if not 0 <= frame_index < self._total_frames:
             raise FrameAddressError(
                 f"frame {frame_index} out of range for {self._device.name}"
             )
@@ -72,17 +81,19 @@ class ConfigurationMemory:
     def write_frame(self, frame_index: int, data: bytes) -> None:
         """Overwrite one frame with ``data`` (big-endian words)."""
         self._check_index(frame_index)
-        if len(data) != self._device.frame_bytes:
+        size = self._frame_bytes
+        if len(data) != size:
             raise ConfigMemoryError(
-                f"frame data must be {self._device.frame_bytes} bytes, "
-                f"got {len(data)}"
+                f"frame data must be {size} bytes, got {len(data)}"
             )
-        self._frames[frame_index] = np.frombuffer(data, dtype=">u4")
+        start = frame_index * size
+        self._bytes[start : start + size] = data
 
     def read_frame(self, frame_index: int) -> bytes:
         """Read one frame as big-endian word bytes."""
         self._check_index(frame_index)
-        return self._frames[frame_index].tobytes()
+        start = frame_index * self._frame_bytes
+        return self._bytes[start : start + self._frame_bytes].tobytes()
 
     def read_frames(self, start_index: int, count: int) -> bytes:
         """``count`` consecutive frames as one contiguous byte buffer.
@@ -161,7 +172,7 @@ class ConfigurationMemory:
             raise ConfigMemoryError(
                 f"snapshot must be {expected} bytes, got {len(data)}"
             )
-        self._frames = (
+        self._bind(
             np.frombuffer(data, dtype=">u4")
             .reshape(self._device.total_frames, self._device.words_per_frame)
             .copy()
@@ -188,7 +199,7 @@ class ConfigurationMemory:
 
     def copy(self) -> "ConfigurationMemory":
         clone = ConfigurationMemory(self._device)
-        clone._frames = self._frames.copy()
+        clone._bind(self._frames.copy())
         return clone
 
     def differing_frames(self, other: "ConfigurationMemory") -> List[int]:

@@ -7,14 +7,15 @@ makes self-attestation possible (Figures 3 and 4 of the paper).
 
 The model is functional plus cycle-accounted: every operation moves real
 frame bytes and tallies the 32-bit-word transactions it would take on the
-100 MHz ICAP clock, so the timing layer can derive A2/A4 durations.
+100 MHz ICAP clock, so the timing layer can derive A2/A4 durations.  It
+keeps exact counters and no log of operations: a full-device attestation
+performs ~55k single-frame operations, each a few counter updates.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -29,31 +30,20 @@ WRITE_OVERHEAD_WORDS = 16
 #: readback command sequence plus the pipeline pad frame the silicon
 #: flushes before real data appears.
 READBACK_OVERHEAD_WORDS = 24
-#: Entries kept in the recent-operations log.  A full-device attestation
-#: performs ~55k ICAP operations, and a board may be attested any number
-#: of times, so the log keeps only the latest; the counters stay exact.
-OPERATION_LOG_SIZE = 256
 
 
 @dataclass
 class IcapStats:
     """Transaction counters for the cycle/timing model.
 
-    The ``frames_*``/``words_*`` counters cover every operation since the
-    ICAP was created; ``operations`` holds only the most recent
-    :data:`OPERATION_LOG_SIZE` entries, oldest first.
+    Exact totals over every operation since the ICAP was created; no
+    per-operation log is kept.
     """
 
     frames_written: int = 0
     frames_read: int = 0
     words_written: int = 0
     words_read: int = 0
-    operations: Deque[str] = field(
-        default_factory=lambda: deque(maxlen=OPERATION_LOG_SIZE)
-    )
-
-    def record(self, operation: str) -> None:
-        self.operations.append(operation)
 
 
 class Icap:
@@ -75,6 +65,10 @@ class Icap:
         self._registers = registers
         self._protected_frames: frozenset = frozenset()
         self.stats = IcapStats()
+        # Per-device constants of the single-frame hot path.
+        words = memory.device.words_per_frame
+        self._write_words = words + WRITE_OVERHEAD_WORDS
+        self._read_words = words + READBACK_OVERHEAD_WORDS
 
     @property
     def memory(self) -> ConfigurationMemory:
@@ -101,10 +95,9 @@ class Icap:
         self._memory.write_frame(frame_index, data)
         if self._registers is not None:
             self._registers.forget_frame(frame_index)
-        self.stats.frames_written += 1
-        self.stats.words_written += self._memory.device.words_per_frame
-        self.stats.words_written += WRITE_OVERHEAD_WORDS
-        self.stats.record(f"write[{frame_index}]")
+        stats = self.stats
+        stats.frames_written += 1
+        stats.words_written += self._write_words
 
     def write_frames(self, frame_indices, data: bytes) -> None:
         """Write several equal-sized frames in one vectorized store.
@@ -137,13 +130,9 @@ class Icap:
             np.frombuffer(data, dtype=">u4").reshape(count, device.words_per_frame)
         )
         if self._registers is not None:
-            for frame_index in frame_indices:
-                self._registers.forget_frame(int(frame_index))
+            self._registers.forget_frames(frame_indices)
         self.stats.frames_written += count
-        self.stats.words_written += count * (
-            device.words_per_frame + WRITE_OVERHEAD_WORDS
-        )
-        self.stats.record(f"write[batch x{count}]")
+        self.stats.words_written += count * self._write_words
 
     # -- configuration readback -----------------------------------------------
 
@@ -156,10 +145,9 @@ class Icap:
         data = self._memory.read_frame(frame_index)
         if self._registers is not None:
             data = self._registers.overlay_frame(frame_index, data)
-        self.stats.frames_read += 1
-        self.stats.words_read += self._memory.device.words_per_frame
-        self.stats.words_read += READBACK_OVERHEAD_WORDS
-        self.stats.record(f"read[{frame_index}]")
+        stats = self.stats
+        stats.frames_read += 1
+        stats.words_read += self._read_words
         return data
 
     def readback_range(self, start_index: int, count: int) -> bytes:
@@ -183,10 +171,7 @@ class Icap:
                     frame_index, buffer, (frame_index - start_index) * frame_bytes
                 )
         self.stats.frames_read += count
-        self.stats.words_read += count * (
-            self._memory.device.words_per_frame + READBACK_OVERHEAD_WORDS
-        )
-        self.stats.record(f"read[{start_index}..{start_index + count - 1}]")
+        self.stats.words_read += count * self._read_words
         return bytes(buffer)
 
     def iter_readback(
@@ -214,8 +199,8 @@ class Icap:
 
     def write_cycles_per_frame(self) -> int:
         """32-bit ICAP transactions for a one-frame configuration write."""
-        return self._memory.device.words_per_frame + WRITE_OVERHEAD_WORDS
+        return self._write_words
 
     def readback_cycles_per_frame(self) -> int:
         """32-bit ICAP transactions for a one-frame readback."""
-        return self._memory.device.words_per_frame + READBACK_OVERHEAD_WORDS
+        return self._read_words

@@ -15,7 +15,7 @@ marks the same positions as "do not compare".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import ConfigMemoryError
 from repro.fpga.device import DevicePart
@@ -81,6 +81,22 @@ class LiveRegisterFile:
         dropped = self._frames.pop(frame_index, None)
         if dropped:
             self._count -= len(dropped)
+
+    def forget_frames(self, frame_indices: Sequence[int]) -> None:
+        """:meth:`forget_frame` for every index (a multi-frame write).
+
+        Walks whichever is shorter, the index list or the register file,
+        so a 2,088-frame boot write on a part with no declared registers
+        costs nothing per frame.
+        """
+        frames = self._frames
+        if len(frame_indices) > len(frames):
+            wanted = set(frame_indices)
+            frame_indices = [index for index in frames if index in wanted]
+        for frame_index in frame_indices:
+            dropped = frames.pop(int(frame_index), None)
+            if dropped:
+                self._count -= len(dropped)
 
     def __len__(self) -> int:
         return self._count

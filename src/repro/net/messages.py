@@ -23,12 +23,17 @@ trim the forward path.
 
 Every message is self-delimiting: 1 opcode byte, fixed-size fields, and a
 2-byte length prefix before variable data.
+
+Every message is an immutable value: a named tuple that equals only a
+message of the same type with equal fields, so the 83,376 per-frame
+messages of a full-device run cost one tuple each.  A field-less message
+such as ``MacChecksumCommand()`` is an empty tuple, hence falsy: test a
+message's type, never its truthiness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -61,6 +66,31 @@ _OPCODE_NAMES = {
     OPCODE_MASKED_READBACK_ACK: "MaskedReadbackAck",
     OPCODE_READBACK_BATCH_RESPONSE: "ReadbackBatchResponse",
 }
+
+
+_Message = TypeVar("_Message", bound=type)
+
+
+def _same_message(self: tuple, other: object) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _other_message(self: tuple, other: object) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+def _message(cls: _Message) -> _Message:
+    """Make a named tuple a message value of its own type.
+
+    Plain tuple equality would make ``ConfigAck(5)`` equal to
+    ``MaskedReadbackAck(5)`` and to ``(5,)``, and a decoder returning the
+    wrong type would still round-trip.  Equality already tells the types
+    apart, so the tuple hash stays.
+    """
+    setattr(cls, "__eq__", _same_message)
+    setattr(cls, "__ne__", _other_message)
+    setattr(cls, "__hash__", tuple.__hash__)
+    return cls
 
 
 def _opcode_name(opcode: int) -> str:
@@ -99,8 +129,8 @@ def _decode_blob(data: bytes, offset: int, opcode: int) -> tuple:
     return data[offset : offset + length], offset + length
 
 
-@dataclass(frozen=True)
-class IcapConfigCommand:
+@_message
+class IcapConfigCommand(NamedTuple):
     """Write ``data`` to configuration-memory frame ``frame_index``."""
 
     frame_index: int
@@ -116,8 +146,8 @@ class IcapConfigCommand:
         )
 
 
-@dataclass(frozen=True)
-class IcapReadbackCommand:
+@_message
+class IcapReadbackCommand(NamedTuple):
     """Read configuration-memory frame ``frame_index`` back and MAC it."""
 
     frame_index: int
@@ -128,16 +158,16 @@ class IcapReadbackCommand:
         return bytes([OPCODE_ICAP_READBACK]) + self.frame_index.to_bytes(4, "big")
 
 
-@dataclass(frozen=True)
-class MacChecksumCommand:
+@_message
+class MacChecksumCommand(NamedTuple):
     """Finalize the MAC and return the tag."""
 
     def encode(self) -> bytes:
         return bytes([OPCODE_MAC_CHECKSUM])
 
 
-@dataclass(frozen=True)
-class IcapReadbackMaskedCommand:
+@_message
+class IcapReadbackMaskedCommand(NamedTuple):
     """The Section-6.1 alternative: readback with the Msk sent along.
 
     The prover applies the mask *before* the MAC step and does not send
@@ -170,8 +200,8 @@ def _check_indices(indices: "np.ndarray", opcode: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IcapReadbackBatchCommand:
+@_message
+class IcapReadbackBatchCommand(NamedTuple):
     """Batched readback of arbitrary (not necessarily contiguous) frames.
 
     The hot-path replacement for per-frame ``ICAP_readback`` round trips:
@@ -199,8 +229,8 @@ class IcapReadbackBatchCommand:
         )
 
 
-@dataclass(frozen=True)
-class IcapConfigBatchCommand:
+@_message
+class IcapConfigBatchCommand(NamedTuple):
     """Batched configuration: several equal-sized frames in one message.
 
     ``data`` is the concatenation of the frame contents, in index order;
@@ -233,8 +263,8 @@ class IcapConfigBatchCommand:
         )
 
 
-@dataclass(frozen=True)
-class TraceHelloCommand:
+@_message
+class TraceHelloCommand(NamedTuple):
     """Telemetry handshake: the session's nonce-derived trace id.
 
     Sent once per protocol attempt, before any ICAP command, and only
@@ -253,8 +283,8 @@ class TraceHelloCommand:
         )
 
 
-@dataclass(frozen=True)
-class ConfigAck:
+@_message
+class ConfigAck(NamedTuple):
     """Cumulative configuration acknowledgement.
 
     ``frames_applied`` is the *total* number of configuration frames the
@@ -275,8 +305,8 @@ class ConfigAck:
         return bytes([OPCODE_CONFIG_ACK]) + self.frames_applied.to_bytes(4, "big")
 
 
-@dataclass(frozen=True)
-class ReadbackResponse:
+@_message
+class ReadbackResponse(NamedTuple):
     """The content of one frame, streamed back during readback."""
 
     frame_index: int
@@ -290,8 +320,8 @@ class ReadbackResponse:
         )
 
 
-@dataclass(frozen=True)
-class MaskedReadbackAck:
+@_message
+class MaskedReadbackAck(NamedTuple):
     """Acknowledgement of a masked readback (no frame content travels)."""
 
     frame_index: int
@@ -302,8 +332,8 @@ class MaskedReadbackAck:
         )
 
 
-@dataclass(frozen=True)
-class ReadbackBatchResponse:
+@_message
+class ReadbackBatchResponse(NamedTuple):
     """One MTU-sized fragment of a batched readback.
 
     ``base_slot`` is the plan position of the fragment's first frame;
@@ -333,8 +363,8 @@ class ReadbackBatchResponse:
         )
 
 
-@dataclass(frozen=True)
-class MacChecksumResponse:
+@_message
+class MacChecksumResponse(NamedTuple):
     """The finalized MAC tag."""
 
     tag: bytes

@@ -131,12 +131,20 @@ class TestFullLoad:
         with pytest.raises(BitstreamError, match="unknown configuration command"):
             BitstreamLoader(_fresh_icap()).load(writer.finish())
 
-    def test_one_bulk_icap_write_per_fdri_packet(self, random_memory):
+    def test_one_bulk_icap_write_per_fdri_packet(self, random_memory, monkeypatch):
         bitstream = build_partial_bitstream(random_memory, [1, 2, 3, 7, 8], "runs")
         icap = _fresh_icap()
+        bulk_writes = []
+        write_frames = icap.write_frames
+
+        def spy(frame_indices, data):
+            bulk_writes.append(len(frame_indices))
+            write_frames(frame_indices, data)
+
+        monkeypatch.setattr(icap, "write_frames", spy)
         report = BitstreamLoader(icap).load(bitstream)
         assert report.frames_written == [1, 2, 3, 7, 8]
-        assert list(icap.stats.operations) == ["write[batch x3]", "write[batch x2]"]
+        assert bulk_writes == [3, 2]
         assert icap.stats.frames_written == 5
 
     def test_empty_type2_write_changes_nothing(self):
@@ -197,7 +205,9 @@ class TestWriterValidation:
         writer = BitstreamWriter(SIM_SMALL, "x")
         writer.sync()
         with pytest.raises(BitstreamError):
-            writer.write_frames(0, [b"short"])
+            writer.write_frames(0, b"short")
+        with pytest.raises(BitstreamError):
+            writer.write_frames(0, bytes(SIM_SMALL.frame_bytes + 4))
 
     def test_idcode_mismatch_detected(self, random_memory):
         bitstream = build_full_bitstream(random_memory)

@@ -5,11 +5,17 @@ import pytest
 from repro.errors import WireFormatError
 from repro.net.messages import (
     ConfigAck,
+    IcapConfigBatchCommand,
     IcapConfigCommand,
+    IcapReadbackBatchCommand,
     IcapReadbackCommand,
+    IcapReadbackMaskedCommand,
     MacChecksumCommand,
     MacChecksumResponse,
+    MaskedReadbackAck,
+    ReadbackBatchResponse,
     ReadbackResponse,
+    TraceHelloCommand,
     decode_command,
     decode_response,
 )
@@ -133,3 +139,60 @@ class TestBlobDiagnostics:
     def test_blob_at_exact_cap_round_trips(self):
         command = IcapConfigCommand(0, bytes(0xFFFF))
         assert decode_command(command.encode()) == command
+
+
+#: One encodable value of every message type, with the decoder that reads it.
+MESSAGE_VALUES = [
+    (IcapConfigCommand(5, b"\x11" * 8), decode_command),
+    (IcapReadbackCommand(5), decode_command),
+    (MacChecksumCommand(), decode_command),
+    (IcapReadbackMaskedCommand(5, b"\x22" * 8), decode_command),
+    (IcapReadbackBatchCommand(5, (1, 2, 9)), decode_command),
+    (IcapConfigBatchCommand((4, 5), b"\x33" * 8), decode_command),
+    (TraceHelloCommand(b"\x44" * 8), decode_command),
+    (ConfigAck(5), decode_response),
+    (ReadbackResponse(5, b"\x55" * 8), decode_response),
+    (MaskedReadbackAck(5), decode_response),
+    (ReadbackBatchResponse(5, 2, b"\x66" * 8), decode_response),
+    (MacChecksumResponse(b"\x77" * 16), decode_response),
+]
+MESSAGE_IDS = [type(message).__name__ for message, _ in MESSAGE_VALUES]
+
+
+@pytest.mark.parametrize("message,decode", MESSAGE_VALUES, ids=MESSAGE_IDS)
+class TestMessageValues:
+    def test_immutable(self, message, decode):
+        with pytest.raises(AttributeError):
+            message.frame_index = 1
+        for name in message._fields:
+            with pytest.raises(AttributeError):
+                setattr(message, name, 1)
+
+    def test_hashable(self, message, decode):
+        assert message in {message}
+        assert {message: 1}[type(message)(*message)] == 1
+
+    def test_equals_its_own_decode(self, message, decode):
+        decoded = decode(message.encode())
+        assert type(decoded) is type(message)
+        assert decoded == message
+        assert not decoded != message
+
+    def test_unequal_to_other_types_with_the_same_fields(self, message, decode):
+        fields = tuple(message)
+        assert message != fields and fields != message
+        assert not message == fields and not fields == message
+        for other, _ in MESSAGE_VALUES:
+            if type(other) is type(message) or len(other) != len(message):
+                continue
+            lookalike = type(other)(*fields)
+            assert message != lookalike and lookalike != message
+            assert not message == lookalike and not lookalike == message
+
+
+def test_same_fields_different_types_are_unequal():
+    assert IcapReadbackCommand(5) != MaskedReadbackAck(5)
+    assert ConfigAck(5) != (5,)
+    assert (5,) != ConfigAck(5)
+    assert MacChecksumCommand() != ()
+    assert len({IcapReadbackCommand(5), MaskedReadbackAck(5), ConfigAck(5)}) == 3

@@ -56,6 +56,50 @@ class TestConfigMemoryProperties:
         memory.flip_bit(index, word, bit)
         assert memory.snapshot() == before
 
+    @given(
+        rebind=st.sampled_from(["copy", "load_snapshot", "from_frames"]),
+        index=frame_indices,
+        data=frame_data,
+    )
+    @settings(max_examples=30)
+    def test_frame_writes_follow_a_rebound_array(self, rebind, index, data):
+        """Single-frame writes land in the memory's current frame array."""
+        source = ConfigurationMemory(SIM_SMALL)
+        source.randomize(DeterministicRng(index))
+        before = source.snapshot()
+        if rebind == "copy":
+            memory = source.copy()
+        elif rebind == "from_frames":
+            memory = ConfigurationMemory.from_frames(SIM_SMALL, source.frames_array())
+        else:
+            memory = ConfigurationMemory(SIM_SMALL)
+            memory.load_snapshot(before)
+        memory.write_frame(index, data)
+        assert memory.read_frame(index) == data
+        assert memory.frames_array()[index].tobytes() == data
+        assert source.snapshot() == before
+
+
+class TestRegisterFileProperties:
+    @given(
+        positions=st.sets(register_bits, max_size=40),
+        indices=st.one_of(
+            st.lists(frame_indices, max_size=2 * TOTAL),
+            st.builds(range, frame_indices, frame_indices),
+        ),
+    )
+    @settings(max_examples=60)
+    def test_forget_frames_equals_one_forget_per_index(self, positions, indices):
+        bulk = LiveRegisterFile(SIM_SMALL)
+        single = LiveRegisterFile(SIM_SMALL)
+        bulk.declare(positions)
+        single.declare(positions)
+        bulk.forget_frames(indices)
+        for index in indices:
+            single.forget_frame(index)
+        assert list(bulk) == list(single)
+        assert len(bulk) == len(single)
+
 
 class TestBitstreamProperties:
     @given(
