@@ -18,7 +18,7 @@ Commands:
 * ``lint [PATHS] [--format json] [--write-baseline]`` — run sachalint,
   the domain-aware static analysis pass (see docs/STATIC_ANALYSIS.md);
 * ``obs report|flame|health`` — offline telemetry analysis: merge span
-  dumps into a stitched profile report, export a collapsed-stack
+  dumps into one profile report, export a collapsed-stack
   flamegraph, or evaluate SLO health rules over registry snapshots;
 * ``list`` — list devices and experiments.
 
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_commands = obs.add_subparsers(dest="obs_command", required=True)
     report = obs_commands.add_parser(
         "report",
-        help="merge span dumps (JSONL) into one stitched profile report",
+        help="merge span dumps (JSONL) into one profile report",
     )
     report.add_argument(
         "files", nargs="+", metavar="SPANS_JSONL", help="span dump files"

@@ -45,6 +45,14 @@ before returning an :class:`~repro.core.report.AttestationReport` whose
 verdict is ``inconclusive`` with a structured
 :class:`~repro.core.report.FailureReason`.  A caller therefore always
 gets a verdict: ``accept``, ``reject``, or ``inconclusive``.
+
+Telemetry only observes.  With the active registry enabled, each
+attempt runs in a ``session_attempt`` span under the trace id derived
+from its nonce (:func:`~repro.obs.trace.trace_id_from_nonce`), and the
+prover's command spans open as its children, stamped with the prover's
+device id.  Both ends run in one process and record into one registry,
+so the id needs no message of its own: the session puts the same frames
+on the wire with telemetry on or off.
 """
 
 from __future__ import annotations
@@ -70,12 +78,11 @@ from repro.net.messages import (
     MacChecksumResponse,
     ReadbackBatchResponse,
     Response,
-    TraceHelloCommand,
     decode_command,
     decode_response,
 )
 from repro.obs import log as obs_log
-from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
+from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.net.resequencer import ResequencerLink
 from repro.obs.trace import trace_context, trace_id_from_nonce
@@ -135,7 +142,6 @@ class NetworkAttestationSession:
         arq_tuning: Optional[ArqTuning] = None,
         max_attempts: int = 1,
         readback_batch_frames: int = 256,
-        prover_registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_attempts < 1:
             raise ProtocolError(
@@ -154,11 +160,6 @@ class NetworkAttestationSession:
         self._arq_tuning = arq_tuning
         self._batch_frames = readback_batch_frames
         self._max_attempts = max_attempts
-        # Optional separate registry for prover-side telemetry.  With the
-        # in-process prover both parties would otherwise share one span
-        # store; a dedicated registry yields the genuinely multi-party
-        # dumps the trace stitcher is built for.  None -> the active one.
-        self._prover_registry = prover_registry
 
         self.verifier_endpoint = Endpoint("vrf", VERIFIER_MAC)
         self.prover_endpoint = Endpoint("prv", PROVER_MAC)
@@ -178,7 +179,6 @@ class NetworkAttestationSession:
         self._start_ns = 0.0
         self._end_ns = 0.0
         self._trace_id = ""
-        self._prover_trace_id: Optional[str] = None
         self._link_failure: Optional[NetworkError] = None
         self._config_acked = 0
         self._prover_configs_applied = 0
@@ -232,13 +232,13 @@ class NetworkAttestationSession:
             # a fragment burst's tail.  Nothing retransmits, so the
             # reorder window must hold every payload one attempt can
             # send either way: at most one per configured frame and one
-            # per read-back frame, plus the trace hello and the checksum.
-            # Only displaced payloads are ever buffered.
+            # per read-back frame, plus the checksum.  Only displaced
+            # payloads are ever buffered.
             system = self._verifier.system
             depth = (
                 system.partition.dynamic_frame_count
                 + system.device.total_frames
-                + 2
+                + 1
             )
             self._verifier_port = ResequencerLink(
                 self.verifier_endpoint, PROVER_MAC, depth
@@ -310,8 +310,8 @@ class NetworkAttestationSession:
                         max_attempts=self._max_attempts,
                     )
                 # The nonce is drawn before the attempt span opens so the
-                # span (and the prover's, via the TraceHello handshake)
-                # can carry the nonce-derived trace id.
+                # attempt's spans, the prover's included, carry the
+                # nonce-derived trace id.
                 self._nonce = self._verifier.new_nonce()
                 self._trace_id = trace_id_from_nonce(self._nonce)
                 with trace_context(self._trace_id, "verifier"):
@@ -363,17 +363,12 @@ class NetworkAttestationSession:
         """One full protocol pass; None on success, the failure otherwise."""
         # Fresh per-attempt state: nonce, plan, sweep, tag, transport.
         self._link_failure = None
-        self._prover_trace_id = None
         self._tag = None
         self._rx_buffers = []
         self._rx_slot = 0
         self._config_acked = 0
         self._prover_configs_applied = 0
-        # Abort under the prover's registry: the abandoned attempt's
-        # pending command counts must land in the same registry that the
-        # delivery path used, not the verifier's ambient registry.
-        with use_registry(self._prover_registry or get_registry()):
-            self._prover.abort_run()
+        self._prover.abort_run()
         self._install_ports()
         self._phase = _Phase.CONFIG
         self._send_schedule()
@@ -420,15 +415,10 @@ class NetworkAttestationSession:
         self._plan = self._verifier.readback_plan()
         self._phase = _Phase.READBACK
         readback_batches = pack_readback_plan(self._plan, self._batch_frames)
-        # One burst carries the whole command schedule: (telemetry hello,)
-        # config, readbacks, checksum.  The ARQ layer sees the burst's
-        # tail, so a window's worth of commands costs one cumulative ACK.
-        payloads = []
-        if registry.enabled and self._trace_id:
-            payloads.append(
-                TraceHelloCommand(bytes.fromhex(self._trace_id)).encode()
-            )
-        payloads.extend(pack_config_commands(config_indices, config_frames))
+        # One burst carries the whole command schedule: config,
+        # readbacks, checksum.  The ARQ layer sees the burst's tail, so a
+        # window's worth of commands costs one cumulative ACK.
+        payloads = list(pack_config_commands(config_indices, config_frames))
         payloads.extend(batch.encode() for batch in readback_batches)
         payloads.append(MacChecksumCommand().encode())
         self._send_burst_to_prover(payloads)
@@ -553,32 +543,17 @@ class NetworkAttestationSession:
                 side="prover",
             )
             return
-        target = self._prover_registry or get_registry()
-        if isinstance(command, TraceHelloCommand):
-            self._prover_trace_id = command.trace_id.hex()
-            if target.enabled:
-                with use_registry(target):
-                    self._prover.handle_command(command)
-            else:
-                self._prover.handle_command(command)
-            return
-        if not target.enabled:
+        if not get_registry().enabled:
             self._handle_prover_command(command)
             return
-        # Prover-side telemetry: commands handled under the prover's own
-        # registry (which may be a separate one), tagged with the trace
-        # id announced by the hello and rooted per exchange — roots
-        # because the verifier's spans live in another context/registry;
-        # the offline stitcher re-parents them under the attempt span.
+        # Prover-side telemetry: one span per command, opened inside the
+        # attempt's session_attempt span (deliveries run in its
+        # simulation) under the attempt's trace id and the device's id.
         name = _PROVER_SPAN_NAMES.get(type(command), "prover_command")
-        with use_registry(target), trace_context(
-            self._prover_trace_id or "", self._prover.device_id
-        ):
+        with trace_context(self._trace_id, self._prover.device_id):
             with span(
                 name,
                 clock=lambda: self._simulator.now_ns,
-                registry=target,
-                root=True,
                 kind=type(command).__name__,
             ):
                 self._handle_prover_command(command)

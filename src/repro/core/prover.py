@@ -32,7 +32,6 @@ from repro.net.messages import (
     MaskedReadbackAck,
     ReadbackResponse,
     Response,
-    TraceHelloCommand,
 )
 from repro.obs.metrics import get_registry
 from repro.utils.rng import DeterministicRng
@@ -121,8 +120,6 @@ class SachaProver:
         self.configs_handled = 0
         self.readbacks_handled = 0
         self.checksums_handled = 0
-        # Trace id announced by the verifier's TraceHello (hex), if any.
-        self.last_trace_id = ""
         # Per-type command counts since the last flush.  Accumulated as
         # plain ints on the per-command hot path and folded into the
         # active registry, by kind name, at run boundaries (checksum /
@@ -170,9 +167,6 @@ class SachaProver:
             return MaskedReadbackAck(frame_index=command.frame_index)
         if isinstance(command, MacChecksumCommand):
             return MacChecksumResponse(tag=self.handle_checksum())
-        if isinstance(command, TraceHelloCommand):
-            self.last_trace_id = command.trace_id.hex()
-            return None
         raise ProtocolError(f"prover cannot handle {type(command).__name__}")
 
     def handle_config(self, frame_index: int, data: bytes) -> None:

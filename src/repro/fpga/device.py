@@ -93,10 +93,6 @@ class DevicePart:
         return self._total_frames
 
     @property
-    def frame_words(self) -> int:
-        return self.words_per_frame
-
-    @property
     def frame_bytes(self) -> int:
         return self.words_per_frame * 4
 

@@ -36,10 +36,6 @@ class BootMem:
     def is_programmed(self) -> bool:
         return self._image is not None
 
-    @property
-    def is_deployed(self) -> bool:
-        return self._deployed
-
     def program(self, image: bytes) -> None:
         """Write the boot image; only possible before deployment."""
         if self._deployed:

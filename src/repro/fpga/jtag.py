@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fpga.bitstream import Bitstream
 from repro.utils.units import NS_PER_S
 
 
@@ -41,6 +40,3 @@ class JtagPort:
             raise ValueError(f"negative bitstream size {bitstream_bytes}")
         bits = bitstream_bytes * 8
         return bits / self.effective_bits_per_second() * NS_PER_S
-
-    def configuration_time_for(self, bitstream: Bitstream) -> float:
-        return self.configuration_time_ns(bitstream.size_bytes())

@@ -37,19 +37,6 @@ class MaskFile:
         )
         self._keep: Optional[np.ndarray] = None  # cached ~mask, lazily built
 
-    @classmethod
-    def from_bits(cls, device: DevicePart, bits: np.ndarray) -> "MaskFile":
-        """Rebuild a mask from a stored bit array (the ``.npy`` blob)."""
-        expected = (device.total_frames, device.words_per_frame)
-        if bits.shape != expected:
-            raise ConfigMemoryError(
-                f"mask bits of shape {bits.shape} do not fit "
-                f"{device.name} ({expected[0]} x {expected[1]} words)"
-            )
-        mask = cls(device)
-        mask._bits = bits.astype(">u4")
-        return mask
-
     @property
     def device(self) -> DevicePart:
         return self._device

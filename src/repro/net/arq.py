@@ -271,11 +271,6 @@ class ArqLink:
         return self._rto_ns
 
     @property
-    def srtt_ns(self) -> Optional[float]:
-        """The smoothed round-trip-time estimate, once sampled."""
-        return self._srtt_ns
-
-    @property
     def window(self) -> int:
         """The configured send-window size (the AIMD ceiling)."""
         return self._window
@@ -284,11 +279,6 @@ class ArqLink:
     def cwnd(self) -> int:
         """The effective (AIMD-governed) send window."""
         return max(1, int(self._cwnd))
-
-    @property
-    def in_flight_count(self) -> int:
-        """Unacknowledged payloads currently outstanding."""
-        return len(self._in_flight)
 
     # -- sending -----------------------------------------------------------------
 

@@ -353,10 +353,3 @@ class FaultModel:
                 )
             deliveries.append(Delivery(frame=copy, extra_delay_ns=extra_delay_ns))
         return deliveries
-
-    def next_outage_end_after(self, time_ns: float) -> Optional[float]:
-        """End of the outage covering ``time_ns``, if one is active."""
-        for window in self.profile.outages:
-            if window.contains(time_ns):
-                return window.end_ns
-        return None

@@ -45,7 +45,6 @@ OPCODE_MAC_CHECKSUM = 0x03
 OPCODE_ICAP_READBACK_MASKED = 0x04
 OPCODE_ICAP_READBACK_BATCH = 0x06
 OPCODE_ICAP_CONFIG_BATCH = 0x07
-OPCODE_TRACE_HELLO = 0x08
 OPCODE_CONFIG_ACK = 0x80
 OPCODE_READBACK_RESPONSE = 0x81
 OPCODE_MAC_RESPONSE = 0x82
@@ -59,7 +58,6 @@ _OPCODE_NAMES = {
     OPCODE_ICAP_READBACK_MASKED: "ICAP_readback_masked",
     OPCODE_ICAP_READBACK_BATCH: "ICAP_readback_batch",
     OPCODE_ICAP_CONFIG_BATCH: "ICAP_config_batch",
-    OPCODE_TRACE_HELLO: "TraceHello",
     OPCODE_CONFIG_ACK: "ConfigAck",
     OPCODE_READBACK_RESPONSE: "ReadbackResponse",
     OPCODE_MAC_RESPONSE: "MacChecksumResponse",
@@ -264,26 +262,6 @@ class IcapConfigBatchCommand(NamedTuple):
 
 
 @_message
-class TraceHelloCommand(NamedTuple):
-    """Telemetry handshake: the session's nonce-derived trace id.
-
-    Sent once per protocol attempt, before any ICAP command, and only
-    when observability is enabled — the disabled wire sequence is
-    byte-identical to a build without tracing.  The prover tags its
-    spans with the id so both parties' dumps stitch into one trace; the
-    id carries no secret (it is a truncated hash of the public nonce)
-    and does not enter the MAC.
-    """
-
-    trace_id: bytes
-
-    def encode(self) -> bytes:
-        return bytes([OPCODE_TRACE_HELLO]) + _encode_blob(
-            self.trace_id, OPCODE_TRACE_HELLO
-        )
-
-
-@_message
 class ConfigAck(NamedTuple):
     """Cumulative configuration acknowledgement.
 
@@ -380,7 +358,6 @@ Command = Union[
     IcapReadbackBatchCommand,
     IcapReadbackMaskedCommand,
     MacChecksumCommand,
-    TraceHelloCommand,
 ]
 Response = Union[
     ConfigAck,
@@ -443,9 +420,6 @@ def decode_command(data: bytes) -> Command:
             frame_indices=tuple(indices.tolist()),
             data=data[header_end + 4 : header_end + 4 + length],
         )
-    if opcode == OPCODE_TRACE_HELLO:
-        blob, _ = _decode_blob(data, 1, OPCODE_TRACE_HELLO)
-        return TraceHelloCommand(blob)
     raise WireFormatError(f"unknown command opcode {opcode:#04x}")
 
 

@@ -7,8 +7,8 @@
 * :mod:`repro.obs.spans` — ``span("readback", frame=idx)`` context
   managers that nest via ``contextvars`` and timestamp from the
   simulation clock;
-* :mod:`repro.obs.trace` — nonce-derived trace ids propagated across
-  the networked session, and multi-party span-dump stitching;
+* :mod:`repro.obs.trace` — nonce-derived trace ids, and merging of
+  several span dumps into one record list;
 * :mod:`repro.obs.aggregate` — exact registry merging and snapshot
   restore for offline fleet roll-ups;
 * :mod:`repro.obs.profile` — critical-path extraction, self-time
@@ -36,7 +36,6 @@ from repro.obs.aggregate import (
     merge_registries,
     merge_snapshots,
     registry_from_snapshot,
-    rollup_by_label,
 )
 from repro.obs.exporters import (
     registry_snapshot,
@@ -80,7 +79,6 @@ from repro.obs.spans import (
     render_span_tree,
     span,
     span_tree,
-    spans_to_trace,
 )
 from repro.obs.trace import (
     TraceContext,
@@ -107,7 +105,6 @@ __all__ = [
     "current_span",
     "span",
     "span_tree",
-    "spans_to_trace",
     "render_span_tree",
     "registry_snapshot",
     "spans_to_jsonl",
@@ -126,7 +123,6 @@ __all__ = [
     "merge_registries",
     "merge_snapshots",
     "registry_from_snapshot",
-    "rollup_by_label",
     "arq_timeline",
     "critical_path",
     "phase_breakdown",

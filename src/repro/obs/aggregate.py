@@ -15,7 +15,7 @@ B.json``) and fed to the health engine.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import (
@@ -124,43 +124,15 @@ def merge_snapshots(
     )
 
 
-def rollup_by_label(
-    registry: MetricsRegistry, name: str, label: str
-) -> Dict[str, float]:
-    """Per-``label``-value totals of counter/gauge ``name``.
-
-    Other labels are summed away — e.g. roll
-    ``sacha_swarm_member_verdicts_total{device_id,verdict}`` up by
-    ``verdict`` for a fleet-wide verdict distribution, or by
-    ``device_id`` to rank members.
-    """
-    instrument = registry.get(name)
-    if instrument is None:
-        return {}
-    if not isinstance(instrument, (Counter, Gauge)):
-        raise ObservabilityError(
-            f"rollup_by_label expects a counter or gauge, "
-            f"{name} is a {instrument.kind}"
-        )
-    if label not in instrument.label_names:
-        raise ObservabilityError(
-            f"metric {name} has labels {instrument.label_names}, "
-            f"not {label!r}"
-        )
-    totals: Dict[str, float] = {}
-    for labels, value in instrument.samples():
-        key = labels[label]
-        totals[key] = totals.get(key, 0.0) + value
-    return dict(sorted(totals.items()))
-
-
 def rollup_snapshot_by_label(
     snapshot: Mapping[str, Mapping], name: str, label: str
 ) -> Dict[str, float]:
     """Per-``label``-value totals of family ``name`` in a plain snapshot.
 
-    The offline twin of :func:`rollup_by_label`: it works directly on
-    the dict form (``registry_snapshot`` output, or a sweep snapshot the
+    Other labels are summed away — e.g. roll
+    ``sacha_swarm_member_verdicts_total{device_id,verdict}`` up by
+    ``verdict`` for a fleet-wide verdict distribution.  It works on the
+    dict form (``registry_snapshot`` output, or a sweep snapshot the
     fleet store persisted) without rebuilding a live registry, so ops
     surfaces like ``repro fleet status`` can summarize stored telemetry
     cheaply.  Histogram families total observation counts.  An absent
@@ -183,8 +155,3 @@ def rollup_snapshot_by_label(
             value = float(sample.get("count", 0))
         totals[key] = totals.get(key, 0.0) + value
     return dict(sorted(totals.items()))
-
-
-def span_roots(spans: Sequence[object]) -> List[str]:
-    """Names of parentless spans in record order (shape assertions)."""
-    return [record.name for record in spans if record.parent_id is None]

@@ -76,16 +76,6 @@ class Counter:
     def value(self, **labels: str) -> float:
         return self._values.get(_label_key(self.label_names, labels), 0.0)
 
-    def series(self, **labels: str) -> "CounterSeries":
-        """A pre-resolved handle for one label set's hot-path increments.
-
-        Resolving the label key once and reusing the handle turns each
-        increment into a single dict update — the difference between a
-        negligible and a measurable cost on per-frame paths.  The handle
-        skips the monotonicity check, so callers own non-negativity.
-        """
-        return CounterSeries(self._values, _label_key(self.label_names, labels))
-
     def samples(self) -> Iterator[Tuple[Dict[str, str], float]]:
         """(labels, value) pairs in deterministic (sorted) order."""
         for key in sorted(self._values):
@@ -96,21 +86,6 @@ class Counter:
         _check_mergeable(self, other)
         for key, value in other._values.items():
             self._values[key] = self._values.get(key, 0.0) + value
-
-
-class CounterSeries:
-    """One counter series bound to its resolved label key."""
-
-    __slots__ = ("_values", "_key")
-
-    def __init__(self, values: Dict[Tuple[str, ...], float], key: Tuple[str, ...]) -> None:
-        self._values = values
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        values = self._values
-        key = self._key
-        values[key] = values.get(key, 0.0) + amount
 
 
 class Gauge:
@@ -314,9 +289,6 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
         self._spans: List[object] = []
         self._span_id = 0
-        # Bumped by clear() so callers holding cached instrument handles
-        # (hot-path fast paths) know to re-fetch them.
-        self.generation = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -335,7 +307,6 @@ class MetricsRegistry:
         self._instruments.clear()
         self._spans.clear()
         self._span_id = 0
-        self.generation += 1
 
     # -- instrument factories ----------------------------------------------
 

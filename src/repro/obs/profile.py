@@ -2,14 +2,14 @@
 
 Everything here is a pure function over :class:`SpanRecord` sequences,
 so it works identically on a live registry's spans and on merged
-multi-party dumps (see :mod:`repro.obs.trace`).  All orderings are
+span dumps (see :mod:`repro.obs.trace`).  All orderings are
 deterministic — ties break on ``(start_ns, span_id)`` — so reports and
 flamegraph exports are byte-stable for a given span set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.spans import SpanRecord, span_tree
 
@@ -18,8 +18,8 @@ def phase_breakdown(spans: Sequence[SpanRecord]) -> List[Dict[str, object]]:
     """Per-span-name totals: count, total time, self time, child time.
 
     *Self time* is a span's duration minus the time covered by its
-    direct children (clamped at zero — children recorded by another
-    party may overhang their stitched parent).  Rows are sorted by
+    direct children (clamped at zero, for dumps whose children
+    overhang their parent).  Rows are sorted by
     descending self time, then name, so the hottest phase leads.
     """
     children_ns: Dict[int, float] = {}
@@ -187,12 +187,3 @@ def render_report(spans: Sequence[SpanRecord]) -> str:
         sections.append(f"ARQ timeline ({len(events)} events):\n" + "\n".join(lines))
 
     return "\n\n".join(sections) + "\n"
-
-
-def speedscope_stacks(spans: Sequence[SpanRecord]) -> List[Tuple[str, int]]:
-    """Parsed ``(stack, weight_ns)`` pairs of the collapsed export."""
-    pairs: List[Tuple[str, int]] = []
-    for line in to_collapsed_stacks(spans).splitlines():
-        stack, _, weight = line.rpartition(" ")
-        pairs.append((stack, int(weight)))
-    return pairs

@@ -10,9 +10,11 @@ Timestamps come from whatever clock the caller supplies (the protocol
 passes its simulation-time accumulator); there is deliberately no
 ``time.time()`` fallback, so span logs are bit-for-bit reproducible.
 
-Completed spans land in the active :class:`~repro.obs.metrics.MetricsRegistry`
-as frozen :class:`SpanRecord` objects.  When the registry is disabled,
-``span(...)`` is a no-op context manager.
+A span is one :class:`SpanRecord`: ``span(...)`` builds it on entry,
+yields it for attributes and events, finishes it on exit and stores
+that same object in the active
+:class:`~repro.obs.metrics.MetricsRegistry`.  When the registry is
+disabled, ``span(...)`` is a no-op context manager.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import current_trace
@@ -28,9 +30,13 @@ from repro.obs.trace import current_trace
 Clock = Callable[[], float]
 
 
-@dataclass(frozen=True)
+def _no_clock() -> float:
+    return 0.0
+
+
+@dataclass
 class SpanRecord:
-    """One finished span."""
+    """One span: open inside its ``with span(...)`` block, then finished."""
 
     span_id: int
     parent_id: Optional[int]
@@ -42,11 +48,23 @@ class SpanRecord:
     error: str = ""
     trace_id: str = ""
     session: str = ""
-    events: Tuple[Dict[str, object], ...] = ()
+    events: List[Dict[str, object]] = field(default_factory=list)
+    #: Stamps the events of an open span; reset when the span finishes,
+    #: so a stored record keeps no reference to its clock's owner.
+    _clock: Clock = field(default=_no_clock, init=False, repr=False, compare=False)
 
     @property
     def duration_ns(self) -> float:
         return self.end_ns - self.start_ns
+
+    def set_attribute(self, key: str, value: object) -> None:
+        self.attributes[key] = value
+
+    def add_event(self, name: str, **attributes: object) -> None:
+        """Append a timestamped point event (ARQ send/ack/retransmit)."""
+        event: Dict[str, object] = {"name": name, "t_ns": self._clock()}
+        event.update(attributes)
+        self.events.append(event)
 
     def to_dict(self) -> Dict[str, object]:
         record: Dict[str, object] = {
@@ -71,56 +89,12 @@ class SpanRecord:
         return record
 
 
-class _ActiveSpan:
-    __slots__ = (
-        "span_id",
-        "parent_id",
-        "name",
-        "start_ns",
-        "attributes",
-        "trace_id",
-        "session",
-        "events",
-        "clock",
-    )
-
-    def __init__(
-        self,
-        span_id,
-        parent_id,
-        name,
-        start_ns,
-        attributes,
-        trace_id="",
-        session="",
-        clock=None,
-    ) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_ns = start_ns
-        self.attributes = attributes
-        self.trace_id = trace_id
-        self.session = session
-        self.events: List[Dict[str, object]] = []
-        self.clock = clock
-
-    def set_attribute(self, key: str, value: object) -> None:
-        self.attributes[key] = value
-
-    def add_event(self, name: str, **attributes: object) -> None:
-        """Append a timestamped point event (ARQ send/ack/retransmit)."""
-        event: Dict[str, object] = {"name": name, "t_ns": self.clock()}
-        event.update(attributes)
-        self.events.append(event)
-
-
-_CURRENT: contextvars.ContextVar[Optional[_ActiveSpan]] = contextvars.ContextVar(
+_CURRENT: contextvars.ContextVar[Optional[SpanRecord]] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
 )
 
 
-def current_span() -> Optional[_ActiveSpan]:
+def current_span() -> Optional[SpanRecord]:
     """The innermost open span of this context, if any."""
     return _CURRENT.get()
 
@@ -130,63 +104,50 @@ def span(
     name: str,
     clock: Optional[Clock] = None,
     registry: Optional[MetricsRegistry] = None,
-    root: bool = False,
     **attributes: object,
-) -> Iterator[Optional[_ActiveSpan]]:
+) -> Iterator[Optional[SpanRecord]]:
     """Open a span named ``name`` until the ``with`` block exits.
 
     ``clock`` is a zero-argument callable returning the current
     simulation time in nanoseconds; without one the span records 0.0
     (pure-structure tracing).  An exception inside the block marks the
     span ``status="error"`` (with the exception repr) and re-raises.
-    ``root=True`` detaches the span from any open parent — used when one
-    process records on behalf of another party (the in-process prover
-    inside a networked session).
 
-    If a :func:`~repro.obs.trace.trace_context` is active, the finished
-    record carries its ``trace_id``/``session``.
+    If a :func:`~repro.obs.trace.trace_context` is active, the record
+    carries its ``trace_id``/``session``.
     """
     registry = registry or get_registry()
     if not registry.enabled:
         yield None
         return
-    now: Clock = clock or (lambda: 0.0)
-    parent = None if root else _CURRENT.get()
+    now = clock or _no_clock
+    parent = _CURRENT.get()
     trace = current_trace()
-    active = _ActiveSpan(
-        span_id=registry.next_span_id(),
-        parent_id=parent.span_id if parent else None,
-        name=name,
-        start_ns=now(),
-        attributes=dict(attributes),
+    span_id = registry.next_span_id()
+    start_ns = now()
+    record = SpanRecord(
+        span_id,
+        parent.span_id if parent is not None else None,
+        name,
+        start_ns,
+        start_ns,
+        attributes,
         trace_id=trace.trace_id if trace else "",
         session=trace.session if trace else "",
-        clock=now,
     )
-    token = _CURRENT.set(active)
-    status, error = "ok", ""
+    record._clock = now
+    token = _CURRENT.set(record)
     try:
-        yield active
+        yield record
     except BaseException as exc:
-        status, error = "error", repr(exc)
+        record.status = "error"
+        record.error = repr(exc)
         raise
     finally:
         _CURRENT.reset(token)
-        registry.record_span(
-            SpanRecord(
-                span_id=active.span_id,
-                parent_id=active.parent_id,
-                name=active.name,
-                start_ns=active.start_ns,
-                end_ns=now(),
-                attributes=active.attributes,
-                status=status,
-                error=error,
-                trace_id=active.trace_id,
-                session=active.session,
-                events=tuple(active.events),
-            )
-        )
+        record.end_ns = now()
+        record._clock = _no_clock
+        registry.record_span(record)
 
 
 def span_tree(spans: Sequence[SpanRecord]) -> List[Dict[str, object]]:
@@ -226,21 +187,3 @@ def render_span_tree(spans: Sequence[SpanRecord]) -> str:
     for root in span_tree(spans):
         walk(root, 0)
     return "\n".join(lines)
-
-
-def spans_to_trace(spans: Sequence[SpanRecord]):
-    """Bridge spans into a :class:`~repro.sim.tracing.TraceRecorder`.
-
-    Each span becomes one ``span:<name>`` trace event at its start time,
-    so the shape-query helpers (``counts_by_kind``, ``kinds_in_order``,
-    ``between``) work identically on span logs and protocol traces.
-    """
-    from repro.sim.tracing import TraceRecorder
-
-    trace = TraceRecorder(enabled=True)
-    for record in sorted(spans, key=lambda item: (item.start_ns, item.span_id)):
-        detail = " ".join(
-            f"{key}={value}" for key, value in sorted(record.attributes.items())
-        )
-        trace.record(record.start_ns, f"span:{record.name}", "span", detail)
-    return trace

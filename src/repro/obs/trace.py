@@ -1,22 +1,19 @@
-"""Cross-session trace propagation and multi-party span-dump merging.
+"""Trace ids for attestation attempts, and span-dump merging.
 
-A *trace* ties the spans of every party that worked on one attestation
-attempt together.  The trace id is not random: it is derived via
-SHA-256 from the attempt's session nonce, so the verifier and the
-prover compute the *same* id independently of transport timing, and two
-runs with the same seed produce byte-identical trace ids.  The
-networked session carries the id to the prover in a ``TraceHello``
-handshake frame (``repro.net.messages``), and every span opened while a
-:func:`trace_context` is active records ``trace_id`` and ``session``
-fields (see :mod:`repro.obs.spans`).
+A *trace* ties together the spans of every party that worked on one
+attestation attempt.  The trace id is not random: it is derived via
+SHA-256 from the attempt's session nonce, so two runs with the same
+seed produce byte-identical trace ids.  Every span opened while a
+:func:`trace_context` is active records its ``trace_id`` and
+``session`` (the recording party: ``"verifier"`` or a prover's device
+id; see :mod:`repro.obs.spans`).  The networked session opens one
+context per party inside the attempt's ``session_attempt`` span, so the
+prover's command spans are children of that span in the one registry of
+the run, and nothing about the trace travels on the wire.
 
 The second half of this module is offline: :func:`merge_span_dumps`
-takes the span dumps of several parties (the verifier's JSONL file, the
-prover's JSONL file) and stitches them into one consistent record list
-— span ids are re-based so they cannot collide, and parentless spans of
-a trace are re-parented under the trace's anchor span (the earliest
-span carrying the id, which is the verifier's ``session_attempt``), so
-``span_tree`` sees a single tree per attestation attempt.
+reads several JSONL span dumps (for example one per run) into one
+record list, re-basing span ids so they cannot collide.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.errors import ObservabilityError
 
@@ -43,8 +40,7 @@ def trace_id_from_nonce(nonce: bytes) -> str:
 
     SHA-256 with a fixed domain prefix, truncated to
     :data:`TRACE_ID_BYTES`; returned as lowercase hex.  Deriving (not
-    inventing) the id is what lets both protocol ends agree on it with
-    nothing but the handshake frame.
+    inventing) the id makes it reproducible from the seed.
     """
     digest = hashlib.sha256(_TRACE_DOMAIN + bytes(nonce)).digest()
     return digest[:TRACE_ID_BYTES].hex()
@@ -84,7 +80,7 @@ def trace_context(trace_id: str, session: str) -> Iterator[TraceContext]:
         _CURRENT_TRACE.reset(token)
 
 
-# -- multi-party dump merging --------------------------------------------------
+# -- span-dump merging ---------------------------------------------------------
 
 
 def span_records_from_jsonl(text: str):
@@ -123,31 +119,26 @@ def span_records_from_jsonl(text: str):
                 error=str(fields.get("error", "")),
                 trace_id=str(fields.get("trace_id", "")),
                 session=str(fields.get("session", "")),
-                events=tuple(fields.get("events", ())),
+                events=list(fields.get("events", ())),
             )
         )
     return records
 
 
 def load_span_dump(path: Union[str, Path]):
-    """Read one party's span dump (JSON lines) from ``path``."""
+    """Read one span dump (JSON lines) from ``path``."""
     return span_records_from_jsonl(Path(path).read_text(encoding="utf-8"))
 
 
 def merge_span_dumps(dumps: Sequence[Sequence["object"]]) -> List["object"]:
-    """Merge several parties' span dumps into one consistent record list.
+    """Merge several span dumps into one consistent record list.
 
-    Three deterministic steps:
+    Two deterministic steps:
 
     1. **Re-base ids** — each dump's span ids are shifted by a running
        offset so ids from different dumps cannot collide (parent links
        are intra-dump, so they shift with their spans).
-    2. **Stitch traces** — for every trace id, the *anchor* is the
-       earliest span carrying it (ties broken by re-based id); every
-       other parentless span of the trace is re-parented under the
-       anchor.  With the networked session's dumps this hangs the
-       prover's command spans under the verifier's ``session_attempt``.
-    3. **Sort** by ``(start_ns, span_id)`` so the output is independent
+    2. **Sort** by ``(start_ns, span_id)`` so the output is independent
        of the order records appeared within each dump.
 
     The result is byte-stable: same dumps in, same list out.
@@ -170,30 +161,8 @@ def merge_span_dumps(dumps: Sequence[Sequence["object"]]) -> List["object"]:
                 )
             )
         offset += highest
-
-    anchors: Dict[str, "object"] = {}
-    for record in rebased:
-        if not record.trace_id:
-            continue
-        anchor = anchors.get(record.trace_id)
-        if anchor is None or (record.start_ns, record.span_id) < (
-            anchor.start_ns,
-            anchor.span_id,
-        ):
-            anchors[record.trace_id] = record
-
-    stitched = []
-    for record in rebased:
-        anchor = anchors.get(record.trace_id) if record.trace_id else None
-        if (
-            anchor is not None
-            and record.parent_id is None
-            and record.span_id != anchor.span_id
-        ):
-            record = dataclasses.replace(record, parent_id=anchor.span_id)
-        stitched.append(record)
-    stitched.sort(key=lambda record: (record.start_ns, record.span_id))
-    return stitched
+    rebased.sort(key=lambda record: (record.start_ns, record.span_id))
+    return rebased
 
 
 def trace_ids(spans: Sequence["object"]) -> List[str]:

@@ -94,38 +94,15 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
     return name
 
 
-# (registry, generation, counter) for the fold counter: folds run once
-# per MAC'd frame, so the registry's lookup and label checks are cached
-# away.
-_FOLD_COUNTER = None
-
-
 def _count_fold(backend: str, blocks: int) -> None:
     """Perf counter: blocks absorbed per backend (no-op when obs is off)."""
-    global _FOLD_COUNTER
     registry = get_registry()
-    if not registry.enabled:
-        return
-    cached = _FOLD_COUNTER
-    if (
-        cached is None
-        or cached[0] is not registry
-        or cached[1] != registry.generation
-        or cached[2] != backend
-    ):
-        counter = registry.counter(
+    if registry.enabled:
+        registry.counter(
             "sacha_mac_blocks_folded_total",
             "AES-CMAC blocks folded into chain state, by backend",
             labels=("backend",),
-        )
-        cached = (
-            registry,
-            registry.generation,
-            backend,
-            counter.series(backend=backend),
-        )
-        _FOLD_COUNTER = cached
-    cached[3].inc(blocks)
+        ).inc(blocks, backend=backend)
 
 
 class ReferenceCipher:

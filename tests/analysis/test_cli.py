@@ -92,6 +92,26 @@ class TestCommands:
         assert "attempts: 1, retransmissions: 0" in out
         assert "timing:" not in out
 
+    def test_exporting_telemetry_leaves_a_lossy_run_unchanged(
+        self, tmp_path, capsys
+    ):
+        """Telemetry only observes: with --snapshot-out and --spans-out
+        the lossy run loses and retransmits the same frames."""
+        argv = ["attest", "--device", "SIM-MEDIUM", "--seed", "7", "--loss", "0.05"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(
+            argv
+            + [
+                "--snapshot-out",
+                str(tmp_path / "snapshot.json"),
+                "--spans-out",
+                str(tmp_path / "spans.jsonl"),
+            ]
+        ) == 0
+        assert capsys.readouterr().out == plain
+        assert "retransmissions: 18" in plain
+
     def test_attest_tampered(self, capsys):
         assert main(
             ["attest", "--device", "SIM-SMALL", "--seed", "7", "--tamper"]

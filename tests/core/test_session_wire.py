@@ -19,6 +19,10 @@ folding the per-frame loop into the batched one changed no byte,
 timestamp or RNG draw of the shapes it kept.  ``one-frame-clean`` pins
 the (window 1, batch 1) shape on that single state machine; its tag is
 the one every other shape produces.
+
+Telemetry only observes: every pinned shape, and the ``harsh`` fault
+profile over ARQ, gives the same fingerprint and the same number of
+retransmissions with an enabled registry as with a disabled one.
 """
 
 import hashlib
@@ -58,13 +62,29 @@ SESSION_PINS = {
 }
 
 
-def session_fingerprint(provisioned_medium, reliable, window, batch, loss):
-    """Run one seeded session and fingerprint everything it put on the wire."""
+#: name -> (reliable, window, batch, fault profile) of every pinned
+#: shape, plus the harsh profile over ARQ.
+SHAPES = {
+    name: (reliable, window, batch, FaultProfile(loss_probability=loss))
+    for name, (reliable, window, batch, loss, _) in SESSION_PINS.items()
+}
+SHAPES["harsh"] = (True, 8, 256, FaultProfile.named("harsh"))
+
+
+def session_fingerprint(
+    provisioned_medium, reliable, window, batch, profile, telemetry=False
+):
+    """Run one seeded session and fingerprint everything it put on the wire.
+
+    Returns the pinned fingerprint and the session's retransmissions.
+    """
     provisioned, record = provisioned_medium
     rng = DeterministicRng(2019)
     simulator = Simulator()
-    faults = FaultModel(FaultProfile(loss_probability=loss), rng.fork("faults"))
-    channel = Channel(simulator, LINK, fault_model=faults if loss else None)
+    faults = FaultModel(profile, rng.fork("faults"))
+    channel = Channel(
+        simulator, LINK, fault_model=faults if profile.is_active else None
+    )
     wire = hashlib.sha256()
 
     def tap(time_ns, direction, frame):
@@ -84,21 +104,30 @@ def session_fingerprint(provisioned_medium, reliable, window, batch, loss):
         readback_batch_frames=batch,
         max_attempts=3,
     )
-    with use_registry(MetricsRegistry(enabled=False)):
+    with use_registry(MetricsRegistry(enabled=telemetry)):
         result = session.run()
     assert result.report.accepted
-    return (
+    fingerprint = (
         wire.hexdigest(),
         simulator.now_ns,
         result.frames_sent_by_verifier,
         result.frames_sent_by_prover,
         session.tag.hex(),
     )
+    return fingerprint, session.total_retransmissions
 
 
 @pytest.mark.parametrize("name", sorted(SESSION_PINS))
 def test_session_wire_matches_pin(provisioned_medium, name):
-    reliable, window, batch, loss, pinned = SESSION_PINS[name]
-    assert session_fingerprint(
-        provisioned_medium, reliable, window, batch, loss
-    ) == pinned
+    *_, pinned = SESSION_PINS[name]
+    fingerprint, _ = session_fingerprint(provisioned_medium, *SHAPES[name])
+    assert fingerprint == pinned
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_telemetry_leaves_the_session_unchanged(provisioned_medium, name):
+    quiet = session_fingerprint(provisioned_medium, *SHAPES[name])
+    observed = session_fingerprint(
+        provisioned_medium, *SHAPES[name], telemetry=True
+    )
+    assert observed == quiet

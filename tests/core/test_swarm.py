@@ -99,11 +99,14 @@ class TestSwarmTelemetry:
         )
 
     def test_per_member_verdict_counter(self):
-        from repro.obs.aggregate import rollup_by_label
+        from repro.obs.aggregate import rollup_snapshot_by_label
+        from repro.obs.exporters import registry_snapshot
 
         registry = self._sweep_registry(compromised=True)
-        by_verdict = rollup_by_label(
-            registry, "sacha_swarm_member_verdicts_total", "verdict"
+        by_verdict = rollup_snapshot_by_label(
+            registry_snapshot(registry),
+            "sacha_swarm_member_verdicts_total",
+            "verdict",
         )
         assert by_verdict == {"accept": 3.0, "reject": 1.0}
 

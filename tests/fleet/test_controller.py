@@ -15,13 +15,10 @@ from repro.net.faults import FaultProfile
 from repro.utils.secret import SecretBytes
 
 #: SHA-256 of ``json.dumps(result.snapshot, sort_keys=True)`` for the
-#: pinned fleet's ``attest(seed=7)``, captured from a one-worker sweep
-#: of the former thread-pool executor.  Its multi-worker sweeps gave
-#: other digests: they summed gauges over devices (``sacha_arq_window``
-#: read 64, not 8).
+#: pinned fleet's ``attest(seed=7)``.
 SNAPSHOT_PINS = {
-    "clean": "3de9c0c269caca7041204d915dcc1fc153ad3629f9fbc2ed9cf26bf860b71eca",
-    "lossy": "821b04ebc5dbc0ced33105d57ac266aa09d0dcf3b9138c75fbe8e1f42a1fdd6c",
+    "clean": "b68bd6c8af9d646eca3638f2bbad0de021a2a24dd9d78dc15b400f99b4bb9713",
+    "lossy": "03929e522c1ff2ef24e04d19d1e4918be1204a3fc0f761bba50baf21e933b347",
 }
 #: SHA-256 of the "device verdict tag" lines of the same sweep (clean and
 #: lossy agree: the loss is absorbed by the transport).

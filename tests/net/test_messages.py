@@ -15,7 +15,6 @@ from repro.net.messages import (
     MaskedReadbackAck,
     ReadbackBatchResponse,
     ReadbackResponse,
-    TraceHelloCommand,
     decode_command,
     decode_response,
 )
@@ -149,7 +148,6 @@ MESSAGE_VALUES = [
     (IcapReadbackMaskedCommand(5, b"\x22" * 8), decode_command),
     (IcapReadbackBatchCommand(5, (1, 2, 9)), decode_command),
     (IcapConfigBatchCommand((4, 5), b"\x33" * 8), decode_command),
-    (TraceHelloCommand(b"\x44" * 8), decode_command),
     (ConfigAck(5), decode_response),
     (ReadbackResponse(5, b"\x55" * 8), decode_response),
     (MaskedReadbackAck(5), decode_response),

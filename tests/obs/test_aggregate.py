@@ -7,8 +7,7 @@ from repro.obs.aggregate import (
     merge_registries,
     merge_snapshots,
     registry_from_snapshot,
-    rollup_by_label,
-    span_roots,
+    rollup_snapshot_by_label,
 )
 from repro.obs.exporters import registry_snapshot, to_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -77,7 +76,9 @@ class TestMergeRegistries:
         )
         target = MetricsRegistry(enabled=True)
         merge_registries([source], into=target)
-        assert span_roots(target.spans) == ["member"]
+        assert [r.name for r in target.spans if r.parent_id is None] == [
+            "member"
+        ]
         assert target.spans[0].span_id == 1
 
     def test_merge_into_disabled_registry_rejected(self):
@@ -129,21 +130,35 @@ class TestRollup:
         verdicts.inc(device_id="node-0", verdict="accept")
         verdicts.inc(device_id="node-1", verdict="accept")
         verdicts.inc(device_id="node-1", verdict="reject")
-        assert rollup_by_label(registry, "verdicts_total", "verdict") == {
+        snapshot = registry_snapshot(registry)
+        assert rollup_snapshot_by_label(snapshot, "verdicts_total", "verdict") == {
             "accept": 2.0,
             "reject": 1.0,
         }
-        assert rollup_by_label(registry, "verdicts_total", "device_id") == {
-            "node-0": 1.0,
-            "node-1": 2.0,
-        }
+        assert rollup_snapshot_by_label(
+            snapshot, "verdicts_total", "device_id"
+        ) == {"node-0": 1.0, "node-1": 2.0}
 
     def test_missing_metric_is_empty(self):
-        assert rollup_by_label(MetricsRegistry(), "nope", "x") == {}
+        snapshot = registry_snapshot(MetricsRegistry())
+        assert rollup_snapshot_by_label(snapshot, "nope", "x") == {}
 
-    def test_histogram_and_unknown_label_rejected(self):
-        registry = _populate(MetricsRegistry())
-        with pytest.raises(ObservabilityError, match="counter or gauge"):
-            rollup_by_label(registry, "latency_seconds", "phase")
+    def test_histogram_counts_and_unknown_label_rejected(self):
+        registry = MetricsRegistry()
+        latency = registry.histogram(
+            "phase_seconds", "Latency", labels=("phase",), buckets=(1.0,)
+        )
+        latency.observe(0.5, phase="config")
+        latency.observe(0.5, phase="readback")
+        latency.observe(2.0, phase="readback")
+        snapshot = registry_snapshot(registry)
+        assert rollup_snapshot_by_label(snapshot, "phase_seconds", "phase") == {
+            "config": 1.0,
+            "readback": 2.0,
+        }
         with pytest.raises(ObservabilityError, match="not 'phase'"):
-            rollup_by_label(registry, "runs_total", "phase")
+            rollup_snapshot_by_label(
+                registry_snapshot(_populate(MetricsRegistry())),
+                "runs_total",
+                "phase",
+            )

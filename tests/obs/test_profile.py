@@ -5,7 +5,6 @@ from repro.obs.profile import (
     critical_path,
     phase_breakdown,
     render_report,
-    speedscope_stacks,
     to_collapsed_stacks,
 )
 from repro.obs.spans import SpanRecord
@@ -19,7 +18,7 @@ def _rec(span_id, parent_id, name, start, end, session="", events=()):
         start_ns=float(start),
         end_ns=float(end),
         session=session,
-        events=tuple(events),
+        events=list(events),
     )
 
 
@@ -104,7 +103,10 @@ class TestCollapsedStacks:
         )
 
     def test_speedscope_pairs_round_trip(self):
-        pairs = speedscope_stacks(_attempt_spans())
+        pairs = []
+        for line in to_collapsed_stacks(_attempt_spans()).splitlines():
+            stack, _, weight = line.rpartition(" ")
+            pairs.append((stack, int(weight)))
         assert ("attestation;readback;frame", 50) in pairs
         assert sum(weight for _, weight in pairs) == 100
 

@@ -1,4 +1,6 @@
-"""Span nesting, clocks, exception handling, and trace interop."""
+"""Span nesting, clocks, exception handling, and rendering."""
+
+import json
 
 import pytest
 
@@ -8,8 +10,8 @@ from repro.obs.spans import (
     render_span_tree,
     span,
     span_tree,
-    spans_to_trace,
 )
+from repro.obs.trace import span_records_from_jsonl
 
 
 class TestNesting:
@@ -69,6 +71,21 @@ class TestClockAndStatus:
         # The context stack unwound cleanly despite the exception.
         assert current_span() is None
 
+    def test_yielded_span_is_the_stored_record(self, registry):
+        t = [10.0]
+        with span("phase", clock=lambda: t[0], frames=3) as active:
+            active.set_attribute("result", "accept")
+            t[0] = 15.0
+            active.add_event("arq.send", seq=1)
+            t[0] = 40.0
+        (record,) = registry.spans
+        assert record is active
+        assert (record.start_ns, record.end_ns) == (10.0, 40.0)
+        assert record.attributes == {"frames": 3, "result": "accept"}
+        assert record.events == [{"name": "arq.send", "t_ns": 15.0, "seq": 1}]
+        dump = json.dumps(record.to_dict()) + "\n"
+        assert span_records_from_jsonl(dump) == [record]
+
     def test_disabled_registry_is_noop(self):
         disabled = MetricsRegistry(enabled=False)
         with span("phase", registry=disabled) as active:
@@ -87,17 +104,3 @@ class TestExportHelpers:
         assert lines[0].startswith("attestation")
         assert lines[1].startswith("  config")
         assert "frames=24" in lines[1]
-
-    def test_spans_to_trace_shares_shape_queries(self, registry):
-        with span("attestation"):
-            with span("config"):
-                pass
-            with span("readback", frame=3):
-                pass
-        trace = spans_to_trace(registry.spans)
-        assert trace.counts_by_kind() == {
-            "span:attestation": 1,
-            "span:config": 1,
-            "span:readback": 1,
-        }
-        assert trace.first("span:readback").detail == "frame=3"

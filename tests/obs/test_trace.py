@@ -1,4 +1,4 @@
-"""Trace propagation: nonce-derived ids, stamping, multi-party stitching."""
+"""Trace ids: nonce-derived ids, stamping, nesting, span-dump merging."""
 
 import json
 
@@ -11,6 +11,7 @@ from repro.design.sacha_design import build_sacha_system
 from repro.errors import ObservabilityError
 from repro.fpga.device import SIM_MEDIUM, SIM_SMALL
 from repro.net.channel import Channel, LatencyModel
+from repro.net.faults import FaultModel, FaultProfile
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.spans import SpanRecord, span, span_tree
 from repro.obs.trace import (
@@ -84,7 +85,7 @@ class TestJsonlRoundTrip:
                 attributes={"result": "accept"},
                 trace_id="feed",
                 session="verifier",
-                events=({"name": "arq.send", "t_ns": 5.0, "seq": 1},),
+                events=[{"name": "arq.send", "t_ns": 5.0, "seq": 1}],
             ),
             SpanRecord(
                 span_id=2,
@@ -144,22 +145,23 @@ class TestMergeSpanDumps:
         parent = next(r for r in merged if r.name == "c")
         assert child.parent_id == parent.span_id
 
-    def test_parentless_trace_spans_reparent_under_anchor(self):
-        verifier = [
+    def test_parentless_trace_spans_stay_roots(self):
+        """Merging re-bases ids and keeps every parent link as recorded:
+        a parentless span of a trace is not hung under another dump's."""
+        first = [
             _rec(1, None, "session_attempt", 0, 100, trace="t1", session="verifier"),
             _rec(2, 1, "config", 5, 20, trace="t1", session="verifier"),
         ]
-        prover = [
+        second = [
             _rec(1, None, "prover_config", 10, 10, trace="t1", session="prv-0"),
-            _rec(2, None, "prover_checksum", 90, 90, trace="t1", session="prv-0"),
         ]
-        merged = merge_span_dumps([verifier, prover])
-        forest = span_tree(merged)
-        assert len(forest) == 1
-        root = forest[0]["span"]
-        assert root.name == "session_attempt"
-        names = {node["span"].name for node in forest[0]["children"]}
-        assert names == {"config", "prover_config", "prover_checksum"}
+        merged = merge_span_dumps([first, second])
+        parents = {r.name: r.parent_id for r in merged}
+        assert parents == {
+            "session_attempt": None,
+            "config": 1,
+            "prover_config": None,
+        }
 
     def test_untraced_spans_stay_roots(self):
         merged = merge_span_dumps(
@@ -187,102 +189,75 @@ class TestMergeSpanDumps:
         assert trace_ids(spans) == ["aa", "bb"]
 
 
-def _networked_dumps(seed=50, device=SIM_MEDIUM):
-    """Run a networked attestation, return (result, verifier dump, prover dump)."""
+def _networked_dump(seed=50, device=SIM_MEDIUM, loss=0.0):
+    """Run a networked attestation under one enabled registry.
+
+    Returns the result and the registry's span dump (JSONL), which holds
+    both parties' spans.
+    """
     system = build_sacha_system(device)
     provisioned, record = provision_device(system, "prv-net", seed=seed)
     simulator = Simulator()
-    channel = Channel(simulator, LatencyModel(base_ns=1_000.0))
+    rng = DeterministicRng(seed + 2)
+    faults = FaultModel(FaultProfile(loss_probability=loss), rng.fork("faults"))
+    channel = Channel(
+        simulator,
+        LatencyModel(base_ns=1_000.0),
+        fault_model=faults if loss else None,
+    )
     verifier = SachaVerifier(
         record.system, record.mac_key, DeterministicRng(seed + 1)
     )
-    verifier_registry = MetricsRegistry(enabled=True)
-    prover_registry = MetricsRegistry(enabled=True)
-    with use_registry(verifier_registry):
+    registry = MetricsRegistry(enabled=True)
+    with use_registry(registry):
         session = NetworkAttestationSession(
             simulator,
             channel,
             provisioned.prover,
             verifier,
-            DeterministicRng(seed + 2),
-            prover_registry=prover_registry,
+            rng.fork("session"),
+            max_attempts=3,
         )
         result = session.run()
-    verifier_dump = "".join(
-        json.dumps(r.to_dict()) + "\n" for r in verifier_registry.spans
-    )
-    prover_dump = "".join(
-        json.dumps(r.to_dict()) + "\n" for r in prover_registry.spans
-    )
-    return result, verifier_dump, prover_dump
+    dump = "".join(json.dumps(r.to_dict()) + "\n" for r in registry.spans)
+    return result, dump
 
 
 class TestNetworkedTraceStitching:
-    def test_two_party_dumps_stitch_into_one_trace(self):
-        result, verifier_dump, prover_dump = _networked_dumps()
+    def test_prover_spans_nest_under_session_attempt(self):
+        result, dump = _networked_dump()
         assert result.report.accepted
-        merged = merge_span_dumps(
-            [
-                span_records_from_jsonl(verifier_dump),
-                span_records_from_jsonl(prover_dump),
-            ]
-        )
-        ids = trace_ids(merged)
-        assert ids == [trace_id_from_nonce(result.report.nonce)]
-        sessions = {r.session for r in merged if r.session}
-        assert sessions == {"verifier", "prv-net"}
+        spans = span_records_from_jsonl(dump)
+        assert trace_ids(spans) == [trace_id_from_nonce(result.report.nonce)]
+        assert {r.session for r in spans if r.session} == {"verifier", "prv-net"}
         # Everything carrying the trace hangs off one session_attempt.
-        traced = [r for r in merged if r.trace_id]
-        forest = span_tree(traced)
+        forest = span_tree([r for r in spans if r.trace_id])
         assert len(forest) == 1
-        assert forest[0]["span"].name == "session_attempt"
-        prover_names = {r.name for r in merged if r.session == "prv-net"}
-        assert {"prover_config", "prover_readback", "prover_checksum"} <= (
-            prover_names
-        )
+        attempt = forest[0]["span"]
+        assert attempt.name == "session_attempt"
+        prover = [r for r in spans if r.session == "prv-net"]
+        assert {"prover_config", "prover_readback", "prover_checksum"} <= {
+            r.name for r in prover
+        }
+        assert {r.parent_id for r in prover} == {attempt.span_id}
 
     def test_stitched_dump_is_seed_stable(self):
-        _, verifier_a, prover_a = _networked_dumps(seed=60, device=SIM_SMALL)
-        _, verifier_b, prover_b = _networked_dumps(seed=60, device=SIM_SMALL)
-        assert verifier_a == verifier_b
-        assert prover_a == prover_b
+        _, first = _networked_dump(seed=60, device=SIM_SMALL)
+        _, second = _networked_dump(seed=60, device=SIM_SMALL)
+        assert first == second
 
-    def test_prover_sees_the_announced_trace_id(self):
-        system = build_sacha_system(SIM_SMALL)
-        provisioned, record = provision_device(system, "prv-hello", seed=31)
-        simulator = Simulator()
-        channel = Channel(simulator, LatencyModel(base_ns=500.0))
-        verifier = SachaVerifier(
-            record.system, record.mac_key, DeterministicRng(32)
-        )
-        with use_registry(MetricsRegistry(enabled=True)):
-            session = NetworkAttestationSession(
-                simulator,
-                channel,
-                provisioned.prover,
-                verifier,
-                DeterministicRng(33),
-            )
-            result = session.run()
-        assert provisioned.prover.last_trace_id == trace_id_from_nonce(
-            result.report.nonce
-        )
-
-    def test_disabled_registry_sends_no_hello(self):
-        system = build_sacha_system(SIM_SMALL)
-        provisioned, record = provision_device(system, "prv-quiet", seed=41)
-        simulator = Simulator()
-        channel = Channel(simulator, LatencyModel(base_ns=500.0))
-        verifier = SachaVerifier(
-            record.system, record.mac_key, DeterministicRng(42)
-        )
-        session = NetworkAttestationSession(
-            simulator,
-            channel,
-            provisioned.prover,
-            verifier,
-            DeterministicRng(43),
-        )
-        result = session.run()
-        assert result.report.accepted
-        assert provisioned.prover.last_trace_id == ""
+    def test_prover_spans_carry_their_attempt_trace_id(self):
+        """A retried session: each attempt's prover spans nest under that
+        attempt's span and carry its trace id, not another attempt's."""
+        result, dump = _networked_dump(seed=6, device=SIM_SMALL, loss=0.05)
+        assert result.report.accepted and result.attempts == 2
+        spans = span_records_from_jsonl(dump)
+        attempts = {r.span_id: r for r in spans if r.name == "session_attempt"}
+        assert len(attempts) == 2
+        assert len({r.trace_id for r in attempts.values()}) == 2
+        prover = [r for r in spans if r.session == "prv-net"]
+        assert prover
+        for record in prover:
+            assert record.trace_id == attempts[record.parent_id].trace_id
+        last = max(attempts.values(), key=lambda r: r.start_ns)
+        assert last.trace_id == trace_id_from_nonce(result.report.nonce)

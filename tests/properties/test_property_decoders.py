@@ -26,7 +26,6 @@ from repro.net.ethernet import MAX_PAYLOAD, EthernetFrame, MacAddress
 from repro.net.messages import (
     IcapReadbackMaskedCommand,
     MaskedReadbackAck,
-    TraceHelloCommand,
     decode_command,
     decode_response,
 )
@@ -67,7 +66,6 @@ def corpus():
     message kind no session sends."""
     extra = [
         IcapReadbackMaskedCommand(7, bytes(range(32))).encode(),
-        TraceHelloCommand(bytes(8)).encode(),
         MaskedReadbackAck(7).encode(),
     ]
     return _record_session(256) + _record_session(1) + extra
@@ -124,8 +122,9 @@ class TestDecodersFailClosed:
 
 
 class TestRetiredOpcodes:
-    """0x05/0x84 were a second batched-readback pair; no decoder knows
-    them any more, whatever follows the opcode byte."""
+    """0x05/0x84 were a second batched-readback pair and 0x08 a telemetry
+    handshake; no decoder knows them any more, whatever follows the
+    opcode byte."""
 
     @given(body=st.binary(max_size=64))
     def test_ranged_readback_command_rejected(self, body):
@@ -136,6 +135,13 @@ class TestRetiredOpcodes:
     def test_ranged_readback_response_rejected(self, body):
         with pytest.raises(WireFormatError, match="unknown response opcode 0x84"):
             decode_response(b"\x84" + body)
+
+    @given(body=st.binary(max_size=64))
+    def test_trace_hello_rejected(self, body):
+        with pytest.raises(WireFormatError, match="unknown command opcode 0x08"):
+            decode_command(b"\x08" + body)
+        with pytest.raises(WireFormatError, match="unknown response opcode 0x08"):
+            decode_response(b"\x08" + body)
 
 
 MAC_A = MacAddress(0x020000000001)
