@@ -16,13 +16,13 @@ the readback plan into ``ICAP_readback_batch`` commands of up to
 schedule is streamed as one burst ahead of the responses.  The sliding-
 window ARQ, shaped by the session's ``arq_tuning``
 (:class:`~repro.net.arq.ArqTuning`), keeps up to ``window`` payloads in
-flight, each config batch is confirmed by one cumulative
-:class:`~repro.net.messages.ConfigAck`, and the verifier appends each
-response fragment to one sweep buffer in plan order, which it judges
-once the tag has arrived.  A batch of one frame is the paper's
-per-frame exchange; CMAC is chunking-invariant, so the tag does not
-depend on the shape.  The plan-ordered fragment cursor keeps the sweep
-aligned with the plan.
+flight, the prover confirms the configuration phase with one cumulative
+:class:`~repro.net.messages.ConfigAck` just before it handles the first
+read-back batch, and the verifier appends each response fragment to one
+sweep buffer in plan order, which it judges once the tag has arrived.
+A batch of one frame is the paper's per-frame exchange; CMAC is
+chunking-invariant, so the tag does not depend on the shape.  The
+plan-ordered fragment cursor keeps the sweep aligned with the plan.
 
 Streaming needs in-order delivery, not reliability: the raw channel
 delivers each frame after its own serialization delay, so a burst of
@@ -68,7 +68,7 @@ from repro.core.verifier import SachaVerifier
 from repro.net.arq import ArqLink, ArqTuning
 from repro.net.batch import pack_config_commands, pack_readback_plan
 from repro.net.channel import Channel, Endpoint
-from repro.net.ethernet import ETHERTYPE_SACHA, EthernetFrame, MacAddress
+from repro.net.ethernet import MacAddress
 from repro.net.messages import (
     Command,
     ConfigAck,
@@ -182,6 +182,7 @@ class NetworkAttestationSession:
         self._link_failure: Optional[NetworkError] = None
         self._config_acked = 0
         self._prover_configs_applied = 0
+        self._config_ack_pending = False
         self.undecodable_frames = 0
         self.unexpected_frames = 0
         self.total_retransmissions = 0
@@ -368,6 +369,7 @@ class NetworkAttestationSession:
         self._rx_slot = 0
         self._config_acked = 0
         self._prover_configs_applied = 0
+        self._config_ack_pending = False
         self._prover.abort_run()
         self._install_ports()
         self._phase = _Phase.CONFIG
@@ -389,10 +391,10 @@ class NetworkAttestationSession:
                 "a message was lost",
             )
         if self._config_acked < self._config_steps:
-            # The tag arrived but the cumulative ConfigAcks do not cover
-            # the configuration: on a transport without retransmission a
-            # config frame may be gone, and a MAC over a misconfigured
-            # device must fail toward inconclusive, not a false reject.
+            # The tag arrived but no ConfigAck covers the configuration:
+            # on a transport without retransmission a config frame may be
+            # gone, and a MAC over a misconfigured device must fail
+            # toward inconclusive, not a false reject.
             return FailureReason(
                 stage=_Phase.CONFIG.value,
                 kind="config_unacked",
@@ -442,9 +444,9 @@ class NetworkAttestationSession:
         for port in (self._verifier_port, self._prover_port):
             self.total_retransmissions += getattr(port, "retransmissions", 0)
 
-    def _on_verifier_delivery(self, frame: EthernetFrame) -> None:
+    def _on_verifier_delivery(self, payload: bytes) -> None:
         try:
-            response = decode_response(frame.payload)
+            response = decode_response(payload)
         except NetworkError:
             # Both links drop frames that fail their CRC, so this is a
             # frame rewritten with a valid CRC: drop it and let the
@@ -508,15 +510,7 @@ class NetworkAttestationSession:
         if self._link_failure is not None:
             return
         try:
-            self._verifier_port.send_many(
-                EthernetFrame(
-                    destination=PROVER_MAC,
-                    source=VERIFIER_MAC,
-                    ethertype=ETHERTYPE_SACHA,
-                    payload=payload,
-                )
-                for payload in payloads
-            )
+            self._verifier_port.send_many(payloads)
         except NetworkError as error:
             self._on_link_failure(error)
 
@@ -532,9 +526,9 @@ class NetworkAttestationSession:
             self._rng.fork("net-app-activity")
         )
 
-    def _on_prover_delivery(self, frame: EthernetFrame) -> None:
+    def _on_prover_delivery(self, payload: bytes) -> None:
         try:
-            command = decode_command(frame.payload)
+            command = decode_command(payload)
         except NetworkError:
             self.undecodable_frames += 1
             self._count(
@@ -564,11 +558,16 @@ class NetworkAttestationSession:
             app_frames = self._verifier.system.app_impl.region_frames
             if app_frames and app_frames[-1] in command.frame_indices:
                 self._scramble_after_app_config()
-            # One cumulative ack per batch: the return path costs one
-            # frame per batch instead of one per configured frame.
             self._prover_configs_applied += len(command.frame_indices)
-            self._send_config_ack()
+            self._config_ack_pending = True
             return
+        if self._config_ack_pending:
+            # One cumulative ack per configuration phase, sent when the
+            # first command after it (the first read-back batch) arrives:
+            # the return path carries one ack per attempt, not one per
+            # config batch.
+            self._config_ack_pending = False
+            self._send_config_ack()
         result = self._prover.handle_command(command)
         if result is None:
             return
@@ -583,14 +582,7 @@ class NetworkAttestationSession:
             "Cumulative ConfigAcks sent by provers",
         )
         try:
-            self._prover_port.send(
-                EthernetFrame(
-                    destination=VERIFIER_MAC,
-                    source=PROVER_MAC,
-                    ethertype=ETHERTYPE_SACHA,
-                    payload=ConfigAck(self._prover_configs_applied).encode(),
-                )
-            )
+            self._prover_port.send(ConfigAck(self._prover_configs_applied).encode())
         except NetworkError as error:
             self._on_link_failure(error)
 
@@ -599,23 +591,8 @@ class NetworkAttestationSession:
             return
         try:
             if isinstance(result, list):
-                self._prover_port.send_many(
-                    EthernetFrame(
-                        destination=VERIFIER_MAC,
-                        source=PROVER_MAC,
-                        ethertype=ETHERTYPE_SACHA,
-                        payload=response.encode(),
-                    )
-                    for response in result
-                )
+                self._prover_port.send_many(response.encode() for response in result)
             else:
-                self._prover_port.send(
-                    EthernetFrame(
-                        destination=VERIFIER_MAC,
-                        source=PROVER_MAC,
-                        ethertype=ETHERTYPE_SACHA,
-                        payload=result.encode(),
-                    )
-                )
+                self._prover_port.send(result.encode())
         except NetworkError as error:
             self._on_link_failure(error)

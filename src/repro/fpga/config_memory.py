@@ -89,6 +89,24 @@ class ConfigurationMemory:
         start = frame_index * size
         self._bytes[start : start + size] = data
 
+    def write_frames(self, start_index: int, data: bytes) -> None:
+        """Overwrite consecutive frames from ``start_index`` with ``data``.
+
+        One slice store for the whole range — the bulk-write counterpart
+        of :meth:`read_frames`.
+        """
+        size = self._frame_bytes
+        count, partial = divmod(len(data), size)
+        if count < 1 or partial:
+            raise ConfigMemoryError(
+                f"frame data must be a positive multiple of {size} bytes, "
+                f"got {len(data)}"
+            )
+        self._check_index(start_index)
+        self._check_index(start_index + count - 1)
+        start = start_index * size
+        self._bytes[start : start + count * size] = data
+
     def read_frame(self, frame_index: int) -> bytes:
         """Read one frame as big-endian word bytes."""
         self._check_index(frame_index)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from repro.errors import IcapError
 from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.registers import LiveRegisterFile
@@ -66,7 +64,10 @@ class Icap:
         self._protected_frames: frozenset = frozenset()
         self.stats = IcapStats()
         # Per-device constants of the single-frame hot path.
-        words = memory.device.words_per_frame
+        device = memory.device
+        words = device.words_per_frame
+        self._frame_bytes = device.frame_bytes
+        self._total_frames = device.total_frames
         self._write_words = words + WRITE_OVERHEAD_WORDS
         self._read_words = words + READBACK_OVERHEAD_WORDS
 
@@ -100,34 +101,46 @@ class Icap:
         stats.words_written += self._write_words
 
     def write_frames(self, frame_indices, data: bytes) -> None:
-        """Write several equal-sized frames in one vectorized store.
+        """Write several equal-sized frames, one store per run of indices.
 
         Equivalent to calling :meth:`write_frame` for each index in order
         — same memory contents, same register invalidation, same word
-        accounting — but the frame contents land in the configuration
-        array as a single fancy-indexed assignment instead of one
-        reshape/copy per frame.  A protocol batch is a handful of frames
-        (four per Ethernet payload on the XC6VLX240T) and a boot image's
-        FDRI packet is one contiguous ``range``, so the indices are
-        checked as plain ints rather than through numpy reductions.
+        accounting — but each maximal run of consecutive indices lands
+        with one :meth:`ConfigurationMemory.write_frames` slice store.  A
+        protocol batch is four consecutive frames on the XC6VLX240T and a
+        boot image's FDRI packet one ``range``, so either is one store.
+        Scattered, repeated or descending indices are single-frame runs,
+        stored in order, so the last write to a frame wins.
         """
         count = len(frame_indices)
-        device = self._memory.device
         if count == 0:
             return
-        if len(data) != count * device.frame_bytes:
+        frame_bytes = self._frame_bytes
+        if len(data) != count * frame_bytes:
             raise IcapError(
                 f"{len(data)} bytes do not hold {count} frames of "
-                f"{device.frame_bytes} bytes"
+                f"{frame_bytes} bytes"
             )
-        if min(frame_indices) < 0 or max(frame_indices) >= device.total_frames:
+        if min(frame_indices) < 0 or max(frame_indices) >= self._total_frames:
             raise IcapError("frame index out of range in bulk write")
         if self._protected_frames:
             for frame_index in frame_indices:
                 if int(frame_index) in self._protected_frames:
                     raise IcapError(f"frame {frame_index} is write-protected")
-        self._memory.frames_array()[np.asarray(frame_indices, dtype=np.intp)] = (
-            np.frombuffer(data, dtype=">u4").reshape(count, device.words_per_frame)
+        memory = self._memory
+        run = 0
+        previous = frame_indices[0]
+        for position in range(1, count):
+            index = frame_indices[position]
+            if index != previous + 1:
+                memory.write_frames(
+                    int(frame_indices[run]),
+                    data[run * frame_bytes : position * frame_bytes],
+                )
+                run = position
+            previous = index
+        memory.write_frames(
+            int(frame_indices[run]), data[run * frame_bytes :] if run else data
         )
         if self._registers is not None:
             self._registers.forget_frames(frame_indices)

@@ -194,10 +194,10 @@ class _InFlight:
 class ArqLink:
     """Reliable payload transport over one channel endpoint.
 
-    Presents the same ``send(frame)`` / ``handler`` surface as a raw
-    :class:`Endpoint`, so higher layers (the attestation session) use it
-    unchanged: the inner frame's payload is what travels reliably; its
-    addressing is re-created on delivery.
+    A port of payload bytes: ``send(payload)`` and ``send_many(payloads)``
+    queue them for the peer, and ``handler(payload)`` receives each one
+    the peer sent, exactly once and in order.  Only the link's own
+    DATA/ACK frames are Ethernet frames.
     """
 
     def __init__(
@@ -225,7 +225,7 @@ class ArqLink:
         self.on_give_up = on_give_up
         endpoint.handler = self._on_frame
 
-        self.handler: Optional[Callable[[EthernetFrame], None]] = None
+        self.handler: Optional[Callable[[bytes], None]] = None
         self._send_queue: Deque[bytes] = deque()
         self._next_tx_sequence = 0
         # Selective repeat: every unacknowledged payload keeps its own
@@ -282,16 +282,16 @@ class ArqLink:
 
     # -- sending -----------------------------------------------------------------
 
-    def send(self, frame: EthernetFrame) -> None:
+    def send(self, payload: bytes) -> None:
         """Queue one payload for reliable delivery to the peer."""
         if self._failed is not None:
             raise NetworkError(
                 f"ARQ link from {self._endpoint.name} is down: {self._failed}"
             )
-        self._send_queue.append(frame.payload)
+        self._send_queue.append(payload)
         self._pump()
 
-    def send_many(self, frames: Iterable[EthernetFrame]) -> None:
+    def send_many(self, payloads: Iterable[bytes]) -> None:
         """Queue a burst of payloads, then start transmitting.
 
         Enqueueing the whole burst before the first transmission lets the
@@ -303,7 +303,7 @@ class ArqLink:
             raise NetworkError(
                 f"ARQ link from {self._endpoint.name} is down: {self._failed}"
             )
-        self._send_queue.extend(frame.payload for frame in frames)
+        self._send_queue.extend(payloads)
         self._pump()
 
     def _pump(self) -> None:
@@ -591,13 +591,7 @@ class ArqLink:
     def _deliver(self, payload: bytes) -> None:
         self._expected_rx_sequence += 1
         if self.handler is not None:
-            # Strip trailing padding ambiguity by re-wrapping: upper
-            # layers see a frame shaped like the original.
-            self.handler(
-                EthernetFrame(
-                    self._endpoint.mac, self._peer_mac, ETHERTYPE_ARQ, payload
-                )
-            )
+            self.handler(payload)
 
     def _update_rtt(self, sample_ns: float, registry: MetricsRegistry) -> None:
         """Fold one clean round-trip sample into SRTT/RTTVAR (RFC 6298)."""

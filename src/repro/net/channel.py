@@ -73,16 +73,6 @@ class Endpoint:
         self.bytes_sent += frame.wire_bytes()
         self._channel.transmit(self, frame)
 
-    def send_many(self, frames) -> None:
-        """Transmit a burst of frames in order.
-
-        On a raw endpoint this is just a loop; :class:`~repro.net.arq.ArqLink`
-        overrides the same surface to enqueue the burst before pumping, so
-        callers can stream bursts transport-agnostically.
-        """
-        for frame in frames:
-            self.send(frame)
-
     def deliver(self, frame: EthernetFrame) -> None:
         self.frames_received += 1
         if self.handler is not None:

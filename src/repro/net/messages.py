@@ -15,11 +15,10 @@ The networked session moves the same protocol in batches:
 ``ICAP_config_batch`` and ``ICAP_readback_batch`` carry many frames per
 command (one index is the paper's per-frame step), the prover answers a
 readback batch with MTU-sized ``ReadbackBatchResponse`` fragments, and a
-*cumulative* ``ConfigAck`` confirms configuration progress: one ack per
-batched config command, carrying the total number of frames applied so
-far in the run — the return path costs one frame per batch instead of
-one per config frame, mirroring how the ARQ's solicited cumulative ACKs
-trim the forward path.
+*cumulative* ``ConfigAck`` confirms the configuration: one ack per
+configuration phase, sent when the first read-back batch arrives and
+carrying the total number of frames applied in the attempt — the return
+path carries one ack per attempt instead of one per config batch.
 
 Every message is self-delimiting: 1 opcode byte, fixed-size fields, and a
 2-byte length prefix before variable data.
@@ -266,11 +265,12 @@ class ConfigAck(NamedTuple):
     """Cumulative configuration acknowledgement.
 
     ``frames_applied`` is the *total* number of configuration frames the
-    prover has written in this run — cumulative like the ARQ's ACKs, so
-    one ack per ``ICAP_config_batch`` lets the verifier confirm the
-    whole configuration prefix.  The verifier tracks the high-water mark
-    and fails an attempt toward ``inconclusive`` (never a false reject)
-    if the checksum arrives with configuration coverage incomplete.
+    prover has written in this attempt — cumulative like the ARQ's ACKs,
+    so the one ack the prover sends per configuration phase (just before
+    it handles the first read-back batch) confirms the whole
+    configuration.  The verifier tracks the high-water mark and fails an
+    attempt toward ``inconclusive`` (never a false reject) if the
+    checksum arrives with configuration coverage incomplete.
     """
 
     frames_applied: int

@@ -25,9 +25,9 @@ delivers each frame after its own serialization delay, so small frames
 overtake large ones.  Streaming only needs in-order exactly-once
 delivery, not retransmission.  The session sizes ``depth`` to the most
 payloads one attempt can send, so no payload is displaced beyond the
-buffer.  The layer presents the same ``send`` / ``send_many`` /
-``handler`` surface as :class:`~repro.net.arq.ArqLink`, so the session
-uses either interchangeably.
+buffer.  The layer is a port of payload bytes with the same ``send`` /
+``send_many`` / ``handler`` surface as :class:`~repro.net.arq.ArqLink`,
+so the session uses either interchangeably.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ def _decode(data: bytes):
 class ResequencerLink:
     """Exactly-once in-order delivery over one raw channel endpoint.
 
-    Same surface as :class:`~repro.net.arq.ArqLink` minus reliability:
-    the inner frame's payload is what travels; its addressing is
-    re-created on delivery.
+    Same payload surface as :class:`~repro.net.arq.ArqLink` minus
+    reliability.
     """
 
     def __init__(
@@ -96,7 +95,7 @@ class ResequencerLink:
         self._depth = depth
         endpoint.handler = self._on_frame
 
-        self.handler: Optional[Callable[[EthernetFrame], None]] = None
+        self.handler: Optional[Callable[[bytes], None]] = None
         self._next_tx_sequence = 0
         self._expected_rx_sequence = 0
         # Out-of-order arrivals awaiting the gap-filling sequence number.
@@ -125,7 +124,7 @@ class ResequencerLink:
 
     # -- sending -----------------------------------------------------------------
 
-    def send(self, frame: EthernetFrame) -> None:
+    def send(self, payload: bytes) -> None:
         """Transmit one payload, exactly once, with sequence and CRC."""
         sequence = self._next_tx_sequence
         self._next_tx_sequence += 1
@@ -135,14 +134,14 @@ class ResequencerLink:
                 destination=self._peer_mac,
                 source=self._endpoint.mac,
                 ethertype=ETHERTYPE_RSQ,
-                payload=_encode(sequence, frame.payload),
+                payload=_encode(sequence, payload),
             )
         )
 
-    def send_many(self, frames: Iterable[EthernetFrame]) -> None:
+    def send_many(self, payloads: Iterable[bytes]) -> None:
         """Transmit a burst; purely a convenience, nothing is windowed."""
-        for frame in frames:
-            self.send(frame)
+        for payload in payloads:
+            self.send(payload)
 
     # -- receiving ----------------------------------------------------------------
 
@@ -211,11 +210,4 @@ class ResequencerLink:
     def _deliver(self, payload: bytes) -> None:
         self._expected_rx_sequence += 1
         if self.handler is not None:
-            self.handler(
-                EthernetFrame(
-                    destination=self._endpoint.mac,
-                    source=self._peer_mac,
-                    ethertype=ETHERTYPE_RSQ,
-                    payload=payload,
-                )
-            )
+            self.handler(payload)

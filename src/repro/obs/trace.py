@@ -12,8 +12,9 @@ prover's command spans are children of that span in the one registry of
 the run, and nothing about the trace travels on the wire.
 
 The second half of this module is offline: :func:`merge_span_dumps`
-reads several JSONL span dumps (for example one per run) into one
-record list, re-basing span ids so they cannot collide.
+reads several JSONL span dumps (one per run, or one run's dump split
+across files) into one record list, re-basing span ids only where two
+runs' ids would collide.
 """
 
 from __future__ import annotations
@@ -135,21 +136,28 @@ def merge_span_dumps(dumps: Sequence[Sequence["object"]]) -> List["object"]:
 
     Two deterministic steps:
 
-    1. **Re-base ids** — each dump's span ids are shifted by a running
-       offset so ids from different dumps cannot collide (parent links
-       are intra-dump, so they shift with their spans).
+    1. **Re-base ids across runs** — a dump that shares a trace id with
+       the dumps before it and reuses none of their span ids is another
+       part of the same run (one run's dump split across files): its
+       ids and parent links stay as recorded, so links that cross the
+       split still resolve.  Any other dump comes from another run, and
+       its ids and parent links shift past the highest id so far.
     2. **Sort** by ``(start_ns, span_id)`` so the output is independent
        of the order records appeared within each dump.
 
     The result is byte-stable: same dumps in, same list out.
     """
-    rebased = []
-    offset = 0
+    merged: List["object"] = []
+    seen_ids: set = set()
+    seen_traces: set = set()
     for dump in dumps:
-        highest = 0
+        ids = {record.span_id for record in dump}
+        traces = {record.trace_id for record in dump if record.trace_id}
+        offset = 0
+        if ids & seen_ids or not traces & seen_traces:
+            offset = max(seen_ids, default=0)
         for record in dump:
-            highest = max(highest, record.span_id)
-            rebased.append(
+            merged.append(
                 dataclasses.replace(
                     record,
                     span_id=record.span_id + offset,
@@ -160,9 +168,10 @@ def merge_span_dumps(dumps: Sequence[Sequence["object"]]) -> List["object"]:
                     ),
                 )
             )
-        offset += highest
-    rebased.sort(key=lambda record: (record.start_ns, record.span_id))
-    return rebased
+        seen_ids.update(span_id + offset for span_id in ids)
+        seen_traces |= traces
+    merged.sort(key=lambda record: (record.start_ns, record.span_id))
+    return merged
 
 
 def trace_ids(spans: Sequence["object"]) -> List[str]:

@@ -110,7 +110,7 @@ class TestCommands:
             ]
         ) == 0
         assert capsys.readouterr().out == plain
-        assert "retransmissions: 18" in plain
+        assert "retransmissions: 6" in plain
 
     def test_attest_tampered(self, capsys):
         assert main(

@@ -17,10 +17,12 @@ from repro.fpga.device import SIM_SMALL
 from repro.net.arq import ETHERTYPE_ARQ, ArqTuning
 from repro.net.batch import frames_per_config_batch
 from repro.net.channel import Channel, LatencyModel
-from repro.net.ethernet import EthernetFrame
 from repro.net.faults import FaultModel, FaultProfile
 from repro.net.messages import (
+    OPCODE_CONFIG_ACK,
     OPCODE_READBACK_BATCH_RESPONSE,
+    ConfigAck,
+    IcapConfigBatchCommand,
     IcapConfigCommand,
     IcapReadbackBatchCommand,
     IcapReadbackCommand,
@@ -64,9 +66,9 @@ class TestHonestNetworkRun:
         config_batches = -(-dynamic // frames_per_config_batch(SIM_SMALL.frame_bytes))
         # verifier: config batches + one readback per frame + checksum
         assert result.frames_sent_by_verifier == config_batches + total_frames + 1
-        # prover: one ConfigAck per config batch + one response fragment
-        # per readback + the final tag
-        assert result.frames_sent_by_prover == config_batches + total_frames + 1
+        # prover: one ConfigAck for the configuration phase + one response
+        # fragment per readback + the final tag
+        assert result.frames_sent_by_prover == 1 + total_frames + 1
 
     def test_duration_grows_with_latency(self):
         fast, _ = _session(latency_ns=100.0)
@@ -352,14 +354,7 @@ class TestPipelinedTransport:
         rogue = ReadbackBatchResponse(
             base_slot=5, frame_count=1, data=bytes(frame_bytes)
         )
-        session._on_verifier_delivery(
-            EthernetFrame(
-                destination=session.verifier_endpoint.mac,
-                source=session.prover_endpoint.mac,
-                ethertype=0x88B5,
-                payload=rogue.encode(),
-            )
-        )
+        session._on_verifier_delivery(rogue.encode())
         assert session.unexpected_frames == before + 1
 
     def test_premature_checksum_response_is_ignored(self):
@@ -373,14 +368,7 @@ class TestPipelinedTransport:
         session._plan = [0, 1, 2, 3]
         session._rx_slot = 0
         before = session.unexpected_frames
-        session._on_verifier_delivery(
-            EthernetFrame(
-                destination=session.verifier_endpoint.mac,
-                source=session.prover_endpoint.mac,
-                ethertype=0x88B5,
-                payload=MacChecksumResponse(tag=bytes(16)).encode(),
-            )
-        )
+        session._on_verifier_delivery(MacChecksumResponse(tag=bytes(16)).encode())
         assert session.unexpected_frames == before + 1
         assert session._tag is None
 
@@ -466,7 +454,8 @@ class TestCumulativeConfigAcks:
 
     def test_one_frame_batches_ack_every_config_frame(self):
         """Batch 1 streams the configuration in batches like any other
-        batch size, and each batch is acked, on either transport."""
+        batch size, and the configuration phase is acked, on either
+        transport."""
         for reliable in (False, True):
             session, _ = _reliable_session(1, 1, reliable=reliable)
             assert session.run().report.accepted, reliable
@@ -480,6 +469,145 @@ class TestCumulativeConfigAcks:
             result = session.run()
             assert result.report.verdict is Verdict.INCONCLUSIVE, shape
             assert "config_unacked" in result.report.failure_reason, shape
+
+
+def _sacha_message(frame):
+    """The SACHa message a DATA frame of either link layer carries:
+    ``(link header bytes, link sequence number, message bytes)``, or
+    ``None`` for an ARQ ACK."""
+    if frame.ethertype == ETHERTYPE_ARQ:
+        if frame.payload[0] == 0x02:
+            return None
+        return 5, int.from_bytes(frame.payload[1:5], "big"), frame.payload[5:-4]
+    return 4, int.from_bytes(frame.payload[:4], "big"), frame.payload[4:-4]
+
+
+def _medium_session(provisioned_medium, reliable, tampered=False, **options):
+    provisioned, record = provisioned_medium
+    if tampered:
+        bit = record.system.first_unmasked_static_bit()
+        provisioned.board.fpga.memory.flip_bit(
+            bit.frame_index, bit.word_index, bit.bit_index
+        )
+    simulator = Simulator()
+    channel = Channel(simulator, LatencyModel(base_ns=5_000.0))
+    session = NetworkAttestationSession(
+        simulator,
+        channel,
+        provisioned.prover,
+        SachaVerifier(record.system, record.mac_key, DeterministicRng(5)),
+        DeterministicRng(6),
+        reliable=reliable,
+        **options,
+    )
+    return session, channel
+
+
+@pytest.mark.parametrize("reliable", [False, True], ids=["raw", "arq"])
+class TestOneConfigAckPerPhase:
+    """The prover acks the configuration phase once, cumulatively, when
+    the first read-back batch arrives.  SIM-MEDIUM configures 214 frames
+    in six batches, so one ack per batch and one per phase differ."""
+
+    @staticmethod
+    def _record_messages(session, channel):
+        """Every distinct message in wire order, keyed by ``(direction,
+        attempt nonce, link sequence number)``."""
+        seen = {}
+
+        def tap(time_ns, direction, frame):
+            carried = _sacha_message(frame)
+            if carried is not None:
+                _, sequence, message = carried
+                decode = decode_response if direction == "prv->vrf" else decode_command
+                seen.setdefault((direction, session._nonce, sequence), decode(message))
+
+        channel.add_tap(tap)
+        return seen
+
+    def test_one_ack_covers_the_phase_before_the_first_fragment(
+        self, provisioned_medium, reliable
+    ):
+        session, channel = _medium_session(provisioned_medium, reliable)
+        seen = self._record_messages(session, channel)
+        result = session.run()
+        assert result.report.accepted
+        commands = [m for (side, *_), m in seen.items() if side == "vrf->prv"]
+        responses = [m for (side, *_), m in seen.items() if side == "prv->vrf"]
+        assert sum(isinstance(c, IcapConfigBatchCommand) for c in commands) == 6
+        kinds = [type(response) for response in responses]
+        assert kinds.count(ConfigAck) == 1
+        assert kinds.index(ConfigAck) < kinds.index(ReadbackBatchResponse)
+        (ack,) = [r for r in responses if isinstance(r, ConfigAck)]
+        assert ack.frames_applied == session._config_steps == 214
+
+    @pytest.mark.parametrize("tampered", [False, True], ids=["clean", "tampered"])
+    def test_under_reported_ack_fails_closed(
+        self, provisioned_medium, reliable, tampered
+    ):
+        """A tap that lowers ``frames_applied`` and fixes up the link
+        CRC-32 gets the ack through: every attempt ends
+        ``config_unacked``, never ACCEPT and never REJECT."""
+        session, channel = _medium_session(
+            provisioned_medium, reliable, tampered, max_attempts=2
+        )
+        rewritten = []
+
+        def tap(time_ns, direction, frame):
+            carried = _sacha_message(frame)
+            if direction != "prv->vrf" or carried is None:
+                return None
+            header, _, message = carried
+            if message[0] != OPCODE_CONFIG_ACK:
+                return None
+            applied = decode_response(message).frames_applied
+            body = frame.payload[:header] + ConfigAck(applied - 1).encode()
+            rewritten.append(applied)
+            return frame._replace(
+                payload=body + zlib.crc32(body).to_bytes(4, "little")
+            )
+
+        channel.add_tap(tap)
+        result = session.run()
+        assert rewritten == [214, 214]
+        assert result.report.verdict is Verdict.INCONCLUSIVE
+        assert "config_unacked" in result.report.failure_reason
+        assert result.attempts == 2
+
+    @pytest.mark.parametrize("tampered", [False, True], ids=["clean", "tampered"])
+    def test_retry_acks_its_own_configuration_once(
+        self, provisioned_medium, reliable, tampered
+    ):
+        """An attempt that dies after configuring (every prover frame of
+        it corrupted on the wire) leaves the retry one ack, counting the
+        retry's configuration frames only."""
+        session, channel = _medium_session(
+            provisioned_medium,
+            reliable,
+            tampered,
+            max_attempts=2,
+            arq_tuning=ArqTuning(max_retries=2),
+        )
+        seen = self._record_messages(session, channel)
+        first_nonce = []
+
+        def kill_first_attempt(time_ns, direction, frame):
+            first_nonce[:] = first_nonce or [session._nonce]
+            if direction == "prv->vrf" and session._nonce == first_nonce[0]:
+                return frame._replace(payload=bytes(len(frame.payload)))
+            return None
+
+        channel.add_tap(kill_first_attempt)
+        result = session.run()
+        assert result.attempts == 2
+        expected = Verdict.REJECT if tampered else Verdict.ACCEPT
+        assert result.report.verdict is expected
+        retry_acks = [
+            message.frames_applied
+            for (_, nonce, _), message in seen.items()
+            if nonce == result.report.nonce and isinstance(message, ConfigAck)
+        ]
+        assert retry_acks == [session._config_steps] == [214]
 
 
 class TestFinishedSessionMemory:

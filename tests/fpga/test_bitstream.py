@@ -132,19 +132,27 @@ class TestFullLoad:
             BitstreamLoader(_fresh_icap()).load(writer.finish())
 
     def test_one_bulk_icap_write_per_fdri_packet(self, random_memory, monkeypatch):
+        """Each FDRI packet is one ICAP call and one memory store."""
         bitstream = build_partial_bitstream(random_memory, [1, 2, 3, 7, 8], "runs")
         icap = _fresh_icap()
-        bulk_writes = []
+        bulk_writes, stores = [], []
         write_frames = icap.write_frames
+        store = icap.memory.write_frames
 
         def spy(frame_indices, data):
             bulk_writes.append(len(frame_indices))
             write_frames(frame_indices, data)
 
+        def store_spy(start_index, data):
+            stores.append((start_index, len(data) // SIM_SMALL.frame_bytes))
+            store(start_index, data)
+
         monkeypatch.setattr(icap, "write_frames", spy)
+        monkeypatch.setattr(icap.memory, "write_frames", store_spy)
         report = BitstreamLoader(icap).load(bitstream)
         assert report.frames_written == [1, 2, 3, 7, 8]
         assert bulk_writes == [3, 2]
+        assert stores == [(1, 3), (7, 2)]
         assert icap.stats.frames_written == 5
 
     def test_empty_type2_write_changes_nothing(self):

@@ -42,6 +42,24 @@ class TestFrameAccess:
         with pytest.raises(FrameAddressError):
             memory.write_frame(-1, bytes(SIM_SMALL.frame_bytes))
 
+    def test_write_frames_round_trips_through_read_frames(self, memory, rng):
+        data = rng.randbytes(3 * SIM_SMALL.frame_bytes)
+        memory.write_frames(4, data)
+        assert memory.read_frames(4, 3) == data
+        assert memory.read_frame(3) == memory.read_frame(7) == bytes(
+            SIM_SMALL.frame_bytes
+        )
+
+    def test_write_frames_rejects_partial_frames_and_overruns(self, memory):
+        size = SIM_SMALL.frame_bytes
+        with pytest.raises(ConfigMemoryError, match="multiple"):
+            memory.write_frames(0, bytes(size + 1))
+        with pytest.raises(ConfigMemoryError, match="multiple"):
+            memory.write_frames(0, b"")
+        with pytest.raises(FrameAddressError):
+            memory.write_frames(SIM_SMALL.total_frames - 1, bytes(2 * size))
+        assert memory.snapshot() == bytes(SIM_SMALL.configuration_bytes())
+
 
 class TestBitAccess:
     def test_set_get_flip(self, memory):

@@ -34,16 +34,12 @@ def _linked_pair(loss=0.0, rng=None, max_retries=25, tuning=None):
     return simulator, channel, left, right
 
 
-def _payload_frame(payload: bytes) -> EthernetFrame:
-    return EthernetFrame(MAC_B, MAC_A, 0x88B5, payload)
-
-
 class TestLosslessDelivery:
     def test_single_payload(self):
         simulator, _, left, right = _linked_pair()
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
-        left.send(_payload_frame(b"hello"))
+        right.handler = received.append
+        left.send(b"hello")
         simulator.run()
         assert received == [b"hello"]
         assert left.idle
@@ -51,9 +47,9 @@ class TestLosslessDelivery:
     def test_many_payloads_in_order(self):
         simulator, _, left, right = _linked_pair()
         received = []
-        right.handler = lambda frame: received.append(frame.payload[:1])
+        right.handler = lambda payload: received.append(payload[:1])
         for tag in (b"a", b"b", b"c", b"d"):
-            left.send(_payload_frame(tag))
+            left.send(tag)
         simulator.run()
         assert received == [b"a", b"b", b"c", b"d"]
         assert left.retransmissions == 0
@@ -61,10 +57,10 @@ class TestLosslessDelivery:
     def test_bidirectional(self):
         simulator, _, left, right = _linked_pair()
         got_left, got_right = [], []
-        left.handler = lambda frame: got_left.append(frame.payload)
-        right.handler = lambda frame: got_right.append(frame.payload)
-        left.send(_payload_frame(b"ping"))
-        right.send(_payload_frame(b"pong"))
+        left.handler = got_left.append
+        right.handler = got_right.append
+        left.send(b"ping")
+        right.send(b"pong")
         simulator.run()
         assert got_right == [b"ping"]
         assert got_left == [b"pong"]
@@ -75,10 +71,10 @@ class TestLossyDelivery:
         rng = DeterministicRng(99)
         simulator, channel, left, right = _linked_pair(loss=0.25, rng=rng)
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
+        right.handler = received.append
         payloads = [bytes([i]) * 8 for i in range(30)]
         for payload in payloads:
-            left.send(_payload_frame(payload))
+            left.send(payload)
         simulator.run()
         assert received == payloads  # exactly once, in order
         assert channel.frames_dropped > 0
@@ -107,8 +103,8 @@ class TestLossyDelivery:
 
         channel.add_tap(ack_killer)
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
-        left.send(_payload_frame(b"once"))
+        right.handler = received.append
+        left.send(b"once")
         simulator.run()
         assert received == [b"once"]
         assert right.duplicates_dropped >= 1  # the retransmitted copy
@@ -118,8 +114,8 @@ class TestLossyDelivery:
         simulator, channel, left, right = _linked_pair(
             loss=0.999999, rng=rng, max_retries=3
         )
-        right.handler = lambda frame: None
-        left.send(_payload_frame(b"doomed"))
+        right.handler = lambda payload: None
+        left.send(b"doomed")
         with pytest.raises(NetworkError, match="gave up"):
             simulator.run()
 
@@ -137,9 +133,9 @@ class TestAdaptiveWindow:
 
     def test_clean_link_never_adapts(self):
         simulator, _, left, right = _linked_pair(tuning=_adaptive_tuning())
-        right.handler = lambda frame: None
+        right.handler = lambda payload: None
         for index in range(40):
-            left.send(_payload_frame(bytes([index]) * 8))
+            left.send(bytes([index]) * 8)
         simulator.run()
         assert left.cwnd == left.window == 8
         assert left.cwnd_halvings == 0
@@ -150,10 +146,10 @@ class TestAdaptiveWindow:
             loss=0.25, rng=rng, tuning=_adaptive_tuning()
         )
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
+        right.handler = received.append
         payloads = [bytes([i]) * 8 for i in range(40)]
         for payload in payloads:
-            left.send(_payload_frame(payload))
+            left.send(payload)
         simulator.run()
         assert received == payloads
         assert left.cwnd_halvings > 0
@@ -228,7 +224,7 @@ class TestAdaptiveWindow:
             simulator, _, left, right = _linked_pair(
                 loss=0.2, rng=rng, tuning=_adaptive_tuning()
             )
-            right.handler = lambda frame: None
+            right.handler = lambda payload: None
             trajectory = []
             original = left._cwnd_on_loss
 
@@ -238,7 +234,7 @@ class TestAdaptiveWindow:
 
             left._cwnd_on_loss = spy
             for index in range(30):
-                left.send(_payload_frame(bytes([index]) * 8))
+                left.send(bytes([index]) * 8)
             simulator.run()
             return trajectory, left.cwnd_halvings
 
@@ -250,7 +246,7 @@ class TestCrossProcessDeterminism:
 import json, sys
 from repro.net.arq import ArqLink, ArqTuning
 from repro.net.channel import Channel, Endpoint, LatencyModel
-from repro.net.ethernet import EthernetFrame, MacAddress
+from repro.net.ethernet import MacAddress
 from repro.net.faults import FaultModel, FaultProfile
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
@@ -270,7 +266,7 @@ tuning = ArqTuning(
 )
 left = ArqLink(simulator, left_ep, MAC_B, tuning)
 right = ArqLink(simulator, right_ep, MAC_A, tuning)
-right.handler = lambda frame: None
+right.handler = lambda payload: None
 trajectory = []
 original = left._cwnd_on_loss
 def spy(sequence):
@@ -278,7 +274,7 @@ def spy(sequence):
     trajectory.append(left.cwnd)
 left._cwnd_on_loss = spy
 for index in range(30):
-    left.send(EthernetFrame(MAC_B, MAC_A, 0x88B5, bytes([index]) * 8))
+    left.send(bytes([index]) * 8)
 simulator.run()
 print(json.dumps({
     "trajectory": trajectory,
@@ -354,5 +350,5 @@ class TestValidation:
         """A truncated frame is indistinguishable from line noise: it is
         counted and dropped, never raised out of the event loop."""
         simulator, _, left, right = _linked_pair()
-        right._on_frame(_payload_frame(b"\x01"))
+        right._on_frame(EthernetFrame(MAC_B, MAC_A, 0x88B5, b"\x01"))
         assert right.corrupt_frames_dropped == 1

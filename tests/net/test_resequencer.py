@@ -39,10 +39,6 @@ def _linked_pair(profile=None, seed=7, depth=DEFAULT_DEPTH):
     return simulator, channel, left, right
 
 
-def _payload_frame(payload: bytes) -> EthernetFrame:
-    return EthernetFrame(MAC_B, MAC_A, 0x88B5, payload)
-
-
 class TestCodec:
     def test_round_trip(self):
         encoded = _encode(42, b"payload")
@@ -71,10 +67,10 @@ class TestCleanDelivery:
     def test_in_order_exactly_once(self):
         simulator, _, left, right = _linked_pair()
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
+        right.handler = received.append
         payloads = [bytes([i]) * 8 for i in range(20)]
         for payload in payloads:
-            left.send(_payload_frame(payload))
+            left.send(payload)
         simulator.run()
         assert received == payloads
         assert left.payloads_sent == 20
@@ -82,22 +78,24 @@ class TestCleanDelivery:
         assert right.idle
 
     def test_delivered_frames_use_rsq_ethertype_and_peer_addressing(self):
-        simulator, _, left, right = _linked_pair()
-        frames = []
-        right.handler = frames.append
-        left.send(_payload_frame(b"addr"))
+        simulator, channel, left, right = _linked_pair()
+        frames, received = [], []
+        channel.add_tap(lambda time_ns, direction, frame: frames.append(frame))
+        right.handler = received.append
+        left.send(b"addr")
         simulator.run()
         (frame,) = frames
         assert frame.ethertype == ETHERTYPE_RSQ
-        assert frame.payload == b"addr"
+        assert _decode(frame.payload) == (0, b"addr")
         assert frame.destination == MAC_B
         assert frame.source == MAC_A
+        assert received == [b"addr"]
 
     def test_send_many_is_a_burst_of_sends(self):
         simulator, _, left, right = _linked_pair()
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
-        left.send_many(_payload_frame(bytes([i])) for i in range(5))
+        right.handler = received.append
+        left.send_many(bytes([i]) for i in range(5))
         simulator.run()
         assert received == [bytes([i]) for i in range(5)]
 
@@ -107,10 +105,10 @@ class TestFaultyDelivery:
         profile = FaultProfile(duplication_probability=0.4)
         simulator, _, left, right = _linked_pair(profile, seed=11)
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
+        right.handler = received.append
         payloads = [bytes([i]) * 8 for i in range(30)]
         for payload in payloads:
-            left.send(_payload_frame(payload))
+            left.send(payload)
         simulator.run()
         assert received == payloads
         assert right.duplicates_dropped > 0
@@ -119,10 +117,10 @@ class TestFaultyDelivery:
         profile = FaultProfile(reorder_probability=0.4, reorder_extra_ns=1e5)
         simulator, _, left, right = _linked_pair(profile, seed=12)
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
+        right.handler = received.append
         payloads = [bytes([i]) * 8 for i in range(30)]
         for payload in payloads:
-            left.send(_payload_frame(payload))
+            left.send(payload)
         simulator.run()
         assert received == payloads
         assert right.max_depth_seen > 0
@@ -132,10 +130,10 @@ class TestFaultyDelivery:
         profile = FaultProfile(corruption_probability=0.3)
         simulator, _, left, right = _linked_pair(profile, seed=13)
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
+        right.handler = received.append
         payloads = [bytes([i]) * 8 for i in range(30)]
         for payload in payloads:
-            left.send(_payload_frame(payload))
+            left.send(payload)
         simulator.run()
         assert right.corrupt_frames_dropped > 0
         # Corruption is loss at this layer: delivery stops at the first
@@ -157,12 +155,12 @@ class TestFaultyDelivery:
             return None
 
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
-        left.send(_payload_frame(b"first"))
+        right.handler = received.append
+        left.send(b"first")
         simulator.run()
         channel.add_tap(drop_second)
-        left.send(_payload_frame(b"second"))
-        left.send(_payload_frame(b"third"))
+        left.send(b"second")
+        left.send(b"third")
         simulator.run()
         assert received == [b"first"]
         assert right.buffered == 1  # b"third" held behind the gap
@@ -171,7 +169,7 @@ class TestFaultyDelivery:
     def test_overflow_beyond_depth_dropped(self):
         simulator, _, left, right = _linked_pair(depth=4)
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
+        right.handler = received.append
         # Inject far-future sequence directly: beyond expected + depth.
         right._on_frame(
             EthernetFrame(MAC_B, MAC_A, ETHERTYPE_RSQ, _encode(100, b"far"))

@@ -56,13 +56,20 @@ class TestObsReport:
     def test_report_merges_multiple_dumps(
         self, networked_artifacts, tmp_path, capsys
     ):
+        """One run's dump split in two renders the whole file's report:
+        the prover's spans stay under ``session_attempt``, whose id the
+        other half holds."""
         spans, _ = networked_artifacts
+        assert main(["obs", "report", str(spans)]) == 0
+        whole = capsys.readouterr().out
         lines = spans.read_text(encoding="utf-8").splitlines(keepends=True)
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         first.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
         second.write_text("".join(lines[len(lines) // 2 :]), encoding="utf-8")
         assert main(["obs", "report", str(first), str(second)]) == 0
-        assert "session_attempt" in capsys.readouterr().out
+        assert capsys.readouterr().out == whole
+        for name in ("prover_config", "prover_readback", "prover_checksum"):
+            assert f"\n    {name} " in whole
 
 
 class TestObsFlame:

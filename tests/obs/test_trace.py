@@ -163,6 +163,36 @@ class TestMergeSpanDumps:
             "prover_config": None,
         }
 
+    def test_one_run_split_across_dumps_keeps_its_links(self):
+        """A dump that continues a run (a shared trace id, no reused span
+        id) keeps its ids, so parent links across the split resolve."""
+        first = [
+            _rec(3, 2, "prover_config", 10, 10, trace="t1", session="prv-0"),
+            _rec(4, 2, "prover_readback", 20, 20, trace="t1", session="prv-0"),
+        ]
+        second = [
+            _rec(2, 1, "session_attempt", 0, 100, trace="t1", session="verifier"),
+            _rec(1, None, "net_session", 0, 100),
+        ]
+        merged = merge_span_dumps([first, second])
+        assert {r.name: (r.span_id, r.parent_id) for r in merged} == {
+            "net_session": (1, None),
+            "session_attempt": (2, 1),
+            "prover_config": (3, 2),
+            "prover_readback": (4, 2),
+        }
+
+    def test_dumps_of_different_runs_are_rebased(self):
+        """Disjoint ids alone do not make one run: a dump whose traces
+        are new is shifted past the ids merged so far."""
+        first = [_rec(1, None, "session_attempt", 0, 10, trace="t1")]
+        second = [_rec(2, 1, "prover_config", 3, 4, trace="t2")]
+        merged = merge_span_dumps([first, second])
+        assert {r.name: (r.span_id, r.parent_id) for r in merged} == {
+            "session_attempt": (1, None),
+            "prover_config": (3, 2),
+        }
+
     def test_untraced_spans_stay_roots(self):
         merged = merge_span_dumps(
             [[_rec(1, None, "a", 0, 1, trace="t")], [_rec(1, None, "b", 2, 3)]]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.net.arq import ArqLink, ArqTuning
 from repro.net.channel import Channel, Endpoint, LatencyModel
-from repro.net.ethernet import EthernetFrame, MacAddress
+from repro.net.ethernet import MacAddress
 from repro.net.faults import FaultModel, FaultProfile
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
@@ -87,9 +87,9 @@ def _run_exchange(profile: FaultProfile, seed: int, payloads, window=1):
         on_give_up=give_ups.append,
     )
     received = []
-    right.handler = lambda frame: received.append(frame.payload)
+    right.handler = received.append
     for payload in payloads:
-        left.send(EthernetFrame(MAC_B, MAC_A, 0x88B5, payload))
+        left.send(payload)
     simulator.run()
     return received, give_ups, left
 
@@ -153,10 +153,8 @@ def _run_resequenced(profile: FaultProfile, seed: int, payloads):
     left = ResequencerLink(left_ep, MAC_B)
     right = ResequencerLink(right_ep, MAC_A)
     received = []
-    right.handler = lambda frame: received.append(frame.payload)
-    left.send_many(
-        EthernetFrame(MAC_B, MAC_A, 0x88B5, payload) for payload in payloads
-    )
+    right.handler = received.append
+    left.send_many(payloads)
     simulator.run()
     return received, right
 
@@ -283,14 +281,14 @@ class TestWindowOneIsStopAndWait:
             rng=rng.fork("arq-right"), on_give_up=give_ups.append,
         )
         received = []
-        right.handler = lambda frame: received.append(frame.payload)
+        right.handler = received.append
         wire = hashlib.sha256()
         channel.add_tap(
             lambda t, d, frame: wire.update(d.encode() + frame.payload) or None
         )
         payloads = [bytes([index % 256]) * 16 for index in range(count)]
         for payload in payloads:
-            left.send(EthernetFrame(MAC_B, MAC_A, 0x88B5, payload))
+            left.send(payload)
         simulator.run()
 
         assert not give_ups
@@ -340,15 +338,13 @@ def _fingerprint_exchange(seed, count, window, profile):
         rng=rng.fork("arq-right"), on_give_up=give_ups.append,
     )
     received = []
-    right.handler = lambda frame: received.append(frame.payload)
+    right.handler = received.append
     wire = hashlib.sha256()
     channel.add_tap(
         lambda t, d, frame: wire.update(d.encode() + frame.payload) or None
     )
     payloads = [bytes([index % 256]) * 16 for index in range(count)]
-    left.send_many(
-        EthernetFrame(MAC_B, MAC_A, 0x88B5, payload) for payload in payloads
-    )
+    left.send_many(payloads)
     simulator.run()
     assert not give_ups
     assert received == payloads

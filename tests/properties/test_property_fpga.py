@@ -101,6 +101,50 @@ class TestRegisterFileProperties:
         assert len(bulk) == len(single)
 
 
+#: Runs of up to eight consecutive in-range frame indices.
+consecutive_runs = st.builds(
+    lambda start, length: tuple(range(start, min(start + length, TOTAL))),
+    frame_indices,
+    st.integers(1, 8),
+)
+
+
+class TestIcapProperties:
+    @given(
+        positions=st.sets(register_bits, max_size=40),
+        indices=st.one_of(
+            consecutive_runs,
+            st.lists(consecutive_runs, max_size=6).map(
+                lambda runs: tuple(index for run in runs for index in run)
+            ),
+            st.lists(frame_indices, max_size=2 * TOTAL),
+            st.builds(range, frame_indices, frame_indices),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80)
+    def test_write_frames_equals_one_write_per_index(self, positions, indices, seed):
+        """A bulk write, however its indices run (consecutive, scattered,
+        repeated, descending, a ``range``), leaves memory, registers and
+        stats as one ``write_frame`` per index in order would."""
+        data = DeterministicRng(seed).randbytes(len(indices) * FRAME_BYTES)
+        bulk, single = (
+            Icap(ConfigurationMemory(SIM_SMALL), LiveRegisterFile(SIM_SMALL))
+            for _ in range(2)
+        )
+        for icap in (bulk, single):
+            icap.memory.randomize(DeterministicRng(seed + 1))
+            icap.registers.declare(positions)
+        bulk.write_frames(indices, data)
+        for position, index in enumerate(indices):
+            single.write_frame(
+                index, data[position * FRAME_BYTES : (position + 1) * FRAME_BYTES]
+            )
+        assert bulk.memory == single.memory
+        assert list(bulk.registers) == list(single.registers)
+        assert bulk.stats == single.stats
+
+
 class TestBitstreamProperties:
     @given(
         seed=st.integers(0, 2**32 - 1),
