@@ -3,7 +3,7 @@
 
 Runs the perf-critical benchmark suites (crypto primitives, Table-4
 protocol execution, swarm scaling, networked attestation, fleet sweep,
-observability overhead, the XC6VLX240T boot path) under
+observability overhead, the XC6VLX240T boot path, the PUF read) under
 ``pytest-benchmark``, compares the results against the committed
 baseline ``BENCH_attestation.json``, and exits non-zero when any
 benchmark regressed beyond the threshold (default 20 %).  CI runs this
@@ -35,7 +35,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_attestation.json"
@@ -51,6 +51,7 @@ SUITES = [
     "benchmarks/bench_fleet_sweep.py",
     "benchmarks/bench_obs_overhead.py",
     "benchmarks/bench_boot.py",
+    "benchmarks/bench_puf.py",
 ]
 
 #: Max fractional slowdown of an obs-enabled attestation over the
@@ -71,6 +72,16 @@ NET_DEGRADATION_SPEEDUP = 2.0
 NET_DEGRADATION_PAIR = (
     "benchmarks/bench_net_attestation.py::test_net_adaptive_lossy_attestation",
     "benchmarks/bench_net_attestation.py::test_net_lockstep_lossy_attestation",
+)
+
+#: The PUF's noisy read (2,048 uniforms, once per key derivation) must
+#: stay at least this much faster than drawing one ``random()`` per bit
+#: -- the per-attestation saving of the bulk draw.  Compared within one
+#: run, like the pairs above.
+PUF_READ_SPEEDUP = 2.5
+PUF_READ_PAIR = (
+    "benchmarks/bench_puf.py::test_puf_read_bulk",
+    "benchmarks/bench_puf.py::test_puf_read_per_draw",
 )
 
 
@@ -219,25 +230,21 @@ def check_obs_overhead(current: Dict[str, object]) -> List[str]:
     return [line] if overhead > OBS_OVERHEAD_LIMIT else []
 
 
-def check_net_degradation(current: Dict[str, object]) -> List[str]:
-    """Adaptive-vs-stop-and-wait speedup on the lossy link, within this run."""
+def check_speedup(
+    current: Dict[str, object], label: str, pair: Tuple[str, str], floor: float
+) -> List[str]:
+    """``pair`` = (fast leg, slow leg): slow/fast of the mins, within this run."""
     benches: Dict[str, Dict[str, float]] = current["benchmarks"]  # type: ignore[assignment]
-    adaptive_name, lockstep_name = NET_DEGRADATION_PAIR
-    adaptive = benches.get(adaptive_name)
-    lockstep = benches.get(lockstep_name)
-    if adaptive is None or lockstep is None:
-        return [
-            "MISSING  net degradation pair: "
-            f"{adaptive_name} / {lockstep_name} did not both run"
-        ]
-    speedup = float(lockstep["min_seconds"]) / float(adaptive["min_seconds"])
-    marker = "FAIL" if speedup < NET_DEGRADATION_SPEEDUP else "ok"
-    line = (
-        f"{marker:7s} net degradation: lockstep/adaptive = "
-        f"{speedup:.2f}x (limit >={NET_DEGRADATION_SPEEDUP:.1f}x)"
-    )
+    fast_name, slow_name = pair
+    fast = benches.get(fast_name)
+    slow = benches.get(slow_name)
+    if fast is None or slow is None:
+        return [f"MISSING  {label} pair: {fast_name} / {slow_name} did not both run"]
+    speedup = float(slow["min_seconds"]) / float(fast["min_seconds"])
+    marker = "FAIL" if speedup < floor else "ok"
+    line = f"{marker:7s} {label}: {speedup:.2f}x (limit >={floor:.1f}x)"
     print(line)
-    return [line] if speedup < NET_DEGRADATION_SPEEDUP else []
+    return [line] if speedup < floor else []
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -284,7 +291,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {args.json}")
 
     overhead_failures = check_obs_overhead(current)
-    overhead_failures += check_net_degradation(current)
+    overhead_failures += check_speedup(
+        current,
+        "net degradation: lockstep/adaptive",
+        NET_DEGRADATION_PAIR,
+        NET_DEGRADATION_SPEEDUP,
+    )
+    overhead_failures += check_speedup(
+        current, "puf read: per-draw/bulk", PUF_READ_PAIR, PUF_READ_SPEEDUP
+    )
 
     if args.update_baseline:
         BASELINE_PATH.write_text(json.dumps(current, indent=2) + "\n")

@@ -34,14 +34,20 @@ class ReadbackOrder(abc.ABC):
 
 
 def check_coverage(sequence: Sequence[int], total_frames: int) -> None:
-    """Every frame must appear at least once; indices must be in range."""
-    seen = set()
-    for index in sequence:
-        if not 0 <= index < total_frames:
-            raise ProtocolError(f"readback index {index} out of range")
-        seen.add(index)
-    if len(seen) != total_frames:
-        missing = total_frames - len(seen)
+    """Every frame must appear at least once; indices must be in range.
+
+    The first out-of-range index, in sequence order, is the one reported.
+    Sorting is C-speed, and nearly free on a plan of ascending runs; a
+    plan that reads every frame once then sorts to ``range(total_frames)``.
+    """
+    ordered = sorted(sequence)
+    if ordered and (ordered[0] < 0 or ordered[-1] >= total_frames):
+        index = next(index for index in sequence if not 0 <= index < total_frames)
+        raise ProtocolError(f"readback index {index} out of range")
+    if len(ordered) == total_frames and ordered == list(range(total_frames)):
+        return
+    missing = total_frames - len(set(ordered))
+    if missing:
         raise ProtocolError(
             f"readback order misses {missing} of {total_frames} frames; "
             "partial coverage would leave unattested configuration"
@@ -63,9 +69,8 @@ class OffsetOrder(ReadbackOrder):
         self.offset = offset
 
     def frame_sequence(self, total_frames: int) -> List[int]:
-        return [
-            (self.offset + step) % total_frames for step in range(total_frames)
-        ]
+        start = self.offset % total_frames
+        return [*range(start, total_frames), *range(start)]
 
 
 class SequentialOrder(OffsetOrder):

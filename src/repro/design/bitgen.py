@@ -14,7 +14,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from repro.fpga.bitstream import Bitstream, build_partial_bitstream
 from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.device import DevicePart
 from repro.fpga.mask import MaskFile
-from repro.fpga.registers import LiveRegisterFile, RegisterBit
+from repro.fpga.registers import LiveRegisterFile, RegisterBit, register_rows
 
 
 def _instance_content(
@@ -65,8 +66,21 @@ class Implementation:
     def region_frames(self) -> List[int]:
         return self.placement.region_frames
 
+    @cached_property
+    def _register_bits(self) -> Tuple[RegisterBit, ...]:
+        """The sorted storage-element positions, sorted once: every
+        attestation re-declares the application's registers, and the
+        placement is fixed once implemented."""
+        return tuple(self.placement.all_register_positions())
+
+    @cached_property
+    def _register_rows(self) -> np.ndarray:
+        rows = register_rows(self._register_bits)
+        rows.flags.writeable = False
+        return rows
+
     def register_positions(self) -> List[RegisterBit]:
-        return self.placement.all_register_positions()
+        return list(self._register_bits)
 
     def apply_to(self, memory: ConfigurationMemory) -> None:
         """Write the implementation's frames into a configuration memory.
@@ -98,7 +112,7 @@ class Implementation:
 
     def declare_registers(self, registers: LiveRegisterFile) -> None:
         """Declare the design's storage elements on a live register file."""
-        registers.declare(self.register_positions())
+        registers.declare(self._register_rows)
 
     def mask(self) -> MaskFile:
         """The ``Msk`` covering exactly this design's storage elements."""

@@ -168,24 +168,18 @@ class Icap:
 
         Equivalent to concatenating :meth:`readback_frame` results for the
         range — same bytes, same transaction accounting — but the sweep is
-        a single bulk copy out of the configuration memory with register
-        overlays patched in place, instead of ``count`` separate frame
-        copies.
+        a single bulk copy out of the configuration memory with every
+        register overlay patched in by one scatter, instead of ``count``
+        separate frame copies.
         """
         if count < 1:
             raise IcapError(f"readback count must be positive, got {count}")
-        buffer = bytearray(self._memory.read_frames(start_index, count))
+        data = self._memory.read_frames(start_index, count)
         if self._registers is not None:
-            frame_bytes = self._memory.device.frame_bytes
-            for frame_index in self._registers.frames_with_registers(
-                start_index, start_index + count
-            ):
-                self._registers.overlay_into(
-                    frame_index, buffer, (frame_index - start_index) * frame_bytes
-                )
+            data = self._registers.overlay_range(start_index, data)
         self.stats.frames_read += count
         self.stats.words_read += count * self._read_words
-        return bytes(buffer)
+        return data
 
     def iter_readback(
         self, start_index: int = 0, count: Optional[int] = None

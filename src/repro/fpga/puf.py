@@ -70,8 +70,7 @@ class SramPuf:
         """
         if self._noise_rate == 0.0:
             return self._nominal
-        draw = rng.random
-        uniforms = np.array([draw() for _ in range(self._response_bytes * 8)])
+        uniforms = rng.uniforms(self._response_bytes * 8)
         flips = np.packbits(uniforms < self._noise_rate, bitorder="little")
         return (np.frombuffer(self._nominal, dtype=np.uint8) ^ flips).tobytes()
 

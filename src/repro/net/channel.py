@@ -69,8 +69,6 @@ class Endpoint:
         """Transmit a frame to the peer endpoint."""
         if self._channel is None:
             raise NetworkError(f"endpoint {self.name} is not attached to a channel")
-        self.frames_sent += 1
-        self.bytes_sent += frame.wire_bytes()
         self._channel.transmit(self, frame)
 
     def deliver(self, frame: EthernetFrame) -> None:
@@ -120,12 +118,22 @@ class Channel:
         self._taps.append(tap)
 
     def transmit(self, sender: Endpoint, frame: EthernetFrame) -> None:
+        """Carry ``frame`` from ``sender`` to its peer.
+
+        Counts the frame into the sender's ``frames_sent`` and
+        ``bytes_sent``.  Its wire size is computed once: it gives both
+        the byte count and, unless a tap or a fault replaces the frame,
+        the PHY serialization delay.
+        """
         try:
             peer, direction, label = self._routes[sender]
         except KeyError:
             raise NetworkError(
                 f"endpoint {sender.name} is not on this channel"
             ) from None
+        wire_bytes = frame.wire_bytes()
+        sender.frames_sent += 1
+        sender.bytes_sent += wire_bytes
         registry = get_registry()
         obs_on = registry.enabled
         if obs_on:
@@ -138,6 +146,7 @@ class Channel:
             replacement = tap(self._simulator.now_ns, direction, frame)
             if replacement is not None:
                 frame = replacement
+                wire_bytes = frame.wire_bytes()
                 if obs_on:
                     registry.counter(
                         "sacha_net_tap_injections_total",
@@ -145,7 +154,7 @@ class Channel:
                     ).inc()
         if self._fault_model is None:
             # Fault-free link: one copy, no extra delay.
-            delay = self._phy.serialization_ns(frame) + self._latency_ns
+            delay = self._phy.serialization_ns(wire_bytes) + self._latency_ns
             self._schedule_delivery(peer, frame, delay, direction, label, obs_on)
             return
         deliveries = self._fault_model.perturb(
@@ -162,8 +171,9 @@ class Channel:
             return
         for delivery in deliveries:
             delivered = delivery.frame
+            size = wire_bytes if delivered is frame else delivered.wire_bytes()
             delay = (
-                self._phy.serialization_ns(delivered)
+                self._phy.serialization_ns(size)
                 + self._latency_ns
                 + delivery.extra_delay_ns
             )

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.ethernet import EthernetFrame
-
 GIGABIT_NS_PER_BYTE = 8.0
 
 
@@ -20,9 +18,13 @@ class GigabitPhy:
 
     ns_per_byte: float = GIGABIT_NS_PER_BYTE
 
-    def serialization_ns(self, frame: EthernetFrame) -> float:
-        """Time to clock one frame (incl. preamble and IFG) onto the wire."""
-        return frame.wire_bytes() * self.ns_per_byte
+    def serialization_ns(self, wire_bytes: int) -> float:
+        """Time to clock ``wire_bytes`` onto the wire.
+
+        ``wire_bytes`` is a frame's size on the wire, preamble and IFG
+        included (:meth:`EthernetFrame.wire_bytes`).
+        """
+        return wire_bytes * self.ns_per_byte
 
     def throughput_bits_per_s(self) -> float:
         return 8e9 / self.ns_per_byte

@@ -1,6 +1,8 @@
 """Unit tests for readback-order strategies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.orders import (
     ExplicitOrder,
@@ -67,6 +69,21 @@ class TestRandomOrders:
             RepeatedFramesOrder(DeterministicRng(1), repeat_fraction=1.5)
 
 
+def reference_check_coverage(sequence, total_frames):
+    """The per-index loop ``check_coverage`` replaced."""
+    seen = set()
+    for index in sequence:
+        if not 0 <= index < total_frames:
+            raise ProtocolError(f"readback index {index} out of range")
+        seen.add(index)
+    if len(seen) != total_frames:
+        missing = total_frames - len(seen)
+        raise ProtocolError(
+            f"readback order misses {missing} of {total_frames} frames; "
+            "partial coverage would leave unattested configuration"
+        )
+
+
 class TestCoverage:
     def test_missing_frame_rejected(self):
         with pytest.raises(ProtocolError, match="misses"):
@@ -76,8 +93,39 @@ class TestCoverage:
         with pytest.raises(ProtocolError, match="out of range"):
             check_coverage([0, 1, N], N)
 
+    def test_first_out_of_range_index_is_reported(self):
+        """Sequence order decides, not the smallest or largest index."""
+        with pytest.raises(ProtocolError, match=r"^readback index 150 out of range$"):
+            check_coverage([3, 150, -2, N, 0], N)
+
+    def test_missing_count_is_reported(self):
+        with pytest.raises(ProtocolError, match=r"misses 7 of 10 frames"):
+            check_coverage([0, 0, 1, 5, 1], 10)
+
     def test_repeats_allowed(self):
         check_coverage(list(range(N)) + [0, 0, 5], N)
+
+    @given(
+        sequence=st.lists(st.integers(-3, 23), max_size=40),
+        total=st.integers(1, 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_index_reference(self, sequence, total):
+        try:
+            reference_check_coverage(sequence, total)
+        except ProtocolError as error:
+            with pytest.raises(ProtocolError) as raised:
+                check_coverage(sequence, total)
+            assert str(raised.value) == str(error)
+        else:
+            check_coverage(sequence, total)
+
+    @given(offset=st.integers(0, 10**6), total=st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_offset_order_is_the_paper_formula(self, offset, total):
+        assert OffsetOrder(offset).frame_sequence(total) == [
+            (offset + step) % total for step in range(total)
+        ]
 
 
 class TestExplicitOrder:

@@ -72,7 +72,7 @@ class TestDelivery:
         sim.run()
         assert left.frames_sent == 1
         assert right.frames_received == 1
-        assert left.bytes_sent > 0
+        assert left.bytes_sent == _frame().wire_bytes()
 
 
 class TestErrors:

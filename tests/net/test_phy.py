@@ -13,7 +13,9 @@ class TestSerialization:
     def test_gigabit_is_8ns_per_byte(self):
         phy = GigabitPhy()
         frame = EthernetFrame(DST, SRC, 0x88B5, bytes(100))
-        assert phy.serialization_ns(frame) == pytest.approx(frame.wire_bytes() * 8.0)
+        assert phy.serialization_ns(frame.wire_bytes()) == pytest.approx(
+            frame.wire_bytes() * 8.0
+        )
 
     def test_throughput(self):
         assert GigabitPhy().throughput_bits_per_s() == pytest.approx(1e9)
@@ -25,4 +27,4 @@ class TestSerialization:
     def test_minimum_frame_time(self):
         # 84 byte times at 8 ns = 672 ns for a minimum frame.
         frame = EthernetFrame(DST, SRC, 0x88B5, b"")
-        assert GigabitPhy().serialization_ns(frame) == pytest.approx(672.0)
+        assert GigabitPhy().serialization_ns(frame.wire_bytes()) == pytest.approx(672.0)

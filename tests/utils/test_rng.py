@@ -1,6 +1,8 @@
 """Unit tests for the deterministic RNG."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.rng import DeterministicRng
 
@@ -67,3 +69,24 @@ class TestDraws:
     def test_sample_unique(self, rng):
         picked = rng.sample(range(100), 10)
         assert len(set(picked)) == 10
+
+
+class TestBulkDraws:
+    """A bulk draw equals the per-call loop it stands for, value for value,
+    and leaves the generator where the loop would have left it."""
+
+    @given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_uniforms_are_random_calls(self, seed, count):
+        bulk, loop = DeterministicRng(seed), DeterministicRng(seed)
+        assert bulk.uniforms(count).tolist() == [loop.random() for _ in range(count)]
+        assert bulk.random() == loop.random()
+
+    @given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_coin_flips_are_randint_calls(self, seed, count):
+        bulk, loop = DeterministicRng(seed), DeterministicRng(seed)
+        flips = bulk.coin_flips(count)
+        assert flips.tolist() == [loop.randint(0, 1) for _ in range(count)]
+        assert bulk.random() == loop.random()
+        flips[:1] = 1  # the caller owns a writable array
