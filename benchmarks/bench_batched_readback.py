@@ -55,7 +55,6 @@ def test_batched_run_functional(benchmark):
                 order=SequentialOrder(),
             ),
             DeterministicRng(9302),
-            reliable=True,
             arq_tuning=ArqTuning(window=1),
             readback_batch_frames=batch,
         )

@@ -67,7 +67,6 @@ def _make_session(window, batch, profile=None):
         provisioned.prover,
         verifier,
         DeterministicRng(9),
-        reliable=True,
         arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
     )

@@ -8,8 +8,8 @@ latency — and shows:
 * how the end-to-end duration scales with per-hop latency (why the
   paper measures 28.5 s against a 1.443 s theoretical bound);
 * a man-in-the-middle tap that rewrites one readback response, fixing
-  up the link CRC so the link layer accepts it, being caught by the MAC
-  comparison on both the ARQ and the raw transport.
+  up the link CRC so the ARQ accepts it, being caught by the MAC
+  comparison at the paper's one-frame shape and at the pipelined one.
 
 Run:  python examples/network_attestation.py
 """
@@ -18,21 +18,19 @@ import zlib
 
 from repro import DeterministicRng, SIM_SMALL, build_sacha_system
 from repro.core import NetworkAttestationSession, SachaVerifier, provision_device
-from repro.net.arq import ETHERTYPE_ARQ, ArqTuning
+from repro.net.arq import ArqTuning
 from repro.net.channel import Channel, LatencyModel
 from repro.net.messages import OPCODE_READBACK_BATCH_RESPONSE
-from repro.net.resequencer import ETHERTYPE_RSQ
 from repro.sim.events import Simulator
 
-#: Link header bytes before the SACHa message, by ethertype: ARQ
-#: type(1) + sequence(4), resequencer sequence(4).  Both links end each
-#: frame with a little-endian CRC-32 over header and message.
-LINK_HEADER_BYTES = {ETHERTYPE_ARQ: 5, ETHERTYPE_RSQ: 4}
+#: ARQ DATA bytes before the SACHa message: type(1) + sequence(4).  A
+#: little-endian CRC-32 over both ends each frame.
+LINK_HEADER_BYTES = 5
 #: opcode(1) + base_slot(4) + count(2) + length(4) before the frame data.
 BATCH_RESPONSE_HEADER_BYTES = 11
 
 
-def run_session(latency_ns: float, seed: int = 11, tap=None, reliable=True):
+def run_session(latency_ns: float, seed: int = 11, tap=None, window=1, batch=1):
     system = build_sacha_system(SIM_SMALL)
     provisioned, record = provision_device(system, "net-board", seed=seed)
     simulator = Simulator()
@@ -40,12 +38,12 @@ def run_session(latency_ns: float, seed: int = 11, tap=None, reliable=True):
     if tap is not None:
         channel.add_tap(tap)
     verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(seed + 1))
-    # One frame per readback command and, over the ARQ, one payload in
+    # By default one frame per readback command and one payload in
     # flight at a time: every step waits a round trip, the shape the
     # paper's timing argument describes.
     session = NetworkAttestationSession(
         simulator, channel, provisioned.prover, verifier, DeterministicRng(seed + 2),
-        reliable=reliable, arq_tuning=ArqTuning(window=1), readback_batch_frames=1,
+        arq_tuning=ArqTuning(window=window), readback_batch_frames=batch,
     )
     return session.run()
 
@@ -66,18 +64,18 @@ def main() -> None:
     )
 
     print("\n=== Man-in-the-middle rewriting one response ===\n")
-    for transport, reliable in (("ARQ", True), ("raw", False)):
+    for window, batch in ((1, 1), (8, 256)):
+        shape = f"window {window}, batch {batch}"
         state = {"rewritten": False}
 
         def mitm(time_ns, direction, frame):
-            header = LINK_HEADER_BYTES[frame.ethertype]
             body = bytearray(frame.payload[:-4])
-            data = header + BATCH_RESPONSE_HEADER_BYTES
+            data = LINK_HEADER_BYTES + BATCH_RESPONSE_HEADER_BYTES
             if (
                 direction == "prv->vrf"
                 and not state["rewritten"]
                 and len(body) > data
-                and body[header] == OPCODE_READBACK_BATCH_RESPONSE
+                and body[LINK_HEADER_BYTES] == OPCODE_READBACK_BATCH_RESPONSE
             ):
                 body[data] ^= 0x80
                 state["rewritten"] = True
@@ -89,12 +87,12 @@ def main() -> None:
                 return frame._replace(payload=bytes(body) + crc)
             return None
 
-        result = run_session(10_000.0, seed=22, tap=mitm, reliable=reliable)
+        result = run_session(10_000.0, seed=22, tap=mitm, window=window, batch=batch)
         verdict = (
             "attested (BAD!)" if result.report.accepted else "REJECTED, as it must be"
         )
-        print(f"  {transport} verdict with MITM: {verdict}")
-        print(f"  {transport} MAC valid: {result.report.mac_valid}\n")
+        print(f"  ARQ ({shape}) verdict with MITM: {verdict}")
+        print(f"  ARQ ({shape}) MAC valid: {result.report.mac_valid}\n")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,9 @@ Commands:
 * ``attest [--device PART] [--seed N] [--tamper]`` — provision a device,
   run one attestation, print the report; any resilience flag
   (``--loss``, ``--fault-profile``, ``--arq-window``,
-  ``--readback-batch-frames``, ``--max-attempts``, ``--raw-transport``)
-  runs it over the simulated network with fault injection, ARQ,
-  batched readback and session retry, and exits 2 on an
-  ``inconclusive`` verdict;
+  ``--readback-batch-frames``, ``--max-attempts``) runs it over the
+  simulated network with fault injection, ARQ, batched readback and
+  session retry, and exits 2 on an ``inconclusive`` verdict;
 * ``tables`` — regenerate Tables 2, 3 and 4 plus the JTAG reference;
 * ``security [--device PART]`` — run the Section-7.2 threat sweep;
 * ``trace [--device PART]`` — print the Figure-9 protocol trace;
@@ -240,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="session-level retries (fresh nonce) before giving up "
         f"(default: {_NETWORK_DEFAULTS['max_attempts']})",
     )
-    resilience.add_argument(
-        "--raw-transport",
-        action="store_true",
-        help="run without the ARQ layer (reliable=False): the resequencer "
-        "restores exactly-once in-order delivery for pipelined runs, but "
-        "lost frames fail the attempt instead of retransmitting",
-    )
     _add_obs_options(attest)
 
     commands.add_parser("tables", help="regenerate Tables 2-4 + JTAG reference")
@@ -331,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _network_transport(args: argparse.Namespace) -> Optional[Dict[str, int]]:
     """The networked run's transport settings, or ``None`` to run in memory."""
-    networked = (
-        args.raw_transport or args.loss is not None or args.fault_profile is not None
-    )
+    networked = args.loss is not None or args.fault_profile is not None
     transport = {}
     for dest, default in _NETWORK_DEFAULTS.items():
         value = getattr(args, dest)
@@ -398,7 +388,6 @@ def _attest_over_network(args, transport, provisioned, verifier) -> int:
         provisioned.prover,
         verifier,
         rng.fork("session"),
-        reliable=not args.raw_transport,
         arq_tuning=ArqTuning(window=transport["arq_window"]),
         max_attempts=transport["max_attempts"],
         readback_batch_frames=transport["readback_batch_frames"],

@@ -9,31 +9,27 @@ verifier is a state machine driven by deliveries.  Adversary taps on the
 channel see (and may rewrite) every frame — this is the path the
 man-in-the-middle attacks use.
 
-There is one transport shape, parameterized by (window, batch): the
-configuration is packed into MTU-sized ``ICAP_config_batch`` commands,
-the readback plan into ``ICAP_readback_batch`` commands of up to
-``readback_batch_frames`` indices (``repro.net.batch``), and the whole
-schedule is streamed as one burst ahead of the responses.  The sliding-
-window ARQ, shaped by the session's ``arq_tuning``
-(:class:`~repro.net.arq.ArqTuning`), keeps up to ``window`` payloads in
-flight, the prover confirms the configuration phase with one cumulative
+There is one link layer and one transport shape, parameterized by
+(window, batch).  Every message rides as the payload of a DATA frame of
+the sliding-window ARQ (:class:`~repro.net.arq.ArqLink`), shaped by the
+session's ``arq_tuning`` (:class:`~repro.net.arq.ArqTuning`); window 1
+is stop-and-wait.  The configuration is packed into MTU-sized
+``ICAP_config_batch`` commands, the readback plan into
+``ICAP_readback_batch`` commands of up to ``readback_batch_frames``
+indices (``repro.net.batch``), and the whole schedule is streamed as one
+burst ahead of the responses.  The ARQ keeps up to ``window`` payloads
+in flight and hands them over exactly once and in order, which
+streaming needs: the channel delays each frame by its own serialization
+time, so a burst of mixed-size frames arrives out of order (a small
+checksum command overtakes a large config batch), and a duplicated or
+reordered read-back would desynchronize the incremental MAC.  The prover
+confirms the configuration phase with one cumulative
 :class:`~repro.net.messages.ConfigAck` just before it handles the first
 read-back batch, and the verifier appends each response fragment to one
 sweep buffer in plan order, which it judges once the tag has arrived.
 A batch of one frame is the paper's per-frame exchange; CMAC is
 chunking-invariant, so the tag does not depend on the shape.  The
 plan-ordered fragment cursor keeps the sweep aligned with the plan.
-
-Streaming needs in-order delivery, not reliability: the raw channel
-delivers each frame after its own serialization delay, so a burst of
-mixed-size frames arrives out of order (a small checksum command
-overtakes a large config batch).  Over ARQ (``reliable=True``) the
-sliding window restores order; on a raw channel the session interposes
-a :class:`~repro.net.resequencer.ResequencerLink` — a reorder/dedup
-buffer with no retransmission — sized to hold every payload one attempt
-can send, so duplication/reordering fault profiles are safe on raw
-channels too (a lost frame leaves a permanent gap that drains the
-simulation and fails the attempt toward ``inconclusive``).
 
 The session degrades gracefully instead of raising out of the event
 loop.  Undecodable frames (bit corruption or truncation from the fault
@@ -84,7 +80,6 @@ from repro.net.messages import (
 from repro.obs import log as obs_log
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
-from repro.net.resequencer import ResequencerLink
 from repro.obs.trace import trace_context, trace_id_from_nonce
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
@@ -124,11 +119,12 @@ class NetworkRunResult:
 class NetworkAttestationSession:
     """One attestation run as network traffic on a channel.
 
-    ``arq_tuning`` shapes both ARQ links of a reliable session (``None``
-    means ``ArqTuning()``); ``readback_batch_frames`` is the number of
-    frame indices per ``ICAP_readback_batch`` command, where 1 is the
-    paper's per-frame readback step.  The MAC tag is the same for every
-    shape.
+    ``arq_tuning`` shapes both ARQ links (``None`` means
+    ``ArqTuning()``); ``readback_batch_frames`` is the number of frame
+    indices per ``ICAP_readback_batch`` command, where 1 is the paper's
+    per-frame readback step.  The MAC tag is the same for every shape.
+    ``reliable`` is accepted and must be true: every session runs over
+    the ARQ (the end-to-end benchmark still passes it).
     """
 
     def __init__(
@@ -138,7 +134,7 @@ class NetworkAttestationSession:
         prover: SachaProver,
         verifier: SachaVerifier,
         rng: Optional[DeterministicRng] = None,
-        reliable: bool = False,
+        reliable: bool = True,
         arq_tuning: Optional[ArqTuning] = None,
         max_attempts: int = 1,
         readback_batch_frames: int = 256,
@@ -151,12 +147,13 @@ class NetworkAttestationSession:
             raise ProtocolError(
                 f"readback batch must be >= 1, got {readback_batch_frames}"
             )
+        if not reliable:
+            raise ProtocolError("every session runs over the ARQ; reliable=False")
         self._simulator = simulator
         self._channel = channel
         self._prover = prover
         self._verifier = verifier
         self._rng = rng or DeterministicRng(0)
-        self._reliable = reliable
         self._arq_tuning = arq_tuning
         self._batch_frames = readback_batch_frames
         self._max_attempts = max_attempts
@@ -164,8 +161,8 @@ class NetworkAttestationSession:
         self.verifier_endpoint = Endpoint("vrf", VERIFIER_MAC)
         self.prover_endpoint = Endpoint("prv", PROVER_MAC)
         channel.connect(self.verifier_endpoint, self.prover_endpoint)
-        self._verifier_port: Union[ArqLink, ResequencerLink]
-        self._prover_port: Union[ArqLink, ResequencerLink]
+        self._verifier_port: ArqLink
+        self._prover_port: ArqLink
         self._install_ports()
 
         self._phase = _Phase.IDLE
@@ -203,50 +200,26 @@ class NetworkAttestationSession:
     def _install_ports(self) -> None:
         """(Re)create the transport for one attempt.
 
-        In reliable mode every attempt gets fresh ARQ links on both
-        endpoints: sequence numbers and RTT estimators restart together,
-        so a retry is indistinguishable from a brand-new session to the
-        peer.  Raw mode likewise gets fresh :class:`ResequencerLink`
-        pairs so sequence numbers restart.
+        Every attempt gets fresh ARQ links on both endpoints: sequence
+        numbers and RTT estimators restart together, so a retry is
+        indistinguishable from a brand-new session to the peer.
         """
-        if self._reliable:
-            self._verifier_port = ArqLink(
-                self._simulator,
-                self.verifier_endpoint,
-                PROVER_MAC,
-                self._arq_tuning,
-                rng=self._rng.fork("arq-vrf"),
-                on_give_up=self._on_link_failure,
-            )
-            self._prover_port = ArqLink(
-                self._simulator,
-                self.prover_endpoint,
-                VERIFIER_MAC,
-                self._arq_tuning,
-                rng=self._rng.fork("arq-prv"),
-                on_give_up=self._on_link_failure,
-            )
-        else:
-            # The raw channel delays each frame by its own serialization
-            # time, so the small commands at the end of a burst overtake
-            # the config batches sent before them, and the tag overtakes
-            # a fragment burst's tail.  Nothing retransmits, so the
-            # reorder window must hold every payload one attempt can
-            # send either way: at most one per configured frame and one
-            # per read-back frame, plus the checksum.  Only displaced
-            # payloads are ever buffered.
-            system = self._verifier.system
-            depth = (
-                system.partition.dynamic_frame_count
-                + system.device.total_frames
-                + 1
-            )
-            self._verifier_port = ResequencerLink(
-                self.verifier_endpoint, PROVER_MAC, depth
-            )
-            self._prover_port = ResequencerLink(
-                self.prover_endpoint, VERIFIER_MAC, depth
-            )
+        self._verifier_port = ArqLink(
+            self._simulator,
+            self.verifier_endpoint,
+            PROVER_MAC,
+            self._arq_tuning,
+            rng=self._rng.fork("arq-vrf"),
+            on_give_up=self._on_link_failure,
+        )
+        self._prover_port = ArqLink(
+            self._simulator,
+            self.prover_endpoint,
+            VERIFIER_MAC,
+            self._arq_tuning,
+            rng=self._rng.fork("arq-prv"),
+            on_give_up=self._on_link_failure,
+        )
         self._verifier_port.handler = self._on_verifier_delivery
         self._prover_port.handler = self._on_prover_delivery
 
@@ -262,18 +235,16 @@ class NetworkAttestationSession:
         """Drop the references that close reference cycles through the
         session once its simulation has drained.
 
-        Endpoints hold their port's receive hook, ports hold the
-        session's delivery handlers and an ARQ link its give-up callback.
+        Endpoints hold their link's receive hook, and each ARQ link holds
+        the session's delivery handler and give-up callback.
         Left linked, a finished session and its sweep buffers (~25 MiB on
         a XC6VLX240T) wait for the cyclic GC; unlinked, reference
         counting frees them as soon as the caller lets go.
         """
-        ports = (self._verifier_port, self._prover_port)
-        for port in (self.verifier_endpoint, self.prover_endpoint) + ports:
+        self.verifier_endpoint.handler = self.prover_endpoint.handler = None
+        for port in (self._verifier_port, self._prover_port):
             port.handler = None
-        for port in ports:
-            if isinstance(port, ArqLink):
-                port.on_give_up = None
+            port.on_give_up = None
 
     def _count(self, name: str, help_text: str, **labels: str) -> None:
         registry = get_registry()
@@ -297,7 +268,7 @@ class NetworkAttestationSession:
 
         attempts = 0
         failure: Optional[FailureReason] = None
-        with span("net_session", clock=clock, reliable=self._reliable):
+        with span("net_session", clock=clock):
             while attempts < self._max_attempts:
                 attempts += 1
                 if attempts > 1:
@@ -376,7 +347,9 @@ class NetworkAttestationSession:
         self._send_schedule()
 
         self._simulator.run()
-        self._harvest_retransmissions()
+        self.total_retransmissions += (
+            self._verifier_port.retransmissions + self._prover_port.retransmissions
+        )
         if self._link_failure is not None:
             return FailureReason(
                 stage=self._phase.value,
@@ -391,9 +364,10 @@ class NetworkAttestationSession:
                 "a message was lost",
             )
         if self._config_acked < self._config_steps:
-            # The tag arrived but no ConfigAck covers the configuration:
-            # on a transport without retransmission a config frame may be
-            # gone, and a MAC over a misconfigured device must fail
+            # The tag arrived but the ConfigAcks cover less than the
+            # configuration.  The ARQ delivers every config batch, so an
+            # ack rewritten on the wire (link CRC fixed up) gets here;
+            # a MAC over a device that may be misconfigured must fail
             # toward inconclusive, not a false reject.
             return FailureReason(
                 stage=_Phase.CONFIG.value,
@@ -406,10 +380,10 @@ class NetworkAttestationSession:
     def _send_schedule(self) -> None:
         """Stream every command up front; collect responses as they arrive.
 
-        In-order delivery (ARQ, or the resequencer on a raw channel)
-        guarantees the prover sees config → readbacks → checksum in
-        order, so the whole command schedule can be enqueued before the
-        first response returns — the sliding window keeps the pipe full.
+        The ARQ's in-order delivery guarantees the prover sees config →
+        readbacks → checksum in order, so the whole command schedule can
+        be enqueued before the first response returns — the sliding
+        window keeps the pipe full.
         """
         registry = get_registry()
         config_indices, config_frames = self._verifier.config_schedule(self._nonce)
@@ -440,16 +414,12 @@ class NetworkAttestationSession:
                 float(max((len(b.frame_indices) for b in readback_batches), default=0))
             )
 
-    def _harvest_retransmissions(self) -> None:
-        for port in (self._verifier_port, self._prover_port):
-            self.total_retransmissions += getattr(port, "retransmissions", 0)
-
     def _on_verifier_delivery(self, payload: bytes) -> None:
         try:
             response = decode_response(payload)
         except NetworkError:
-            # Both links drop frames that fail their CRC, so this is a
-            # frame rewritten with a valid CRC: drop it and let the
+            # The ARQ drops frames that fail its CRC, so this is a frame
+            # rewritten with a valid CRC: drop it and let the
             # drained-simulation path fail the attempt.
             self.undecodable_frames += 1
             self._count(

@@ -206,7 +206,6 @@ class FleetController:
             provisioned.prover,
             verifier,
             rng.fork("session"),
-            reliable=True,
             max_attempts=self._max_attempts,
         )
         result = session.run()

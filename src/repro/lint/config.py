@@ -101,7 +101,6 @@ CONSTANT_TIME_PATHS: Tuple[str, ...] = (
     "repro/core/",
     "repro/fleet/",
     "repro/net/arq.py",
-    "repro/net/resequencer.py",
     "repro/system/",
 )
 

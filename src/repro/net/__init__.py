@@ -16,7 +16,6 @@ from repro.net.faults import (
     OutageWindow,
 )
 from repro.net.ethernet import (
-    ETHERTYPE_SACHA,
     MAX_PAYLOAD,
     MIN_PAYLOAD,
     EthernetFrame,
@@ -34,7 +33,6 @@ from repro.net.messages import (
     decode_response,
 )
 from repro.net.phy import GigabitPhy
-from repro.net.resequencer import ResequencerLink
 
 __all__ = [
     "ArqLink",
@@ -48,7 +46,6 @@ __all__ = [
     "Endpoint",
     "LatencyModel",
     "NetworkTap",
-    "ETHERTYPE_SACHA",
     "MAX_PAYLOAD",
     "MIN_PAYLOAD",
     "EthernetFrame",
@@ -63,5 +60,4 @@ __all__ = [
     "decode_command",
     "decode_response",
     "GigabitPhy",
-    "ResequencerLink",
 ]

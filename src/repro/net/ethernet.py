@@ -2,8 +2,8 @@
 
 The ETH core in the StatPart receives and transmits one byte per 125 MHz
 cycle; frame sizes therefore directly set the A1/A3/A8 action timings of
-Table 3.  Frames carry the SACHa wire format under a local-experimental
-ethertype.
+Table 3.  The link layer above (``repro.net.arq``) sets the ethertype
+and carries the SACHa wire format in its frames' payloads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Any, Iterable, NamedTuple, Type, TypeVar
 from repro.errors import NetworkError
 from repro.utils.crc import Crc32
 
-ETHERTYPE_SACHA = 0x88B5  # IEEE 802 local experimental ethertype 1
 MIN_PAYLOAD = 46
 MAX_PAYLOAD = 1500
 HEADER_BYTES = 14  # dst(6) + src(6) + ethertype(2)

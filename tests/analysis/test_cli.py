@@ -44,12 +44,6 @@ class TestParser:
             "max_attempts": 3,
         }
         assert _network_transport(build_parser().parse_args(["attest"])) is None
-        raw = build_parser().parse_args(["attest", "--raw-transport"])
-        assert _network_transport(raw) == {
-            "arq_window": 8,
-            "readback_batch_frames": 256,
-            "max_attempts": 3,
-        }
         for rejected in (
             ["--arq-window", "1", "attest"],
             ["attest", "--no-arq-adaptive"],
@@ -77,8 +71,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--arq-window", "1", "--readback-batch-frames", "1"],
-            ["--raw-transport"],
+            ["--arq-window", "1"],
+            ["--readback-batch-frames", "1"],
             ["--max-attempts", "2"],
         ],
     )

@@ -36,7 +36,7 @@ def stack(medium_system):
     return provisioned, verifier
 
 
-def _run(provisioned, verifier, batch, seed, window=8, reliable=True):
+def _run(provisioned, verifier, batch, seed, window=8):
     """One session at (window, batch); returns (session, result)."""
     simulator = Simulator()
     session = NetworkAttestationSession(
@@ -45,7 +45,6 @@ def _run(provisioned, verifier, batch, seed, window=8, reliable=True):
         provisioned.prover,
         verifier,
         DeterministicRng(seed),
-        reliable=reliable,
         arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
     )
@@ -102,14 +101,11 @@ class TestBatchedRuns:
 
         plain, plain_result = _run(provisioned, fresh_verifier(), 1, seed=1)
         assert plain_result.report.accepted
-        for reliable in (True, False):
-            batched, batched_result = _run(
-                provisioned, fresh_verifier(), 32, seed=1, reliable=reliable
-            )
-            assert batched_result.report.accepted
-            # Identical verifier state => same nonce => same stream => same tag.
-            assert plain_result.report.nonce == batched_result.report.nonce
-            assert plain.tag == batched.tag
+        batched, batched_result = _run(provisioned, fresh_verifier(), 32, seed=1)
+        assert batched_result.report.accepted
+        # Identical verifier state => same nonce => same stream => same tag.
+        assert plain_result.report.nonce == batched_result.report.nonce
+        assert plain.tag == batched.tag
 
     def test_tamper_detected_and_localized(self, stack):
         provisioned, verifier = stack
@@ -137,9 +133,8 @@ class TestBatchedRuns:
             DeterministicRng(6601),
             order=PermutationOrder(DeterministicRng(6602)),
         )
-        for reliable in (True, False):
-            _, result = _run(provisioned, verifier, 32, seed=5, reliable=reliable)
-            assert result.report.accepted
+        _, result = _run(provisioned, verifier, 32, seed=5)
+        assert result.report.accepted
 
 
 class TestProverRangeHandling:

@@ -4,6 +4,7 @@ import gc
 import tracemalloc
 import weakref
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
 from repro.errors import ProtocolError
 from repro.fpga.device import SIM_SMALL
-from repro.net.arq import ETHERTYPE_ARQ, ArqTuning
+from repro.net.arq import ArqLink, ArqTuning
 from repro.net.batch import frames_per_config_batch
 from repro.net.channel import Channel, LatencyModel
 from repro.net.faults import FaultModel, FaultProfile
@@ -23,16 +24,28 @@ from repro.net.messages import (
     OPCODE_READBACK_BATCH_RESPONSE,
     ConfigAck,
     IcapConfigBatchCommand,
-    IcapConfigCommand,
     IcapReadbackBatchCommand,
-    IcapReadbackCommand,
+    MacChecksumCommand,
+    MacChecksumResponse,
     ReadbackBatchResponse,
     decode_command,
     decode_response,
 )
-from repro.net.resequencer import ETHERTYPE_RSQ, ResequencerLink
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
+
+#: ARQ DATA bytes ahead of the SACHa message: type(1) + sequence(4).  A
+#: little-endian CRC-32(4) over both ends the frame.
+DATA_HEADER_BYTES = 5
+
+
+def _sacha_message(frame):
+    """The SACHa message an ARQ DATA frame carries: ``(link sequence
+    number, message bytes)``, or ``None`` for an ACK."""
+    if frame.payload[0] == 0x02:
+        return None
+    sequence = int.from_bytes(frame.payload[1:DATA_HEADER_BYTES], "big")
+    return sequence, frame.payload[DATA_HEADER_BYTES:-4]
 
 
 def _session(latency_ns=1_000.0, seed=50, tamper=None):
@@ -43,8 +56,8 @@ def _session(latency_ns=1_000.0, seed=50, tamper=None):
     simulator = Simulator()
     channel = Channel(simulator, LatencyModel(base_ns=latency_ns))
     verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(seed + 1))
-    # The paper's per-frame readback: one-index batch commands on the raw
-    # channel, reordered and deduplicated by the resequencer.
+    # The paper's per-frame readback: one-index batch commands over the
+    # ARQ at its default window.
     session = NetworkAttestationSession(
         simulator, channel, provisioned.prover, verifier, DeterministicRng(seed + 2),
         readback_batch_frames=1,
@@ -59,16 +72,42 @@ class TestHonestNetworkRun:
         assert result.report.accepted
 
     def test_message_counts(self):
-        session, _ = _session()
+        """At batch 1 the ARQ DATA frames carry exactly these messages:
+        the config batches, one one-index readback batch per frame and
+        one checksum from the verifier; one ConfigAck, one fragment per
+        frame and the tag from the prover.  No per-frame
+        ``IcapConfigCommand`` or ``IcapReadbackCommand`` rides the wire."""
+        session, channel = _session()
+        commands, responses = [], []
+
+        def tap(time_ns, direction, frame):
+            carried = _sacha_message(frame)
+            if carried is None:
+                return
+            if direction == "vrf->prv":
+                commands.append(decode_command(carried[1]))
+            else:
+                responses.append(decode_response(carried[1]))
+
+        channel.add_tap(tap)
         result = session.run()
+        assert result.report.accepted
+        assert session.total_retransmissions == 0  # each message crossed once
         total_frames = SIM_SMALL.total_frames
         dynamic = session._verifier.system.partition.dynamic_frame_count
         config_batches = -(-dynamic // frames_per_config_batch(SIM_SMALL.frame_bytes))
-        # verifier: config batches + one readback per frame + checksum
-        assert result.frames_sent_by_verifier == config_batches + total_frames + 1
-        # prover: one ConfigAck for the configuration phase + one response
-        # fragment per readback + the final tag
-        assert result.frames_sent_by_prover == 1 + total_frames + 1
+        assert Counter(type(command) for command in commands) == {
+            IcapConfigBatchCommand: config_batches,
+            IcapReadbackBatchCommand: total_frames,
+            MacChecksumCommand: 1,
+        }
+        readbacks = [c for c in commands if isinstance(c, IcapReadbackBatchCommand)]
+        assert {len(command.frame_indices) for command in readbacks} == {1}
+        assert Counter(type(response) for response in responses) == {
+            ConfigAck: 1,
+            ReadbackBatchResponse: total_frames,
+            MacChecksumResponse: 1,
+        }
 
     def test_duration_grows_with_latency(self):
         fast, _ = _session(latency_ns=100.0)
@@ -102,32 +141,30 @@ class TestReliableSession:
             provisioned.prover,
             verifier,
             DeterministicRng(91),
-            reliable=True,
         )
         result = session.run()
         assert result.report.accepted
         assert channel.frames_dropped > 0
         assert session._verifier_port.retransmissions > 0
 
-    def test_lossless_reliable_mode_adds_acks_only(self):
-        session, _ = _session()
-        baseline = session.run()
-
+    def test_reliable_keyword_accepts_only_true(self):
+        """Every session runs over the ARQ: ``reliable=True`` (what the
+        end-to-end benchmark passes) builds its two ARQ links, and
+        ``reliable=False`` is refused."""
         system = build_sacha_system(SIM_SMALL)
-        provisioned, record = provision_device(system, "prv-rel", seed=50)
+        provisioned, record = provision_device(system, "prv-kw", seed=50)
+        verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(51))
         simulator = Simulator()
         channel = Channel(simulator, LatencyModel(base_ns=1_000.0))
-        verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(51))
-        # Same (window=1, batch=1) shape as the raw baseline, so the
-        # comparison isolates transport overhead.
-        reliable = NetworkAttestationSession(
-            simulator, channel, provisioned.prover, verifier,
-            DeterministicRng(52), reliable=True,
-            arq_tuning=ArqTuning(window=1), readback_batch_frames=1,
-        ).run()
-        assert reliable.report.accepted == baseline.report.accepted is True
-        # Reliable mode roughly doubles frame counts (one ACK per DATA).
-        assert reliable.frames_sent_by_verifier > baseline.frames_sent_by_verifier
+        session = NetworkAttestationSession(
+            simulator, channel, provisioned.prover, verifier, reliable=True
+        )
+        assert isinstance(session._verifier_port, ArqLink)
+        assert isinstance(session._prover_port, ArqLink)
+        with pytest.raises(ProtocolError, match="ARQ"):
+            NetworkAttestationSession(
+                simulator, channel, provisioned.prover, verifier, reliable=False
+            )
 
 
 class TestNetworkAdversaries:
@@ -142,49 +179,46 @@ class TestNetworkAdversaries:
 
     def test_mitm_frame_rewrite_detected(self):
         """A tap that flips one data byte of a readback response and
-        fixes up the link CRC-32 gets its frame accepted by the link
-        layer, on the raw and on the ARQ transport; the MAC comparison,
-        not the CRC, rejects it."""
-        for reliable in (False, True):
-            session, channel = _reliable_session(8, 256, reliable=reliable)
-            rewritten = [0]
+        fixes up the link CRC-32 gets its frame accepted by the ARQ; the
+        MAC comparison, not the CRC, rejects it."""
+        session, channel = _shaped_session(8, 256)
+        rewritten = [0]
+        header = DATA_HEADER_BYTES
 
-            def mitm(time_ns, direction, frame):
-                header = {ETHERTYPE_ARQ: 5, ETHERTYPE_RSQ: 4}[frame.ethertype]
-                body = bytearray(frame.payload[:-4])
-                if (
-                    direction == "prv->vrf"
-                    and not rewritten[0]
-                    and len(body) > header + 11
-                    and body[header] == OPCODE_READBACK_BATCH_RESPONSE
-                ):
-                    body[header + 11] ^= 0xFF  # first data byte
-                    rewritten[0] = 1
-                    crc = zlib.crc32(body).to_bytes(4, "little")
-                    return frame._replace(payload=bytes(body) + crc)
-                return None
+        def mitm(time_ns, direction, frame):
+            body = bytearray(frame.payload[:-4])
+            if (
+                direction == "prv->vrf"
+                and not rewritten[0]
+                and len(body) > header + 11
+                and body[header] == OPCODE_READBACK_BATCH_RESPONSE
+            ):
+                body[header + 11] ^= 0xFF  # first data byte
+                rewritten[0] = 1
+                crc = zlib.crc32(body).to_bytes(4, "little")
+                return frame._replace(payload=bytes(body) + crc)
+            return None
 
-            channel.add_tap(mitm)
-            result = session.run()
-            assert rewritten[0] == 1, reliable
-            assert result.report.verdict is Verdict.REJECT, reliable
-            assert not result.report.mac_valid, reliable
-            assert session.undecodable_frames == 0, reliable
+        channel.add_tap(mitm)
+        result = session.run()
+        assert rewritten[0] == 1
+        assert result.report.verdict is Verdict.REJECT
+        assert not result.report.mac_valid
+        assert session.undecodable_frames == 0
 
-    @pytest.mark.parametrize("reliable", [False, True], ids=["raw", "arq"])
     @pytest.mark.parametrize("rewrite", ["byte-short", "frame-long", "count-plus-one"])
-    def test_malformed_fragment_fails_inconclusive(self, reliable, rewrite):
+    def test_malformed_fragment_fails_inconclusive(self, rewrite):
         """A tap that rewrites one read-back fragment so that its length
         disagrees with its frame count, with a consistent length field
         and link CRC-32, gets the fragment dropped: the attempt drains
         to INCONCLUSIVE instead of raising or judging a misaligned
         sweep."""
-        session, channel = _reliable_session(8, 4, reliable=reliable)
+        session, channel = _shaped_session(8, 4)
         frame_bytes = SIM_SMALL.frame_bytes
         rewritten = [0]
+        header = DATA_HEADER_BYTES
 
         def tap(time_ns, direction, frame):
-            header = {ETHERTYPE_ARQ: 5, ETHERTYPE_RSQ: 4}[frame.ethertype]
             body = frame.payload[:-4]
             if (
                 direction != "prv->vrf"
@@ -226,30 +260,19 @@ class TestNetworkAdversaries:
         assert all(key not in payload for payload in observed)
 
 
-def _reliable_session(
-    window, batch, seed=50, latency_ns=1_000.0, fault_profile=None,
-    reliable=True, max_attempts=1,
-):
+def _shaped_session(window, batch):
+    """A SIM-SMALL session at (window, batch) on a clean 1 µs link."""
     system = build_sacha_system(SIM_SMALL)
-    provisioned, record = provision_device(system, "prv-pipe", seed=seed)
+    provisioned, record = provision_device(system, "prv-pipe", seed=50)
     simulator = Simulator()
-    model = None
-    if fault_profile is not None:
-        model = FaultModel(fault_profile, DeterministicRng(seed + 9).fork("f"))
-    channel = Channel(
-        simulator, LatencyModel(base_ns=latency_ns), fault_model=model
-    )
-    verifier = SachaVerifier(
-        record.system, record.mac_key, DeterministicRng(seed + 1)
-    )
+    channel = Channel(simulator, LatencyModel(base_ns=1_000.0))
+    verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(51))
     session = NetworkAttestationSession(
         simulator,
         channel,
         provisioned.prover,
         verifier,
-        DeterministicRng(seed + 2),
-        reliable=reliable,
-        max_attempts=max_attempts,
+        DeterministicRng(52),
         arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
     )
@@ -263,7 +286,7 @@ class TestPipelinedTransport:
         nonces for the same seeds."""
         results = {}
         for shape in ((1, 1), (8, 256), (4, 64), (32, 1024), (1, 256), (8, 1)):
-            session, _ = _reliable_session(*shape)
+            session, _ = _shaped_session(*shape)
             result = session.run()
             assert result.report.accepted, f"shape {shape} rejected"
             results[shape] = (session._tag, result.report.nonce)
@@ -273,8 +296,8 @@ class TestPipelinedTransport:
         assert len(nonces) == 1
 
     def test_pipelined_moves_far_fewer_frames(self):
-        one_frame, _ = _reliable_session(1, 1)
-        pipelined, _ = _reliable_session(8, 256)
+        one_frame, _ = _shaped_session(1, 1)
+        pipelined, _ = _shaped_session(8, 256)
         slow = one_frame.run()
         fast = pipelined.run()
         assert slow.report.accepted and fast.report.accepted
@@ -283,70 +306,12 @@ class TestPipelinedTransport:
         )
         assert fast.frames_sent_by_prover < slow.frames_sent_by_prover / 4
 
-    def test_raw_channel_pipelines_through_resequencer(self):
-        """Pipelining needs in-order delivery, not reliability: on a raw
-        channel the session interposes the resequencer and streams the
-        batched transport."""
-        session, _ = _reliable_session(8, 256, reliable=False)
-        assert isinstance(session._verifier_port, ResequencerLink)
-        result = session.run()
-        assert result.report.accepted
-        assert isinstance(session._verifier_port, ResequencerLink)
-        total_frames = SIM_SMALL.total_frames
-        dynamic = session._verifier.system.partition.dynamic_frame_count
-        # Far fewer frames than one command per configured and read frame.
-        assert result.frames_sent_by_verifier < (dynamic + total_frames + 1) / 4
-
-    def test_raw_one_frame_batches_ride_the_resequencer(self):
-        """A raw session at batch 1 sends the same wire as any other
-        batch size: resequencer frames carrying one-index batch
-        commands, never a headerless per-frame SACHa payload."""
-        session, channel = _reliable_session(1, 1, reliable=False)
-        ethertypes = set()
-        commands = []
-
-        def tap(time_ns, direction, frame):
-            ethertypes.add(frame.ethertype)
-            if direction == "vrf->prv":
-                # sequence(4) + SACHa message + CRC-32(4)
-                commands.append(decode_command(frame.payload[4:-4]))
-
-        channel.add_tap(tap)
-        result = session.run()
-        assert result.report.accepted
-        assert ethertypes == {ETHERTYPE_RSQ}
-        readbacks = [c for c in commands if isinstance(c, IcapReadbackBatchCommand)]
-        assert [len(c.frame_indices) for c in readbacks] == [1] * SIM_SMALL.total_frames
-        assert not any(
-            isinstance(c, (IcapConfigCommand, IcapReadbackCommand)) for c in commands
-        )
-
-    def test_raw_one_frame_batches_on_sim_medium(self, provisioned_medium):
-        """289 one-index commands overtake the config batches sent before
-        them; the reorder window holds every payload of the attempt, so
-        none is dropped as overflow."""
-        provisioned, record = provisioned_medium
-        simulator = Simulator()
-        session = NetworkAttestationSession(
-            simulator,
-            Channel(simulator, LatencyModel(base_ns=5_000.0)),
-            provisioned.prover,
-            SachaVerifier(record.system, record.mac_key, DeterministicRng(5)),
-            DeterministicRng(6),
-            readback_batch_frames=1,
-        )
-        result = session.run()
-        assert result.report.accepted
-        assert result.attempts == 1
-        assert session._prover_port.overflow_dropped == 0
-        assert session._verifier_port.overflow_dropped == 0
-
     def test_out_of_plan_fragment_is_ignored(self):
         """A fragment that is not the next contiguous plan slice cannot
         touch the MAC stream."""
         from repro.net.messages import ReadbackBatchResponse
 
-        session, _ = _reliable_session(8, 256)
+        session, _ = _shaped_session(8, 256)
         result = session.run()
         assert result.report.accepted
         before = session.unexpected_frames
@@ -363,7 +328,7 @@ class TestPipelinedTransport:
         towards a verdict over partial data."""
         from repro.net.messages import MacChecksumResponse
 
-        session, _ = _reliable_session(8, 256)
+        session, _ = _shaped_session(8, 256)
         session._phase = session._phase.__class__.READBACK
         session._plan = [0, 1, 2, 3]
         session._rx_slot = 0
@@ -374,70 +339,35 @@ class TestPipelinedTransport:
 
 
 class TestFaultCompatibility:
-    """Duplication/reorder faults on a raw channel would desynchronize
-    the incremental MAC into a false reject — the session interposes
-    the resequencing buffer so delivery to the protocol layer stays
-    in-order and exactly-once without requiring the full ARQ."""
+    """Duplication and reordering on the channel would desynchronize the
+    incremental MAC into a false reject if they reached the protocol;
+    the ARQ hands every payload over exactly once and in order."""
 
-    def _channel_with(self, profile):
+    def test_same_faults_allowed_over_arq(self):
         simulator = Simulator()
-        model = FaultModel(profile, DeterministicRng(5).fork("f"))
-        channel = Channel(
-            simulator, LatencyModel(base_ns=1_000.0), fault_model=model
+        profile = FaultProfile(
+            duplication_probability=0.1,
+            reorder_probability=0.1,
+            reorder_extra_ns=1e5,
         )
-        return simulator, channel
-
-    def _build(self, simulator, channel, reliable):
-        from repro.core.provisioning import provision_device
-
+        channel = Channel(
+            simulator,
+            LatencyModel(base_ns=1_000.0),
+            fault_model=FaultModel(profile, DeterministicRng(5).fork("f")),
+        )
         system = build_sacha_system(SIM_SMALL)
         provisioned, record = provision_device(system, "prv-fc", seed=61)
         verifier = SachaVerifier(
             record.system, record.mac_key, DeterministicRng(62)
         )
-        return NetworkAttestationSession(
+        session = NetworkAttestationSession(
             simulator,
             channel,
             provisioned.prover,
             verifier,
             DeterministicRng(63),
-            reliable=reliable,
         )
-
-    def test_duplication_on_raw_channel_resequenced(self):
-        simulator, channel = self._channel_with(
-            FaultProfile(duplication_probability=0.1)
-        )
-        session = self._build(simulator, channel, reliable=False)
-        assert isinstance(session._verifier_port, ResequencerLink)
         assert session.run().report.accepted
-
-    def test_reorder_on_raw_channel_resequenced(self):
-        simulator, channel = self._channel_with(
-            FaultProfile(reorder_probability=0.1, reorder_extra_ns=1e5)
-        )
-        session = self._build(simulator, channel, reliable=False)
-        assert isinstance(session._verifier_port, ResequencerLink)
-        assert session.run().report.accepted
-
-    def test_same_faults_allowed_over_arq(self):
-        simulator, channel = self._channel_with(
-            FaultProfile(
-                duplication_probability=0.1,
-                reorder_probability=0.1,
-                reorder_extra_ns=1e5,
-            )
-        )
-        session = self._build(simulator, channel, reliable=True)
-        assert session.run().report.accepted
-
-    def test_loss_alone_allowed_raw(self):
-        """Loss fails towards inconclusive, never a wrong verdict, so it
-        stays legal on the raw transport."""
-        simulator, channel = self._channel_with(
-            FaultProfile(loss_probability=0.01)
-        )
-        self._build(simulator, channel, reliable=False)  # must not raise
 
 
 class TestCumulativeConfigAcks:
@@ -447,42 +377,29 @@ class TestCumulativeConfigAcks:
     later phases or producing an unexplained reject."""
 
     def test_pipelined_run_acks_every_config_frame(self):
-        session, _ = _reliable_session(8, 256)
+        session, _ = _shaped_session(8, 256)
         assert session.run().report.accepted
         assert session._config_steps > 0
         assert session._config_acked == session._config_steps
 
     def test_one_frame_batches_ack_every_config_frame(self):
         """Batch 1 streams the configuration in batches like any other
-        batch size, and the configuration phase is acked, on either
-        transport."""
-        for reliable in (False, True):
-            session, _ = _reliable_session(1, 1, reliable=reliable)
-            assert session.run().report.accepted, reliable
-            assert session._config_steps > 0
-            assert session._config_acked == session._config_steps, reliable
+        batch size, and the configuration phase is acked."""
+        session, _ = _shaped_session(1, 1)
+        assert session.run().report.accepted
+        assert session._config_steps > 0
+        assert session._config_acked == session._config_steps
 
     def test_missing_acks_fail_toward_inconclusive(self, monkeypatch):
         for shape in ((8, 256), (1, 1)):
-            session, _ = _reliable_session(*shape)
+            session, _ = _shaped_session(*shape)
             monkeypatch.setattr(session, "_send_config_ack", lambda: None)
             result = session.run()
             assert result.report.verdict is Verdict.INCONCLUSIVE, shape
             assert "config_unacked" in result.report.failure_reason, shape
 
 
-def _sacha_message(frame):
-    """The SACHa message a DATA frame of either link layer carries:
-    ``(link header bytes, link sequence number, message bytes)``, or
-    ``None`` for an ARQ ACK."""
-    if frame.ethertype == ETHERTYPE_ARQ:
-        if frame.payload[0] == 0x02:
-            return None
-        return 5, int.from_bytes(frame.payload[1:5], "big"), frame.payload[5:-4]
-    return 4, int.from_bytes(frame.payload[:4], "big"), frame.payload[4:-4]
-
-
-def _medium_session(provisioned_medium, reliable, tampered=False, **options):
+def _medium_session(provisioned_medium, tampered=False, **options):
     provisioned, record = provisioned_medium
     if tampered:
         bit = record.system.first_unmasked_static_bit()
@@ -497,13 +414,11 @@ def _medium_session(provisioned_medium, reliable, tampered=False, **options):
         provisioned.prover,
         SachaVerifier(record.system, record.mac_key, DeterministicRng(5)),
         DeterministicRng(6),
-        reliable=reliable,
         **options,
     )
     return session, channel
 
 
-@pytest.mark.parametrize("reliable", [False, True], ids=["raw", "arq"])
 class TestOneConfigAckPerPhase:
     """The prover acks the configuration phase once, cumulatively, when
     the first read-back batch arrives.  SIM-MEDIUM configures 214 frames
@@ -518,7 +433,7 @@ class TestOneConfigAckPerPhase:
         def tap(time_ns, direction, frame):
             carried = _sacha_message(frame)
             if carried is not None:
-                _, sequence, message = carried
+                sequence, message = carried
                 decode = decode_response if direction == "prv->vrf" else decode_command
                 seen.setdefault((direction, session._nonce, sequence), decode(message))
 
@@ -526,9 +441,9 @@ class TestOneConfigAckPerPhase:
         return seen
 
     def test_one_ack_covers_the_phase_before_the_first_fragment(
-        self, provisioned_medium, reliable
+        self, provisioned_medium
     ):
-        session, channel = _medium_session(provisioned_medium, reliable)
+        session, channel = _medium_session(provisioned_medium)
         seen = self._record_messages(session, channel)
         result = session.run()
         assert result.report.accepted
@@ -542,14 +457,12 @@ class TestOneConfigAckPerPhase:
         assert ack.frames_applied == session._config_steps == 214
 
     @pytest.mark.parametrize("tampered", [False, True], ids=["clean", "tampered"])
-    def test_under_reported_ack_fails_closed(
-        self, provisioned_medium, reliable, tampered
-    ):
+    def test_under_reported_ack_fails_closed(self, provisioned_medium, tampered):
         """A tap that lowers ``frames_applied`` and fixes up the link
         CRC-32 gets the ack through: every attempt ends
         ``config_unacked``, never ACCEPT and never REJECT."""
         session, channel = _medium_session(
-            provisioned_medium, reliable, tampered, max_attempts=2
+            provisioned_medium, tampered, max_attempts=2
         )
         rewritten = []
 
@@ -557,11 +470,11 @@ class TestOneConfigAckPerPhase:
             carried = _sacha_message(frame)
             if direction != "prv->vrf" or carried is None:
                 return None
-            header, _, message = carried
+            _, message = carried
             if message[0] != OPCODE_CONFIG_ACK:
                 return None
             applied = decode_response(message).frames_applied
-            body = frame.payload[:header] + ConfigAck(applied - 1).encode()
+            body = frame.payload[:DATA_HEADER_BYTES] + ConfigAck(applied - 1).encode()
             rewritten.append(applied)
             return frame._replace(
                 payload=body + zlib.crc32(body).to_bytes(4, "little")
@@ -576,14 +489,13 @@ class TestOneConfigAckPerPhase:
 
     @pytest.mark.parametrize("tampered", [False, True], ids=["clean", "tampered"])
     def test_retry_acks_its_own_configuration_once(
-        self, provisioned_medium, reliable, tampered
+        self, provisioned_medium, tampered
     ):
         """An attempt that dies after configuring (every prover frame of
         it corrupted on the wire) leaves the retry one ack, counting the
         retry's configuration frames only."""
         session, channel = _medium_session(
             provisioned_medium,
-            reliable,
             tampered,
             max_attempts=2,
             arq_tuning=ArqTuning(max_retries=2),
@@ -630,7 +542,6 @@ class TestFinishedSessionMemory:
             provisioned.prover,
             SachaVerifier(record.system, record.mac_key, DeterministicRng(seed)),
             DeterministicRng(seed + 1),
-            reliable=True,
         )
         assert session.run().report.accepted
         return weakref.ref(session)

@@ -67,7 +67,6 @@ def _faulty_session(
         provisioned.prover,
         verifier,
         DeterministicRng(seed + 3),
-        reliable=True,
         arq_tuning=tuning,
         max_attempts=max_attempts,
         readback_batch_frames=readback_batch_frames,

@@ -3,9 +3,9 @@
 The ARQ fingerprints in ``tests/properties/test_property_arq.py`` cover
 bare ARQ exchanges.  These cover complete SIM-MEDIUM sessions:
 configuration batches, readback batches, ConfigAcks, response
-fragments, ARQ ACKs or resequencer headers, and the tag.  A change that
-only makes the simulated network cheaper to run, or that only removes
-code, must leave every one of them as it is:
+fragments, ARQ ACKs and the tag.  A change that only makes the
+simulated network cheaper to run, or that only removes code, must leave
+every one of them as it is:
 
 * a SHA-256 over every ``(direction, payload)`` the channel carries,
   taken by a tap, so lost frames count too;
@@ -16,7 +16,7 @@ code, must leave every one of them as it is:
 Every pin was re-captured once when the prover went from one
 ConfigAck per config batch to one per configuration phase.  SIM-MEDIUM
 configures in six batches, so each session carries five ConfigAcks
-fewer, and over the ARQ the ACKs they drew.  The tags did not move.
+fewer, and the ARQ ACKs they drew.  The tags did not move.
 The sim clock moved where the acks shared a window with the first
 read-back fragments (``pipelined-*`` finish earlier) and at window 1,
 where the one ack now waits a round trip ahead of the first fragment
@@ -26,7 +26,7 @@ stream lands on other frames.  ``one-frame-clean`` pins the
 produces.
 
 Telemetry only observes: every pinned shape, and the ``harsh`` fault
-profile over ARQ, gives the same fingerprint and the same number of
+profile, gives the same fingerprint and the same number of
 retransmissions with an enabled registry as with a disabled one.
 """
 
@@ -45,40 +45,34 @@ from repro.utils.rng import DeterministicRng
 
 LINK = LatencyModel(base_ns=5_000.0)
 
-#: name -> (reliable, window, batch, loss, (wire sha256, final now_ns,
-#: verifier frames_sent, prover frames_sent, tag hex)).
+#: name -> (window, batch, loss, (wire sha256, final now_ns, verifier
+#: frames_sent, prover frames_sent, tag hex)).
 SESSION_PINS = {
-    "pipelined-clean": (True, 8, 256, 0.0, (
+    "pipelined-clean": (8, 256, 0.0, (
         "bb98ed0e30dbf21bfc4d94085fda30b5069e4d36fdfbe6df48824238cc7ff548",
         40152.0, 14, 11, "fb36bc5dba08ec50e1eccf652b2deec7",
     )),
-    "pipelined-lossy": (True, 8, 256, 0.05, (
+    "pipelined-lossy": (8, 256, 0.05, (
         "dabd4319c54ec786b9e8f1be6e2062ef887de39276558dc4c2a826a53205705f",
         2211728.79064352, 17, 17, "fb36bc5dba08ec50e1eccf652b2deec7",
     )),
-    "raw-clean": (False, 8, 256, 0.0, (
-        "869ca3789a8124685c359af4043fb3a482b593a9b369ab50045c5f28d53bb47b",
-        34464.0, 9, 9, "fb36bc5dba08ec50e1eccf652b2deec7",
-    )),
-    "one-frame-clean": (True, 1, 1, 0.0, (
+    "one-frame-clean": (1, 1, 0.0, (
         "2c10a13f1f9e158676b94daa1945bf11a3d39713db1751acd35b3ec6fd0c5adc",
         3437512.0, 585, 585, "fb36bc5dba08ec50e1eccf652b2deec7",
     )),
 }
 
 
-#: name -> (reliable, window, batch, fault profile) of every pinned
-#: shape, plus the harsh profile over ARQ.
+#: name -> (window, batch, fault profile) of every pinned shape, plus
+#: the harsh profile.
 SHAPES = {
-    name: (reliable, window, batch, FaultProfile(loss_probability=loss))
-    for name, (reliable, window, batch, loss, _) in SESSION_PINS.items()
+    name: (window, batch, FaultProfile(loss_probability=loss))
+    for name, (window, batch, loss, _) in SESSION_PINS.items()
 }
-SHAPES["harsh"] = (True, 8, 256, FaultProfile.named("harsh"))
+SHAPES["harsh"] = (8, 256, FaultProfile.named("harsh"))
 
 
-def session_fingerprint(
-    provisioned_medium, reliable, window, batch, profile, telemetry=False
-):
+def session_fingerprint(provisioned_medium, window, batch, profile, telemetry=False):
     """Run one seeded session and fingerprint everything it put on the wire.
 
     Returns the pinned fingerprint and the session's retransmissions.
@@ -104,7 +98,6 @@ def session_fingerprint(
         provisioned.prover,
         SachaVerifier(record.system, record.mac_key, rng.fork("verifier")),
         rng.fork("session"),
-        reliable=reliable,
         arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
         max_attempts=3,

@@ -108,25 +108,6 @@ class TestFullDevice:
         assert timing.total_ns == 1_442_134_480.0
         assert timing.total_ns / 1e9 == pytest.approx(1.443, abs=0.001)
 
-    @pytest.mark.parametrize("batch", [256, 1])
-    def test_raw_transport_session_at_scale(self, full_setup, batch):
-        """A loss-free raw link at paper scale: the burst's small readback
-        and checksum commands overtake 6,600 config batches of 1,500
-        bytes, and the reorder window must hold all of them."""
-        _, provisioned, verifier = full_setup
-        simulator = Simulator()
-        session = NetworkAttestationSession(
-            simulator,
-            Channel(simulator, LatencyModel(base_ns=5_000.0)),
-            provisioned.prover,
-            verifier,
-            DeterministicRng(4),
-            readback_batch_frames=batch,
-        )
-        result = session.run()
-        assert result.report.accepted
-        assert result.attempts == 1
-
     def test_arq_session_census_at_scale(self, full_provisioned, monkeypatch):
         """The paper's device over the ARQ at the default shape: the exact
         frames of every kind, the sim clock that one ConfigAck per config
@@ -161,7 +142,6 @@ class TestFullDevice:
             provisioned.prover,
             SachaVerifier(record.system, record.mac_key, DeterministicRng(4)),
             DeterministicRng(5),
-            reliable=True,
         )
         result = session.run()
         assert result.report.accepted

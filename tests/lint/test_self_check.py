@@ -46,3 +46,18 @@ def test_verifier_uses_compare_digest():
     source = (SRC / "core" / "verifier.py").read_text()
     assert source.count("hmac.compare_digest(") >= 2
     assert "== tag" not in source
+
+
+def test_every_configured_scope_exists():
+    """A scope that names a deleted module silently checks nothing:
+    every path the per-file and whole-program rules are scoped to
+    exists under ``src/``."""
+    from repro.lint import config
+
+    scopes = (
+        config.DETERMINISM_EXEMPT
+        + config.CONSTANT_TIME_PATHS
+        + config.WIRE_PROTOCOL_MODULES
+        + config.WIRE_HEADER_MODULES
+    )
+    assert [path for path in scopes if not (SRC.parent / path).exists()] == []

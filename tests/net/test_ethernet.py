@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.ethernet import (
-    ETHERTYPE_SACHA,
-    MAX_PAYLOAD,
-    MIN_PAYLOAD,
-    EthernetFrame,
-    MacAddress,
-)
+from repro.net.ethernet import MAX_PAYLOAD, MIN_PAYLOAD, EthernetFrame, MacAddress
 
 DST = MacAddress.from_string("02:00:00:00:00:01")
 SRC = MacAddress.from_string("02:00:00:00:00:02")
@@ -17,7 +11,7 @@ SRC = MacAddress.from_string("02:00:00:00:00:02")
 
 def _frame(payload: bytes) -> EthernetFrame:
     return EthernetFrame(
-        destination=DST, source=SRC, ethertype=ETHERTYPE_SACHA, payload=payload
+        destination=DST, source=SRC, ethertype=0x88B5, payload=payload
     )
 
 
@@ -47,7 +41,7 @@ class TestFraming:
         parsed = EthernetFrame.from_bytes(frame.to_bytes())
         assert parsed.destination == DST
         assert parsed.source == SRC
-        assert parsed.ethertype == ETHERTYPE_SACHA
+        assert parsed.ethertype == 0x88B5
         assert parsed.payload.startswith(b"hello sacha")
 
     def test_short_payload_is_padded(self):

@@ -10,8 +10,8 @@ from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
 from repro.errors import ObservabilityError
 from repro.fpga.device import SIM_MEDIUM, SIM_SMALL
+from repro.net.arq import ArqTuning
 from repro.net.channel import Channel, LatencyModel
-from repro.net.faults import FaultModel, FaultProfile
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.spans import SpanRecord, span, span_tree
 from repro.obs.trace import (
@@ -219,22 +219,20 @@ class TestMergeSpanDumps:
         assert trace_ids(spans) == ["aa", "bb"]
 
 
-def _networked_dump(seed=50, device=SIM_MEDIUM, loss=0.0):
+def _networked_dump(seed=50, device=SIM_MEDIUM, kill_first_attempt=False):
     """Run a networked attestation under one enabled registry.
 
-    Returns the result and the registry's span dump (JSONL), which holds
-    both parties' spans.
+    ``kill_first_attempt`` zeroes every prover frame on the wire while
+    the first attempt's nonce is live, so that attempt's ARQ link gives
+    up after two retries and the session runs a second one.  Returns the
+    result and the registry's span dump (JSONL), which holds both
+    parties' spans.
     """
     system = build_sacha_system(device)
     provisioned, record = provision_device(system, "prv-net", seed=seed)
     simulator = Simulator()
     rng = DeterministicRng(seed + 2)
-    faults = FaultModel(FaultProfile(loss_probability=loss), rng.fork("faults"))
-    channel = Channel(
-        simulator,
-        LatencyModel(base_ns=1_000.0),
-        fault_model=faults if loss else None,
-    )
+    channel = Channel(simulator, LatencyModel(base_ns=1_000.0))
     verifier = SachaVerifier(
         record.system, record.mac_key, DeterministicRng(seed + 1)
     )
@@ -246,8 +244,19 @@ def _networked_dump(seed=50, device=SIM_MEDIUM, loss=0.0):
             provisioned.prover,
             verifier,
             rng.fork("session"),
+            arq_tuning=ArqTuning(max_retries=2) if kill_first_attempt else None,
             max_attempts=3,
         )
+        if kill_first_attempt:
+            first_nonce = []
+
+            def kill_first(time_ns, direction, frame):
+                first_nonce[:] = first_nonce or [session._nonce]
+                if direction == "prv->vrf" and session._nonce == first_nonce[0]:
+                    return frame._replace(payload=bytes(len(frame.payload)))
+                return None
+
+            channel.add_tap(kill_first)
         result = session.run()
     dump = "".join(json.dumps(r.to_dict()) + "\n" for r in registry.spans)
     return result, dump
@@ -279,7 +288,9 @@ class TestNetworkedTraceStitching:
     def test_prover_spans_carry_their_attempt_trace_id(self):
         """A retried session: each attempt's prover spans nest under that
         attempt's span and carry its trace id, not another attempt's."""
-        result, dump = _networked_dump(seed=6, device=SIM_SMALL, loss=0.05)
+        result, dump = _networked_dump(
+            seed=6, device=SIM_SMALL, kill_first_attempt=True
+        )
         assert result.report.accepted and result.attempts == 2
         spans = span_records_from_jsonl(dump)
         attempts = {r.span_id: r for r in spans if r.name == "session_attempt"}

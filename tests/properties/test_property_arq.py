@@ -137,55 +137,6 @@ class TestAdaptiveExactlyOnce:
         assert 1 <= left.cwnd <= left.window
 
 
-def _run_resequenced(profile: FaultProfile, seed: int, payloads):
-    from repro.net.resequencer import ResequencerLink
-
-    simulator = Simulator()
-    rng = DeterministicRng(seed)
-    model = (
-        FaultModel(profile, rng.fork("faults")) if profile.is_active else None
-    )
-    channel = Channel(
-        simulator, LatencyModel(base_ns=1_000.0), fault_model=model
-    )
-    left_ep, right_ep = Endpoint("left", MAC_A), Endpoint("right", MAC_B)
-    channel.connect(left_ep, right_ep)
-    left = ResequencerLink(left_ep, MAC_B)
-    right = ResequencerLink(right_ep, MAC_A)
-    received = []
-    right.handler = received.append
-    left.send_many(payloads)
-    simulator.run()
-    return received, right
-
-
-REPLAY_COMBOS = [
-    combo
-    for combo in FAULT_COMBOS
-    if (combo["dup"] or combo["reorder"])
-    and not (combo["loss"] or combo["corrupt"])
-]
-
-
-@pytest.mark.parametrize("combo", REPLAY_COMBOS, ids=_combo_id)
-class TestResequencedRaw:
-    """The resequencer alone (no ARQ) absorbs every dup/reorder mix:
-    exactly-once in-order delivery without retransmission.  Loss and
-    corruption are out of scope by design — they leave a permanent gap
-    and the session above fails toward inconclusive."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        count=st.integers(min_value=1, max_value=24),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_exactly_once_without_retransmission(self, combo, seed, count):
-        payloads = [bytes([index % 256]) * 16 for index in range(count)]
-        received, right = _run_resequenced(_profile_for(combo), seed, payloads)
-        assert received == payloads
-        assert right.idle
-
-
 class TestAllFaultsAtOnce:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)

@@ -40,7 +40,7 @@ DECODERS = {
 
 
 def _record_session(batch: int) -> list:
-    """Every ARQ frame and every SACHa message of one reliable session."""
+    """Every ARQ frame and every SACHa message of one session."""
     system = build_sacha_system(SIM_MEDIUM)
     provisioned, record = provision_device(system, "fuzz", seed=4243)
     simulator = Simulator()
@@ -53,7 +53,6 @@ def _record_session(batch: int) -> list:
         provisioned.prover,
         SachaVerifier(record.system, record.mac_key, DeterministicRng(1)),
         DeterministicRng(2),
-        reliable=True,
         readback_batch_frames=batch,
     ).run()
     messages = [arq._decode(frame)[2] for frame in frames]

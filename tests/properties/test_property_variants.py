@@ -30,7 +30,7 @@ def _fresh(seed):
     return system, provisioned, record
 
 
-def _network_run(provisioned, record, seed, batch, reliable) -> NetworkRunResult:
+def _network_run(provisioned, record, seed, batch) -> NetworkRunResult:
     simulator = Simulator()
     return NetworkAttestationSession(
         simulator,
@@ -38,7 +38,6 @@ def _network_run(provisioned, record, seed, batch, reliable) -> NetworkRunResult
         provisioned.prover,
         SachaVerifier(record.system, record.mac_key, DeterministicRng(seed + 1)),
         DeterministicRng(seed),
-        reliable=reliable,
         readback_batch_frames=batch,
     ).run()
 
@@ -86,35 +85,30 @@ class TestMaskedVariantProperties:
 
 
 class TestBatchedVariantProperties:
-    """Any readback batch size, over the ARQ and over the raw transport."""
+    """Any readback batch size over the networked session."""
 
-    @given(
-        seed=st.integers(0, 5_000),
-        batch=st.integers(1, 40),
-        reliable=st.booleans(),
-    )
+    @given(seed=st.integers(0, 5_000), batch=st.integers(1, 40))
     @settings(max_examples=8, deadline=None)
-    def test_completeness_for_any_batch_size(self, seed, batch, reliable):
+    def test_completeness_for_any_batch_size(self, seed, batch):
         system, provisioned, record = _fresh(seed)
-        result = _network_run(provisioned, record, seed, batch, reliable)
+        result = _network_run(provisioned, record, seed, batch)
         assert result.report.accepted
         assert result.report.readback_steps == TOTAL
 
     @given(
         seed=st.integers(0, 1_000),
         batch=st.integers(1, 40),
-        reliable=st.booleans(),
         frame_choice=st.integers(0, 10_000),
     )
     @settings(max_examples=8, deadline=None)
-    def test_soundness_with_localization(self, seed, batch, reliable, frame_choice):
+    def test_soundness_with_localization(self, seed, batch, frame_choice):
         system, provisioned, record = _fresh(seed)
         static_frames = system.partition.static_frame_list()
         frame = static_frames[frame_choice % len(static_frames)]
         if system.combined_mask().is_masked(RegisterBit(frame, 0, 13)):
             return
         provisioned.board.fpga.memory.flip_bit(frame, 0, 13)
-        result = _network_run(provisioned, record, seed, batch, reliable)
+        result = _network_run(provisioned, record, seed, batch)
         assert result.report.verdict is Verdict.REJECT
         assert result.report.mismatched_frames == [frame]
 
