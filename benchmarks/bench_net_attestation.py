@@ -26,8 +26,6 @@ under faults at all.  The stop-and-wait legs keep their historical
 committed baseline.
 """
 
-import pytest
-
 from repro.core.net_session import NetworkAttestationSession
 from repro.core.provisioning import provision_device
 from repro.core.verifier import SachaVerifier

@@ -12,8 +12,6 @@ ratio from the two ``min`` times and fails when instrumentation costs
 more than ``OBS_OVERHEAD_LIMIT`` (5 %).
 """
 
-import pytest
-
 from repro.core.protocol import run_attestation
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.utils.rng import DeterministicRng

@@ -57,7 +57,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from repro.errors import NetworkError, ProtocolError
+from repro.errors import NetworkError, ProtocolError, ReproError
 from repro.core.prover import SachaProver
 from repro.core.report import AttestationReport, FailureReason
 from repro.core.verifier import SachaVerifier
@@ -252,6 +252,16 @@ class NetworkAttestationSession:
             label_names = tuple(sorted(labels))
             registry.counter(name, help_text, labels=label_names).inc(**labels)
 
+    def _drop_unexpected(self, side: str) -> None:
+        """Count a frame that decoded but that ``side`` ignores."""
+        self.unexpected_frames += 1
+        self._count(
+            "sacha_session_unexpected_frames_total",
+            "Decoded frames the session ignored: out-of-phase, duplicate or "
+            "unrequested responses, and commands the prover refused",
+            side=side,
+        )
+
     # -- verifier side -----------------------------------------------------------
 
     def run(self) -> NetworkRunResult:
@@ -437,7 +447,6 @@ class NetworkAttestationSession:
             if (
                 self._phase is not _Phase.READBACK
                 or response.base_slot != self._rx_slot
-                or response.frame_count < 1
                 or self._rx_slot + response.frame_count > len(self._plan)
                 or len(response.data) != response.frame_count * self._frame_bytes
             ):
@@ -446,12 +455,7 @@ class NetworkAttestationSession:
                 # aligned with the plan.  Anything else is dropped, and
                 # the attempt drains toward inconclusive: a misaligned
                 # sweep must not be judged against an honest device.
-                self.unexpected_frames += 1
-                self._count(
-                    "sacha_session_unexpected_frames_total",
-                    "Out-of-phase or duplicate responses the session ignored",
-                    side="verifier",
-                )
+                self._drop_unexpected("verifier")
                 return
             self._rx_buffers.append(response.data)
             self._rx_slot += response.frame_count
@@ -463,18 +467,13 @@ class NetworkAttestationSession:
             # missing data must fail towards inconclusive (drained), not
             # towards a false reject.
             if self._phase is not _Phase.CHECKSUM:
-                self.unexpected_frames += 1
-                self._count(
-                    "sacha_session_unexpected_frames_total",
-                    "Out-of-phase or duplicate responses the session ignored",
-                    side="verifier",
-                )
+                self._drop_unexpected("verifier")
                 return
             self._tag = response.tag
             self._phase = _Phase.DONE
             self._end_ns = self._simulator.now_ns
             return
-        self.unexpected_frames += 1
+        self._drop_unexpected("verifier")
 
     def _send_burst_to_prover(self, payloads: List[bytes]) -> None:
         if self._link_failure is not None:
@@ -507,20 +506,28 @@ class NetworkAttestationSession:
                 side="prover",
             )
             return
-        if not get_registry().enabled:
-            self._handle_prover_command(command)
-            return
-        # Prover-side telemetry: one span per command, opened inside the
-        # attempt's session_attempt span (deliveries run in its
-        # simulation) under the attempt's trace id and the device's id.
-        name = _PROVER_SPAN_NAMES.get(type(command), "prover_command")
-        with trace_context(self._trace_id, self._prover.device_id):
-            with span(
-                name,
-                clock=lambda: self._simulator.now_ns,
-                kind=type(command).__name__,
-            ):
+        try:
+            if not get_registry().enabled:
                 self._handle_prover_command(command)
+                return
+            # Prover-side telemetry: one span per command, opened inside
+            # the attempt's session_attempt span (deliveries run in its
+            # simulation) under the attempt's trace id and the device's id.
+            name = _PROVER_SPAN_NAMES.get(type(command), "prover_command")
+            with trace_context(self._trace_id, self._prover.device_id):
+                with span(
+                    name,
+                    clock=lambda: self._simulator.now_ns,
+                    kind=type(command).__name__,
+                ):
+                    self._handle_prover_command(command)
+        except ReproError:
+            # A command that decodes but that the prover refuses (an
+            # index outside the device, a checksum before any read-back,
+            # a frame of the wrong size) was rewritten on the wire: drop
+            # it like any other unexpected frame.  Its answer never
+            # comes, so the attempt drains toward inconclusive.
+            self._drop_unexpected("prover")
 
     def _handle_prover_command(self, command: Command) -> None:
         if isinstance(command, IcapConfigBatchCommand):

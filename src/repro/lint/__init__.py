@@ -18,14 +18,12 @@ Five per-file rule families ship by default:
 * ``SACHA005`` single thread — no ``threading``, ``concurrent`` or
   ``multiprocessing`` imports.
 
-Two whole-program rules run with ``repro lint --program``, over a
-shared :class:`ProjectModel` (import graph, call graph, def-use
-summaries) built from the same parse set as the per-file tier:
+One whole-program rule runs with ``repro lint --program``, over a
+:class:`ProjectModel` (import graph, call graph, def-use summaries)
+built from the same parse set as the per-file tier:
 
 * ``SACHA006`` secret taint — key/nonce material never reaches logs,
-  telemetry, exceptions, repr/hex, or unsanctioned SQLite columns;
-* ``SACHA008`` wire consistency — one encoder and one decoder per
-  opcode, byte layouts agreeing between the two.
+  telemetry, exceptions, repr/hex, or unsanctioned SQLite columns.
 
 Entry points: ``repro lint`` on the command line, :func:`run_lint` from
 code, :func:`lint_source` for checking a snippet, and

@@ -70,8 +70,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--program",
         action="store_true",
-        help="also run the whole-program rules (SACHA006, SACHA008) over the "
-        "scanned tree",
+        help="also run the whole-program rule (SACHA006) over the scanned tree",
     )
     parser.add_argument(
         "--stats",

@@ -104,12 +104,11 @@ CONSTANT_TIME_PATHS: Tuple[str, ...] = (
     "repro/system/",
 )
 
-# -- whole-program tier declarations (SACHA006, SACHA008) -----------------------
+# -- whole-program tier declarations (SACHA006) ---------------------------------
 #
-# The interprocedural passes are configured here, exactly like the
-# per-file rules: adding a taint source, a sanctioned SQLite column, or
-# a new wire-header constant is a one-line reviewable edit, never a rule
-# change.
+# The interprocedural pass is configured here, exactly like the
+# per-file rules: adding a taint source or a sanctioned SQLite column is
+# a one-line reviewable edit, never a rule change.
 
 #: SACHA006: calls whose return value *is* key material.  Matched by the
 #: call's final name component, so ``provider.mac_key()``,
@@ -158,20 +157,6 @@ SQLITE_SECRET_COLUMNS: Tuple[str, ...] = ("key_hex", "nonce_hex", "tag_hex")
 #: is legitimate — the key's home, where MACs are computed.
 TAINT_REPR_EXEMPT_LAYERS: Tuple[str, ...] = ("crypto",)
 
-#: SACHA008: the wire-protocol module(s): OPCODE_* constants, encoders,
-#: and the ``decode_*`` dispatchers all live here.
-WIRE_PROTOCOL_MODULES: Tuple[str, ...] = ("repro/net/messages.py",)
-
-#: SACHA008: modules holding derived header-size constants, and which
-#: opcode's encoder each constant must agree with (constant = 1 opcode
-#: byte + the encoder's fixed-width field bytes).
-WIRE_HEADER_MODULES: Tuple[str, ...] = ("repro/net/batch.py",)
-WIRE_HEADER_OPCODES: Mapping[str, str] = {
-    "READBACK_BATCH_HEADER_BYTES": "OPCODE_ICAP_READBACK_BATCH",
-    "CONFIG_BATCH_HEADER_BYTES": "OPCODE_ICAP_CONFIG_BATCH",
-    "BATCH_RESPONSE_HEADER_BYTES": "OPCODE_READBACK_BATCH_RESPONSE",
-}
-
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -191,11 +176,6 @@ class LintConfig:
     taint_sanitizers: Tuple[str, ...] = TAINT_SANITIZERS
     sqlite_secret_columns: Tuple[str, ...] = SQLITE_SECRET_COLUMNS
     taint_repr_exempt_layers: Tuple[str, ...] = TAINT_REPR_EXEMPT_LAYERS
-    wire_protocol_modules: Tuple[str, ...] = WIRE_PROTOCOL_MODULES
-    wire_header_modules: Tuple[str, ...] = WIRE_HEADER_MODULES
-    wire_header_opcodes: Mapping[str, str] = field(
-        default_factory=lambda: WIRE_HEADER_OPCODES
-    )
 
     def selects(self, rule_id: str) -> bool:
         return not self.select or rule_id in self.select

@@ -1,14 +1,12 @@
 """The whole-program tier: project model and interprocedural rules.
 
-The per-file rules see one AST at a time; the properties SACHa's
-security argument actually rests on are *global*: a key minted in
-``core/provisioning.py`` must not reach a log call in ``fleet/``, and
-every wire opcode needs exactly one encoder and one decoder that agree
-on the byte layout.  This module builds the shared
-:class:`ProjectModel` — parsed files, per-module import bindings,
-def-use function summaries, and a name-resolved call graph — and
-defines the :class:`ProgramRule` base the SACHA006 and SACHA008 passes
-register against.
+The per-file rules see one AST at a time; some properties SACHa's
+security argument rests on are *global*: a key minted in
+``core/provisioning.py`` must not reach a log call in ``fleet/``.  This
+module builds the :class:`ProjectModel` — parsed files, per-module
+import bindings, def-use function summaries, and a name-resolved call
+graph — and defines the :class:`ProgramRule` base the SACHA006 pass
+registers against.
 
 Program rules live in their own registry (``all_program_rules``) so the
 fast per-file tier (``repro lint``) stays exactly as cheap as before;
@@ -20,7 +18,7 @@ from __future__ import annotations
 import abc
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.findings import Finding
@@ -116,20 +114,6 @@ class ProjectModel:
         self.classes_by_name: Dict[str, List[ClassInfo]] = {}
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_sources(
-        cls,
-        sources: Mapping[str, str],
-        config: LintConfig = DEFAULT_CONFIG,
-    ) -> "ProjectModel":
-        """Build a model from an in-memory ``{relpath: source}`` tree."""
-        parsed: List[Tuple[str, str, ast.Module]] = []
-        for relpath in sorted(sources):
-            parsed.append(
-                (relpath, sources[relpath], ast.parse(sources[relpath]))
-            )
-        return cls.from_parsed(parsed, config)
 
     @classmethod
     def from_parsed(

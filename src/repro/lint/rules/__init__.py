@@ -1,8 +1,8 @@
 """Built-in sachalint rules.  Importing this package registers them.
 
-SACHA001-005 are the per-file tier; SACHA006 and SACHA008 are the
-whole-program tier and register in their own registry (``all_program_rules``) so the
-fast per-file runs never pay for them.
+SACHA001-005 are the per-file tier; SACHA006 is the whole-program tier
+and registers in its own registry (``all_program_rules``) so the fast
+per-file runs never pay for it.
 """
 
 from repro.lint.rules.constant_time import ConstantTimeRule
@@ -11,7 +11,6 @@ from repro.lint.rules.layering import LayeringRule
 from repro.lint.rules.mutable_defaults import MutableDefaultsRule
 from repro.lint.rules.secret_taint import SecretTaintRule
 from repro.lint.rules.threads import ThreadingRule
-from repro.lint.rules.wire_consistency import WireConsistencyRule
 
 __all__ = [
     "ConstantTimeRule",
@@ -20,5 +19,4 @@ __all__ = [
     "MutableDefaultsRule",
     "SecretTaintRule",
     "ThreadingRule",
-    "WireConsistencyRule",
 ]

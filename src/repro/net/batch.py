@@ -11,7 +11,8 @@ Capacity math is explicit and testable: every helper takes the channel
 MTU (``repro.net.ethernet.MAX_PAYLOAD`` by default) and subtracts the
 ARQ and message headers, so changing either layer cannot silently
 produce over-MTU frames.  Index vectors travel as packed big-endian
-``>u4`` arrays (built by numpy, no per-index Python loop).
+u32s; a whole configuration schedule is laid out by numpy, every batch
+at once.
 """
 
 from __future__ import annotations

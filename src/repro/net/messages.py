@@ -21,7 +21,9 @@ carrying the total number of frames applied in the attempt — the return
 path carries one ack per attempt instead of one per config batch.
 
 Every message is self-delimiting: 1 opcode byte, fixed-size fields, and a
-2-byte length prefix before variable data.
+2-byte length prefix before variable data.  A decoder refuses every
+field value its encoder refuses (a batch of 0 frames, say), so what it
+accepts re-encodes to a prefix of its input; the rest is padding.
 
 Every message is an immutable value: a named tuple that equals only a
 message of the same type with equal fields, so the 83,376 per-frame
@@ -32,9 +34,8 @@ message's type, never its truthiness.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple, TypeVar, Union
-
-import numpy as np
+import struct
+from typing import NamedTuple, Sequence, Tuple, TypeVar, Union
 
 from repro.errors import WireFormatError
 
@@ -185,16 +186,37 @@ class IcapReadbackMaskedCommand(NamedTuple):
         )
 
 
-def _check_indices(indices: "np.ndarray", opcode: int) -> None:
-    if indices.size < 1 or indices.size > 0xFFFF:
+def _encode_indices(indices: Sequence[int], opcode: int) -> bytes:
+    """A 2-byte count, then the frame indices as big-endian u32s."""
+    count = len(indices)
+    if count < 1 or count > 0xFFFF:
         raise WireFormatError(
-            f"{_opcode_name(opcode)}: batch of {indices.size} frames out of "
+            f"{_opcode_name(opcode)}: batch of {count} frames out of "
             f"range 1..{0xFFFF}"
         )
-    if indices.size and (int(indices.min()) < 0 or int(indices.max()) > 0xFFFFFFFF):
+    if min(indices) < 0 or max(indices) > 0xFFFFFFFF:
         raise WireFormatError(
             f"{_opcode_name(opcode)}: frame index out of 32-bit range"
         )
+    return struct.pack(f">H{count}I", count, *indices)
+
+
+def _decode_indices(data: bytes, offset: int, opcode: int) -> tuple:
+    """The index vector :func:`_encode_indices` wrote at ``offset``, and
+    the offset just past it."""
+    if offset + 2 > len(data):
+        raise WireFormatError(f"{_opcode_name(opcode)}: truncated frame count")
+    count = int.from_bytes(data[offset : offset + 2], "big")
+    if count < 1:
+        raise WireFormatError(f"{_opcode_name(opcode)}: batch of 0 frames")
+    offset += 2
+    end = offset + 4 * count
+    if end > len(data):
+        raise WireFormatError(
+            f"{_opcode_name(opcode)}: {count} indices announced, "
+            f"{(len(data) - offset) // 4} present"
+        )
+    return struct.unpack_from(f">{count}I", data, offset), end
 
 
 @_message
@@ -202,8 +224,8 @@ class IcapReadbackBatchCommand(NamedTuple):
     """Batched readback of arbitrary (not necessarily contiguous) frames.
 
     The hot-path replacement for per-frame ``ICAP_readback`` round trips:
-    one command carries up to 65,535 frame indices as a packed big-endian
-    ``>u4`` vector, and the prover answers with MTU-sized
+    one command carries up to 65,535 frame indices as packed big-endian
+    u32s, and the prover answers with MTU-sized
     :class:`ReadbackBatchResponse` fragments.  ``base_slot`` is the
     position of the batch's first frame within the verifier's readback
     plan, so responses can be matched to the plan without echoing every
@@ -216,13 +238,10 @@ class IcapReadbackBatchCommand(NamedTuple):
     def encode(self) -> bytes:
         if self.base_slot < 0 or self.base_slot > 0xFFFFFFFF:
             raise WireFormatError(f"batch base slot {self.base_slot} out of range")
-        indices = np.asarray(self.frame_indices, dtype=np.int64)
-        _check_indices(indices, OPCODE_ICAP_READBACK_BATCH)
         return (
             bytes([OPCODE_ICAP_READBACK_BATCH])
             + self.base_slot.to_bytes(4, "big")
-            + len(self.frame_indices).to_bytes(2, "big")
-            + indices.astype(">u4").tobytes()
+            + _encode_indices(self.frame_indices, OPCODE_ICAP_READBACK_BATCH)
         )
 
 
@@ -249,12 +268,9 @@ class IcapConfigBatchCommand(NamedTuple):
 
     def encode(self) -> bytes:
         self.frame_bytes()
-        indices = np.asarray(self.frame_indices, dtype=np.int64)
-        _check_indices(indices, OPCODE_ICAP_CONFIG_BATCH)
         return (
             bytes([OPCODE_ICAP_CONFIG_BATCH])
-            + len(self.frame_indices).to_bytes(2, "big")
-            + indices.astype(">u4").tobytes()
+            + _encode_indices(self.frame_indices, OPCODE_ICAP_CONFIG_BATCH)
             + len(self.data).to_bytes(4, "big")
             + self.data
         )
@@ -392,34 +408,25 @@ def decode_command(data: bytes) -> Command:
         blob, _ = _decode_blob(data, 5, OPCODE_ICAP_READBACK_MASKED)
         return IcapReadbackMaskedCommand(frame_index, blob)
     if opcode == OPCODE_ICAP_READBACK_BATCH:
-        if len(data) < 7:
+        if len(data) < 5:
             raise WireFormatError("truncated batched ICAP_readback")
-        base_slot = int.from_bytes(data[1:5], "big")
-        count = int.from_bytes(data[5:7], "big")
-        if len(data) < 7 + 4 * count:
-            raise WireFormatError(
-                f"truncated batched ICAP_readback: {count} indices announced, "
-                f"{(len(data) - 7) // 4} present"
-            )
-        indices = np.frombuffer(data, dtype=">u4", count=count, offset=7)
+        indices, _ = _decode_indices(data, 5, OPCODE_ICAP_READBACK_BATCH)
         return IcapReadbackBatchCommand(
-            base_slot=base_slot, frame_indices=tuple(indices.tolist())
+            base_slot=int.from_bytes(data[1:5], "big"), frame_indices=indices
         )
     if opcode == OPCODE_ICAP_CONFIG_BATCH:
-        if len(data) < 3:
-            raise WireFormatError("truncated batched ICAP_config")
-        count = int.from_bytes(data[1:3], "big")
-        header_end = 3 + 4 * count
+        indices, header_end = _decode_indices(data, 1, OPCODE_ICAP_CONFIG_BATCH)
         if len(data) < header_end + 4:
-            raise WireFormatError("truncated batched ICAP_config index vector")
-        indices = np.frombuffer(data, dtype=">u4", count=count, offset=3)
+            raise WireFormatError("truncated batched ICAP_config payload length")
         length = int.from_bytes(data[header_end : header_end + 4], "big")
         if header_end + 4 + length > len(data):
             raise WireFormatError("truncated batched ICAP_config payload")
-        return IcapConfigBatchCommand(
-            frame_indices=tuple(indices.tolist()),
+        command = IcapConfigBatchCommand(
+            frame_indices=indices,
             data=data[header_end + 4 : header_end + 4 + length],
         )
+        command.frame_bytes()  # the data must split evenly over the frames
+        return command
     raise WireFormatError(f"unknown command opcode {opcode:#04x}")
 
 
@@ -447,6 +454,8 @@ def decode_response(data: bytes) -> Response:
             raise WireFormatError("truncated batched readback response")
         base_slot = int.from_bytes(data[1:5], "big")
         frame_count = int.from_bytes(data[5:7], "big")
+        if frame_count < 1:
+            raise WireFormatError("batched readback response of 0 frames")
         length = int.from_bytes(data[7:11], "big")
         if 11 + length > len(data):
             raise WireFormatError("truncated batched readback payload")

@@ -21,16 +21,21 @@ from repro.net.channel import Channel, LatencyModel
 from repro.net.faults import FaultModel, FaultProfile
 from repro.net.messages import (
     OPCODE_CONFIG_ACK,
+    OPCODE_ICAP_CONFIG_BATCH,
+    OPCODE_ICAP_READBACK_BATCH,
     OPCODE_READBACK_BATCH_RESPONSE,
     ConfigAck,
     IcapConfigBatchCommand,
+    IcapConfigCommand,
     IcapReadbackBatchCommand,
+    IcapReadbackCommand,
     MacChecksumCommand,
     MacChecksumResponse,
     ReadbackBatchResponse,
     decode_command,
     decode_response,
 )
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
@@ -167,6 +172,73 @@ class TestReliableSession:
             )
 
 
+_OUTSIDE = SIM_SMALL.total_frames  # the first frame index past the device
+
+#: Rewrites of the first config or read-back batch command, each with
+#: the prover-side counter its drop lands on: frames that do not decode,
+#: then commands that decode but that the prover refuses.
+REFUSED_REWRITES = {
+    "empty-config-batch": (
+        OPCODE_ICAP_CONFIG_BATCH,
+        b"\x07" + bytes(6),
+        "undecodable",
+    ),
+    "empty-readback-batch": (
+        OPCODE_ICAP_READBACK_BATCH,
+        b"\x06" + bytes(6),
+        "undecodable",
+    ),
+    "ragged-config-batch": (
+        OPCODE_ICAP_CONFIG_BATCH,
+        b"\x07\x00\x02" + bytes(8) + b"\x00\x00\x00\x03" + bytes(3),
+        "undecodable",
+    ),
+    "checksum-before-readback": (
+        OPCODE_ICAP_READBACK_BATCH,
+        MacChecksumCommand().encode(),
+        "unexpected",
+    ),
+    "config-batch-index-outside": (
+        OPCODE_ICAP_CONFIG_BATCH,
+        IcapConfigBatchCommand((_OUTSIDE,), bytes(SIM_SMALL.frame_bytes)).encode(),
+        "unexpected",
+    ),
+    "readback-batch-index-outside": (
+        OPCODE_ICAP_READBACK_BATCH,
+        IcapReadbackBatchCommand(0, (_OUTSIDE,)).encode(),
+        "unexpected",
+    ),
+    "readback-index-outside": (
+        OPCODE_ICAP_READBACK_BATCH,
+        IcapReadbackCommand(_OUTSIDE).encode(),
+        "unexpected",
+    ),
+    "wrong-size-config": (
+        OPCODE_ICAP_CONFIG_BATCH,
+        IcapConfigCommand(0, bytes(SIM_SMALL.frame_bytes - 1)).encode(),
+        "unexpected",
+    ),
+}
+
+
+def _rewrite_first_command(opcode, message):
+    """A tap that puts ``message`` in place of the first verifier command
+    with ``opcode`` and fixes up the link CRC-32."""
+    rewritten = []
+
+    def tap(time_ns, direction, frame):
+        carried = _sacha_message(frame)
+        if rewritten or direction != "vrf->prv" or carried is None:
+            return None
+        if carried[1][0] != opcode:
+            return None
+        rewritten.append(frame)
+        body = frame.payload[:DATA_HEADER_BYTES] + message
+        return frame._replace(payload=body + zlib.crc32(body).to_bytes(4, "little"))
+
+    return tap
+
+
 class TestNetworkAdversaries:
     def test_static_tamper_detected_over_the_wire(self):
         def tamper(provisioned, system):
@@ -249,6 +321,34 @@ class TestNetworkAdversaries:
         assert result.report.verdict is Verdict.INCONCLUSIVE
         assert session.unexpected_frames >= 1
 
+    @pytest.mark.parametrize("rewrite", sorted(REFUSED_REWRITES))
+    def test_refused_command_fails_the_attempt_not_the_session(self, rewrite):
+        """A command rewritten on the wire (link CRC-32 fixed up) into one
+        that does not decode, or that decodes but the prover refuses, is
+        dropped and counted: the attempt drains to INCONCLUSIVE instead
+        of raising, and a second attempt on the clean link is ACCEPTED.
+        The first run exports telemetry (the prover's span branch), the
+        second does not."""
+        opcode, message, counter = REFUSED_REWRITES[rewrite]
+
+        def run(max_attempts, registry):
+            with use_registry(registry):
+                session, channel = _shaped_session(8, 4, max_attempts=max_attempts)
+                channel.add_tap(_rewrite_first_command(opcode, message))
+                return session, session.run()
+
+        registry = MetricsRegistry()
+        session, result = run(1, registry)
+        assert result.report.verdict is Verdict.INCONCLUSIVE
+        assert result.attempts == 1
+        dropped = registry.get(f"sacha_session_{counter}_frames_total")
+        assert dropped.value(side="prover") == 1
+
+        session, result = run(2, MetricsRegistry(enabled=False))
+        assert result.report.verdict is Verdict.ACCEPT
+        assert result.attempts == 2
+        assert getattr(session, f"{counter}_frames") >= 1
+
     def test_eavesdropper_learns_no_key_material(self):
         """Everything on the wire is configuration data and the MAC; the
         16-byte key never appears in any frame."""
@@ -260,7 +360,7 @@ class TestNetworkAdversaries:
         assert all(key not in payload for payload in observed)
 
 
-def _shaped_session(window, batch):
+def _shaped_session(window, batch, **options):
     """A SIM-SMALL session at (window, batch) on a clean 1 µs link."""
     system = build_sacha_system(SIM_SMALL)
     provisioned, record = provision_device(system, "prv-pipe", seed=50)
@@ -275,6 +375,7 @@ def _shaped_session(window, batch):
         DeterministicRng(52),
         arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
+        **options,
     )
     return session, channel
 
@@ -336,6 +437,18 @@ class TestPipelinedTransport:
         session._on_verifier_delivery(MacChecksumResponse(tag=bytes(16)).encode())
         assert session.unexpected_frames == before + 1
         assert session._tag is None
+
+    def test_response_the_session_never_asks_for_is_counted(self):
+        """A per-frame ``ReadbackResponse`` answers no batched command:
+        it is dropped and counted, in the exported counter too."""
+        from repro.net.messages import ReadbackResponse
+
+        with use_registry(MetricsRegistry()) as registry:
+            session, _ = _shaped_session(8, 256)
+            session._on_verifier_delivery(ReadbackResponse(0, bytes(16)).encode())
+        assert session.unexpected_frames == 1
+        dropped = registry.get("sacha_session_unexpected_frames_total")
+        assert dropped.value(side="verifier") == 1
 
 
 class TestFaultCompatibility:

@@ -50,14 +50,8 @@ def test_verifier_uses_compare_digest():
 
 def test_every_configured_scope_exists():
     """A scope that names a deleted module silently checks nothing:
-    every path the per-file and whole-program rules are scoped to
-    exists under ``src/``."""
+    every path the rules are scoped to exists under ``src/``."""
     from repro.lint import config
 
-    scopes = (
-        config.DETERMINISM_EXEMPT
-        + config.CONSTANT_TIME_PATHS
-        + config.WIRE_PROTOCOL_MODULES
-        + config.WIRE_HEADER_MODULES
-    )
+    scopes = config.DETERMINISM_EXEMPT + config.CONSTANT_TIME_PATHS
     assert [path for path in scopes if not (SRC.parent / path).exists()] == []

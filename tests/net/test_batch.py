@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WireFormatError
+from repro.net import batch
 from repro.net.arq import ARQ_OVERHEAD_BYTES
 from repro.net.batch import (
     arq_payload_capacity,
@@ -53,6 +54,37 @@ class TestCapacityMath:
         assert frames_per_response_fragment(huge_frame) == 1
         assert frames_per_config_batch(huge_frame) == 1
         assert max_readback_indices() >= 1
+
+
+#: Each header constant, with the batch message of ``n`` frames whose
+#: encoding it heads and the bytes each frame adds.
+HEADERS = {
+    "READBACK_BATCH_HEADER_BYTES": (
+        lambda n: IcapReadbackBatchCommand(0, tuple(range(n))),
+        4,
+    ),
+    "CONFIG_BATCH_HEADER_BYTES": (
+        lambda n: IcapConfigBatchCommand(tuple(range(n)), bytes(n * FRAME_BYTES)),
+        4 + FRAME_BYTES,
+    ),
+    "BATCH_RESPONSE_HEADER_BYTES": (
+        lambda n: ReadbackBatchResponse(0, n, bytes(n * FRAME_BYTES)),
+        FRAME_BYTES,
+    ),
+}
+
+
+class TestHeaderConstants:
+    def test_every_header_constant_is_checked(self):
+        names = [name for name in vars(batch) if name.endswith("_HEADER_BYTES")]
+        assert sorted(names) == sorted(HEADERS)
+
+    @pytest.mark.parametrize("name", sorted(HEADERS))
+    def test_header_is_the_encoding_less_its_frames(self, name):
+        message_of, per_frame = HEADERS[name]
+        for frames in (1, 2):
+            encoded = message_of(frames).encode()
+            assert len(encoded) - frames * per_frame == getattr(batch, name)
 
 
 class TestPackReadbackPlan:

@@ -1,9 +1,13 @@
 """Unit tests for the SACHa wire format."""
 
+from typing import get_args
+
 import pytest
 
 from repro.errors import WireFormatError
+from repro.net import messages
 from repro.net.messages import (
+    Command,
     ConfigAck,
     IcapConfigBatchCommand,
     IcapConfigCommand,
@@ -15,6 +19,7 @@ from repro.net.messages import (
     MaskedReadbackAck,
     ReadbackBatchResponse,
     ReadbackResponse,
+    Response,
     decode_command,
     decode_response,
 )
@@ -186,6 +191,36 @@ class TestMessageValues:
             lookalike = type(other)(*fields)
             assert message != lookalike and lookalike != message
             assert not message == lookalike and not lookalike == message
+
+
+class TestOpcodeTable:
+    """One opcode per message type: the ``OPCODE_*`` constants, the keys
+    of ``_OPCODE_NAMES`` and the first bytes of the 11 message types'
+    encodings are the same set, with no value shared."""
+
+    def test_every_message_type_has_a_value(self):
+        kinds = [type(message) for message, _ in MESSAGE_VALUES]
+        assert len(kinds) == len(set(kinds)) == 11
+        assert set(kinds) == set(get_args(Command) + get_args(Response))
+
+    def test_opcodes_are_a_bijection(self):
+        opcodes = [
+            value
+            for name, value in vars(messages).items()
+            if name.startswith("OPCODE_")
+        ]
+        assert len(opcodes) == len(set(opcodes)), sorted(opcodes)
+        assert set(opcodes) == set(messages._OPCODE_NAMES)
+        first_bytes = [message.encode()[0] for message, _ in MESSAGE_VALUES]
+        assert sorted(first_bytes) == sorted(opcodes)
+
+    @pytest.mark.parametrize("message,decode", MESSAGE_VALUES, ids=MESSAGE_IDS)
+    def test_each_direction_has_its_own_decoder(self, message, decode):
+        is_command = isinstance(message, get_args(Command))
+        assert decode is (decode_command if is_command else decode_response)
+        other = decode_response if is_command else decode_command
+        with pytest.raises(WireFormatError, match="unknown"):
+            other(message.encode())
 
 
 def test_same_fields_different_types_are_unequal():

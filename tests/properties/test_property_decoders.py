@@ -1,4 +1,4 @@
-"""Fail-closed wire decoders: hostile bytes raise only ``NetworkError``.
+"""The wire format, held by running it.
 
 JustSTART (PAPERS.md) found an RSA authentication bypass in a bitstream
 parser by fuzzing it.  Here the parsers a network adversary can reach
@@ -8,10 +8,18 @@ SIM-MEDIUM session.  Whatever arrives, a decoder either returns a
 message or raises a :class:`~repro.errors.NetworkError` subclass — never
 ``IndexError``, ``ValueError``, ``struct.error`` or a numpy error that
 would escape the session's drop-and-count handling.
+
+The message codecs round-trip both ways.  Every message of every type,
+its fields drawn across their full wire widths, decodes back to itself;
+and every byte string a decoder accepts starts with the encoding of what
+it decoded (what follows is Ethernet padding), so a decoder accepts only
+what an encoder can write.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.net_session import NetworkAttestationSession
@@ -20,17 +28,27 @@ from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
 from repro.errors import NetworkError, WireFormatError
 from repro.fpga.device import SIM_MEDIUM
-from repro.net import arq
+from repro.net import arq, messages
 from repro.net.channel import Channel, LatencyModel
 from repro.net.ethernet import MAX_PAYLOAD, EthernetFrame, MacAddress
 from repro.net.messages import (
+    ConfigAck,
+    IcapConfigBatchCommand,
+    IcapConfigCommand,
+    IcapReadbackBatchCommand,
+    IcapReadbackCommand,
     IcapReadbackMaskedCommand,
+    MacChecksumCommand,
+    MacChecksumResponse,
     MaskedReadbackAck,
+    ReadbackBatchResponse,
+    ReadbackResponse,
     decode_command,
     decode_response,
 )
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
+from tests.net.test_messages import MESSAGE_VALUES
 
 DECODERS = {
     "arq": arq._decode,
@@ -71,10 +89,14 @@ def corpus():
 
 
 def _fails_closed(decoder, data: bytes) -> None:
+    """``decoder`` raises nothing but a ``NetworkError``, and a SACHa
+    message it accepts re-encodes to a prefix of ``data``."""
     try:
-        decoder(data)
+        decoded = decoder(data)
     except NetworkError:
-        pass
+        return
+    if decoder is not arq._decode:
+        assert data.startswith(decoded.encode()), decoded
 
 
 @st.composite
@@ -118,6 +140,95 @@ class TestDecodersFailClosed:
         if frame:
             frame[0] = data.draw(st.integers(min_value=0, max_value=0xFF))
         _fails_closed(DECODERS[name], bytes(frame))
+
+
+U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+COUNTS = st.integers(min_value=1, max_value=0xFFFF)
+TOP = 0xFFFFFFFF
+TOP_BLOB = b"\xff" * 0xFFFF
+
+
+@st.composite
+def _blobs(draw):
+    """Bytes of any length up to 0xFFFF.  Hypothesis keeps its own byte
+    strings short, so the length is drawn across the whole width and
+    the content comes from a drawn seed."""
+    size = draw(st.integers(min_value=0, max_value=0xFFFF))
+    return random.Random(draw(U32)).randbytes(size)
+
+
+@st.composite
+def _indices(draw):
+    """1..0xFFFF frame indices, each across the full u32 width."""
+    count = draw(COUNTS)
+    head = draw(st.lists(U32, min_size=1, max_size=min(count, 4)))
+    rng = random.Random(draw(U32))
+    return tuple(head) + tuple(rng.getrandbits(32) for _ in range(count - len(head)))
+
+
+@st.composite
+def _config_batches(draw):
+    """The data of a config batch splits evenly over its frames."""
+    indices = draw(_indices())
+    frame_bytes = draw(st.integers(min_value=0, max_value=0xFFFF // len(indices)))
+    data = random.Random(draw(U32)).randbytes(frame_bytes * len(indices))
+    return IcapConfigBatchCommand(indices, data)
+
+
+#: How each field is drawn, by name, for every message type.
+FIELDS = {
+    "frame_index": U32,
+    "base_slot": U32,
+    "frames_applied": U32,
+    "frame_count": COUNTS,
+    "frame_indices": _indices(),
+    "data": _blobs(),
+    "mask": _blobs(),
+    "tag": _blobs(),
+}
+DECODER_OF = {type(message): decode for message, decode in MESSAGE_VALUES}
+
+
+def _messages(kind):
+    if kind is IcapConfigBatchCommand:
+        return _config_batches()
+    return st.builds(kind, **{name: FIELDS[name] for name in kind._fields})
+
+
+class TestRoundTrip:
+    @given(message=st.one_of([_messages(kind) for kind in DECODER_OF]))
+    @example(message=IcapConfigCommand(TOP, TOP_BLOB))
+    @example(message=IcapReadbackCommand(TOP))
+    @example(message=MacChecksumCommand())
+    @example(message=IcapReadbackMaskedCommand(TOP, TOP_BLOB))
+    @example(message=IcapReadbackBatchCommand(TOP, (TOP,) * 0xFFFF))
+    @example(message=IcapConfigBatchCommand((TOP,) * 0xFFFF, TOP_BLOB))
+    @example(message=ConfigAck(TOP))
+    @example(message=ReadbackResponse(TOP, TOP_BLOB))
+    @example(message=MaskedReadbackAck(TOP))
+    @example(message=ReadbackBatchResponse(TOP, 0xFFFF, TOP_BLOB))
+    @example(message=MacChecksumResponse(TOP_BLOB))
+    @settings(max_examples=400, deadline=None)
+    def test_decode_inverts_encode(self, message):
+        decoded = DECODER_OF[type(message)](message.encode())
+        assert type(decoded) is type(message)
+        assert decoded == message
+
+    @given(
+        opcode=st.sampled_from(sorted(messages._OPCODE_NAMES)),
+        body=st.binary(max_size=64),
+    )
+    @example(opcode=0x06, body=bytes(6))
+    @example(opcode=0x07, body=bytes(6))
+    @example(opcode=0x07, body=b"\x00\x02" + bytes(8) + b"\x00\x00\x00\x03xyz")
+    @example(opcode=0x85, body=bytes(10))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_bytes_start_with_their_encoding(self, opcode, body):
+        """Short bodies behind every known opcode: what decodes
+        re-encodes to the frame's prefix.  The examples are batches of 0
+        frames and ragged config data, which no encoder writes."""
+        for decoder in (decode_command, decode_response):
+            _fails_closed(decoder, bytes([opcode]) + body)
 
 
 class TestRetiredOpcodes:
