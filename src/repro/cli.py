@@ -14,8 +14,8 @@ Commands:
 * ``experiment <ID>`` — run one registered experiment (E1-table2, ...);
 * ``metrics [--device PART]`` — observability demo: attest with metrics,
   spans and structured logging enabled, print the collected evidence;
-* ``lint [PATHS] [--format json] [--write-baseline]`` — run sachalint,
-  the domain-aware static analysis pass (see docs/STATIC_ANALYSIS.md);
+* ``lint [PATHS]`` — run sachalint's six rules over PATHS (default: the
+  installed tree) and exit 1 on any finding (see docs/STATIC_ANALYSIS.md);
 * ``obs report|flame|health`` — offline telemetry analysis: merge span
   dumps into one profile report, export a collapsed-stack
   flamegraph, or evaluate SLO health rules over registry snapshots;

@@ -16,8 +16,11 @@ Devices are *re-materialized* from their registry facts for every
 sweep (:func:`repro.core.provisioning.materialize_device`): the store,
 not a process's heap, is the source of truth about the fleet.  The key
 the rebuilt board derives must equal the enrolled key byte-for-byte; a
-mismatch (a corrupted registry row, a device that drifted) folds into
-an INCONCLUSIVE outcome rather than crashing the sweep.
+mismatch (a corrupted key, a device that drifted) folds into an
+INCONCLUSIVE outcome rather than crashing the sweep, and so does a part
+or key mode the catalogue does not know.  A row the store cannot read
+at all (a non-hex key, a non-integer seed) fails the sweep closed with
+a :class:`~repro.errors.FleetError` before any device is attested.
 """
 
 from __future__ import annotations

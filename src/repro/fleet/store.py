@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.report import AttestationReport, Verdict
 from repro.errors import FleetError
@@ -242,6 +242,43 @@ _PRIORITY = {
 }
 
 
+class _RowReader:
+    """Typed reads of one registry row that fail closed.
+
+    SQLite keeps whatever a writer put in a column, so every read checks
+    the storage type, and a malformed column raises :class:`FleetError`.
+    The message names the device and the column, never the value: a
+    malformed column may hold key material.
+    """
+
+    def __init__(self, table: str, row: sqlite3.Row) -> None:
+        self._table = table
+        self._row = row
+
+    def malformed(self, column: str) -> FleetError:
+        device_id = self._row["device_id"]
+        device = repr(device_id) if isinstance(device_id, str) else "?"
+        return FleetError(
+            f"{self._table} row of device {device} has a malformed "
+            f"{column!r} column"
+        )
+
+    def _typed(self, column: str, kind: Union[type, Tuple[type, ...]]):
+        value = self._row[column]
+        if not isinstance(value, kind):
+            raise self.malformed(column)
+        return value
+
+    def text(self, column: str) -> str:
+        return self._typed(column, str)
+
+    def integer(self, column: str) -> int:
+        return self._typed(column, int)
+
+    def real(self, column: str) -> float:
+        return float(self._typed(column, (int, float)))
+
+
 class FleetStore:
     """SQLite-backed device registry + attestation history.
 
@@ -323,13 +360,19 @@ class FleetStore:
 
     @staticmethod
     def _device_from_row(row: sqlite3.Row) -> DeviceRecord:
+        """The device a row describes; :class:`FleetError` if malformed."""
+        read = _RowReader("devices", row)
+        try:
+            key = SecretBytes.fromhex(read.text("key_hex"))
+        except ValueError:
+            raise read.malformed("key_hex") from None
         return DeviceRecord(
-            device_id=row["device_id"],
-            part=row["part"],
-            seed=int(row["seed"]),
-            key_mode=row["key_mode"],
-            key=SecretBytes.fromhex(row["key_hex"]),
-            tampered=bool(row["tampered"]),
+            device_id=read.text("device_id"),
+            part=read.text("part"),
+            seed=read.integer("seed"),
+            key_mode=read.text("key_mode"),
+            key=key,
+            tampered=bool(read.integer("tampered")),
         )
 
     # -- sweeps --------------------------------------------------------------------
@@ -466,21 +509,34 @@ class FleetStore:
 
     @staticmethod
     def _attestation_from_row(row: sqlite3.Row) -> AttestationRow:
+        """The outcome a row records; :class:`FleetError` if malformed."""
+        read = _RowReader("attestations", row)
+        verdict = read.text("verdict")
+        if verdict not in _PRIORITY:  # a verdict a sweep cannot schedule
+            raise read.malformed("verdict")
+        try:
+            frames = json.loads(read.text("mismatched_frames"))
+        except (ValueError, RecursionError):
+            frames = None
+        if not isinstance(frames, list) or not all(
+            type(frame) is int for frame in frames
+        ):
+            raise read.malformed("mismatched_frames")
         return AttestationRow(
-            attestation_id=int(row["attestation_id"]),
-            sweep_id=int(row["sweep_id"]),
-            device_id=row["device_id"],
-            verdict=row["verdict"],
-            mac_valid=bool(row["mac_valid"]),
-            config_match=bool(row["config_match"]),
-            attempts=int(row["attempts"]),
-            duration_ns=float(row["duration_ns"]),
-            tag_hex=row["tag_hex"],
-            nonce_hex=row["nonce_hex"],
-            mismatched_frames=tuple(json.loads(row["mismatched_frames"])),
-            failure_stage=row["failure_stage"],
-            failure_kind=row["failure_kind"],
-            failure_detail=row["failure_detail"],
+            attestation_id=read.integer("attestation_id"),
+            sweep_id=read.integer("sweep_id"),
+            device_id=read.text("device_id"),
+            verdict=verdict,
+            mac_valid=bool(read.integer("mac_valid")),
+            config_match=bool(read.integer("config_match")),
+            attempts=read.integer("attempts"),
+            duration_ns=read.real("duration_ns"),
+            tag_hex=read.text("tag_hex"),
+            nonce_hex=read.text("nonce_hex"),
+            mismatched_frames=tuple(frames),
+            failure_stage=read.text("failure_stage"),
+            failure_kind=read.text("failure_kind"),
+            failure_detail=read.text("failure_detail"),
         )
 
     def verdict_counts(self, sweep_id: Optional[int] = None) -> Dict[str, int]:

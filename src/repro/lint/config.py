@@ -1,21 +1,21 @@
-"""Lint configuration: the layer DAG and per-rule scoping.
+"""Lint policy: the layer DAG, per-rule scoping and the taint declarations.
 
 Everything domain-specific the rules need is declared here rather than
 hard-coded in the rule bodies, so adding a package or a taint source is
-a one-line, reviewable change.
+a one-line, reviewable change.  The rules import these constants
+directly; a lint run has no other settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import FrozenSet, Mapping, Optional, Tuple
 
 #: The declared import DAG, by top-level package under ``repro``.
 #: ``LAYER_DAG[layer]`` is the set of *other* repro layers that layer may
 #: import (importing within your own layer is always allowed); ``None``
 #: means unrestricted (the CLI and the public facade compose everything).
-#: A layer absent from the map is unrestricted — new top-level packages
-#: should be added here deliberately.
+#: A layer absent from the map would be unrestricted, so a test holds
+#: every top-level package and module under ``repro`` to an entry here.
 LAYER_DAG: Mapping[str, Optional[FrozenSet[str]]] = {
     # foundations — import nothing from repro
     "utils": frozenset(),
@@ -84,13 +84,8 @@ LAYER_DAG: Mapping[str, Optional[FrozenSet[str]]] = {
 }
 
 #: Paths where SACHA001 does not apply: the one sanctioned wall-clock
-#: accessor (export metadata only — never span timing or protocol state)
-#: and the linter's own ``--stats`` timer (tool diagnostics, not part of
-#: any reproducible artifact).
-DETERMINISM_EXEMPT: Tuple[str, ...] = (
-    "repro/obs/wallclock.py",
-    "repro/lint/stats.py",
-)
+#: accessor (export metadata only — never span timing or protocol state).
+DETERMINISM_EXEMPT: Tuple[str, ...] = ("repro/obs/wallclock.py",)
 
 #: Path prefixes where SACHA002 applies.  MAC/tag/digest equality in
 #: these trees must go through ``hmac.compare_digest``.  The baselines
@@ -104,11 +99,10 @@ CONSTANT_TIME_PATHS: Tuple[str, ...] = (
     "repro/system/",
 )
 
-# -- whole-program tier declarations (SACHA006) ---------------------------------
+# -- SACHA006 (secret taint) declarations --------------------------------------
 #
-# The interprocedural pass is configured here, exactly like the
-# per-file rules: adding a taint source or a sanctioned SQLite column is
-# a one-line reviewable edit, never a rule change.
+# Adding a taint source or a sanctioned SQLite column is a one-line
+# reviewable edit here, never a rule change.
 
 #: SACHA006: calls whose return value *is* key material.  Matched by the
 #: call's final name component, so ``provider.mac_key()``,
@@ -156,29 +150,3 @@ SQLITE_SECRET_COLUMNS: Tuple[str, ...] = ("key_hex", "nonce_hex", "tag_hex")
 #: SACHA006: layers where ``hex()``/``repr()``/``str()`` of key material
 #: is legitimate — the key's home, where MACs are computed.
 TAINT_REPR_EXEMPT_LAYERS: Tuple[str, ...] = ("crypto",)
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Immutable configuration for one lint run."""
-
-    select: FrozenSet[str] = frozenset()  #: rule ids to run; empty = all
-    layer_dag: Mapping[str, Optional[FrozenSet[str]]] = field(
-        default_factory=lambda: LAYER_DAG
-    )
-    determinism_exempt: Tuple[str, ...] = DETERMINISM_EXEMPT
-    constant_time_paths: Tuple[str, ...] = CONSTANT_TIME_PATHS
-    secret_source_calls: Tuple[str, ...] = SECRET_SOURCE_CALLS
-    nonce_source_calls: Tuple[str, ...] = NONCE_SOURCE_CALLS
-    secret_attr_names: Tuple[str, ...] = SECRET_ATTR_NAMES
-    nonce_attr_names: Tuple[str, ...] = NONCE_ATTR_NAMES
-    secret_field_names: Tuple[str, ...] = SECRET_FIELD_NAMES
-    taint_sanitizers: Tuple[str, ...] = TAINT_SANITIZERS
-    sqlite_secret_columns: Tuple[str, ...] = SQLITE_SECRET_COLUMNS
-    taint_repr_exempt_layers: Tuple[str, ...] = TAINT_REPR_EXEMPT_LAYERS
-
-    def selects(self, rule_id: str) -> bool:
-        return not self.select or rule_id in self.select
-
-
-DEFAULT_CONFIG = LintConfig()

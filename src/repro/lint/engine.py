@@ -1,9 +1,8 @@
-"""File collection, rule dispatch, suppression and baseline filtering.
+"""File collection and the one lint pass.
 
-Two tiers share one pass over the tree: every file is read and parsed
-exactly once, the per-file rules run over each AST as it is parsed, and
-``--program`` hands the same parsed set to :class:`ProjectModel` for
-the interprocedural rules — no second read, no re-parse.
+Every file is read and parsed once into a :class:`ProjectModel`, and
+each rule of :data:`repro.lint.rules.RULES` runs over that model.  Every
+finding is reported; nothing is filtered or waved through.
 """
 
 from __future__ import annotations
@@ -11,160 +10,40 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.findings import PARSE_ERROR_RULE, Finding
-from repro.lint.program import ProjectModel, all_program_rules
-from repro.lint.registry import FileContext, all_rules
-from repro.lint.suppressions import Suppressions
-
-
-@dataclass
-class RuleTiming:
-    """Per-rule cost of one run (``repro lint --stats``)."""
-
-    rule: str
-    files: int
-    findings: int
-    seconds: float
+from repro.lint.program import ProjectModel
+from repro.lint.rules import RULES
 
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run, after suppressions and baseline."""
+    """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    suppressed: int = 0
-    baselined: int = 0
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
-    timings: List[RuleTiming] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.clean else 1
-
-
-class _Stats:
-    """Accumulates per-rule timing across files; None-safe via _NO_STATS."""
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self._data: Dict[str, List[float]] = {}
-
-    def clock(self) -> float:
-        from repro.lint.stats import rule_clock
-
-        return rule_clock()
-
-    def add(self, rule: str, files: int, findings: int, seconds: float) -> None:
-        row = self._data.setdefault(rule, [0, 0, 0.0])
-        row[0] += files
-        row[1] += findings
-        row[2] += seconds
-
-    def timings(self) -> List[RuleTiming]:
-        return [
-            RuleTiming(rule, int(row[0]), int(row[1]), float(row[2]))
-            for rule, row in sorted(self._data.items())
-        ]
-
-
-class _NoStats(_Stats):
-    def __init__(self) -> None:
-        super().__init__()
-        self.enabled = False
-
-    def clock(self) -> float:
-        return 0.0
-
-    def add(self, rule: str, files: int, findings: int, seconds: float) -> None:
-        pass
+        return 1 if self.findings else 0
 
 
 def source_relpath(path: Path) -> str:
-    """Path relative to the ``repro`` source root, as posix.
+    """The path findings in ``path`` are reported under, as posix.
 
-    The engine anchors on the last path component named ``repro`` so it
+    Under a ``repro`` root it is relative to that root: the engine
+    anchors on the last path component named ``repro``, so rule scoping
     works for the installed tree (``src/repro/...``), a checkout scanned
     from anywhere, and the temporary ``<tmp>/repro/...`` trees the tests
-    build.  Files outside any ``repro`` root keep their filename only
-    (module-scoped rules skip them).
+    build.  Any other file keeps the path it was collected under (the
+    module-scoped rules skip it).
     """
     parts = path.as_posix().split("/")
     for index in range(len(parts) - 1, -1, -1):
         if parts[index] == "repro":
             return "/".join(parts[index:])
-    return parts[-1]
-
-
-def lint_source(
-    source: str,
-    relpath: str,
-    config: LintConfig = DEFAULT_CONFIG,
-) -> List[Finding]:
-    """Lint one source string as if it lived at ``relpath``.
-
-    Inline suppressions are honoured; the baseline is a run-level
-    concern and is not applied here.
-    """
-    findings, _ = _lint_source_counted(source, relpath, config)
-    return findings
-
-
-def _parse_failure(relpath: str, exc: SyntaxError) -> Finding:
-    return Finding(
-        path=relpath,
-        line=exc.lineno or 1,
-        column=(exc.offset or 0) + 1,
-        rule=PARSE_ERROR_RULE,
-        message=f"could not parse: {exc.msg}",
-    )
-
-
-def _check_file(
-    relpath: str,
-    source: str,
-    tree: ast.Module,
-    config: LintConfig,
-    stats: _Stats,
-) -> List[Finding]:
-    """Raw per-file findings (before suppressions)."""
-    ctx = FileContext(relpath, source, tree, config)
-    findings: List[Finding] = []
-    for rule in all_rules():
-        if not config.selects(rule.id):
-            continue
-        if not rule.applies_to(ctx):
-            continue
-        started = stats.clock()
-        found = list(rule.check(ctx))
-        stats.add(rule.id, 1, len(found), stats.clock() - started)
-        findings.extend(found)
-    return findings
-
-
-def _lint_source_counted(source, relpath, config):
-    """(kept findings, suppressed count) for one source string."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [_parse_failure(relpath, exc)], 0
-    findings = _check_file(relpath, source, tree, config, _NoStats())
-    kept, suppressed = Suppressions(source).apply(findings)
-    return sorted(kept), suppressed
-
-
-def lint_file(path: Path, config: LintConfig = DEFAULT_CONFIG) -> List[Finding]:
-    return lint_source(
-        path.read_text(encoding="utf-8"), source_relpath(path), config
-    )
+    return path.as_posix()
 
 
 def collect_files(paths: Iterable[Path]) -> List[Path]:
@@ -178,100 +57,40 @@ def collect_files(paths: Iterable[Path]) -> List[Path]:
     return collected
 
 
-def _run_program_rules(
-    parsed: Sequence[Tuple[str, str, ast.Module]],
-    config: LintConfig,
-    stats: _Stats,
-) -> List[Finding]:
-    """Raw whole-program findings over an already-parsed tree."""
-    model = ProjectModel.from_parsed(parsed, config)
+def lint_sources(sources: Mapping[str, str]) -> List[Finding]:
+    """Every rule's findings over ``{relpath: source}``, sorted.
+
+    A source that does not parse yields one ``SACHA000`` finding and
+    stays out of the model.
+    """
     findings: List[Finding] = []
-    for rule in all_program_rules():
-        if not config.selects(rule.id):
-            continue
-        started = stats.clock()
-        found = list(rule.check(model))
-        stats.add(rule.id, len(parsed), len(found), stats.clock() - started)
-        findings.extend(found)
-    return findings
-
-
-def run_lint(
-    paths: Sequence[Path],
-    config: LintConfig = DEFAULT_CONFIG,
-    baseline: Optional[Baseline] = None,
-    program: bool = False,
-    collect_stats: bool = False,
-) -> LintResult:
-    """Lint ``paths`` (files or directories) and filter via ``baseline``.
-
-    ``program=True`` additionally runs the whole-program rules over the
-    same parse set; ``collect_stats=True`` fills ``result.timings``.
-    """
-    result = LintResult()
-    raw: List[Finding] = []
-    stats: _Stats = _Stats() if collect_stats else _NoStats()
-    parsed: List[Tuple[str, str, ast.Module]] = []
-    suppressions: Dict[str, Suppressions] = {}
-    for path in collect_files(paths):
-        source = path.read_text(encoding="utf-8")
-        relpath = source_relpath(path)
-        result.files_scanned += 1
+    parsed: List[Tuple[str, ast.Module]] = []
+    for relpath, source in sources.items():
         try:
-            tree = ast.parse(source)
+            parsed.append((relpath, ast.parse(source)))
         except SyntaxError as exc:
-            raw.append(_parse_failure(relpath, exc))
-            continue
-        parsed.append((relpath, source, tree))
-        file_suppressions = Suppressions(source)
-        suppressions[relpath] = file_suppressions
-        kept, suppressed = file_suppressions.apply(
-            _check_file(relpath, source, tree, config, stats)
-        )
-        raw.extend(kept)
-        result.suppressed += suppressed
-    if program and parsed:
-        for finding in _run_program_rules(parsed, config, stats):
-            file_suppressions = suppressions.get(finding.path)
-            if file_suppressions is not None and file_suppressions.suppresses(
-                finding
-            ):
-                result.suppressed += 1
-            else:
-                raw.append(finding)
-    if baseline is not None:
-        new, baselined, stale = baseline.apply(raw)
-        result.findings = sorted(new)
-        result.baselined = baselined
-        result.stale_baseline = stale
-    else:
-        result.findings = sorted(raw)
-    if stats.enabled:
-        result.timings = stats.timings()
-    return result
+            findings.append(
+                Finding(
+                    path=relpath,
+                    line=exc.lineno or 1,
+                    column=(exc.offset or 0) + 1,
+                    rule=PARSE_ERROR_RULE,
+                    message=f"could not parse: {exc.msg}",
+                )
+            )
+    model = ProjectModel.from_parsed(parsed)
+    for rule in RULES:
+        findings.extend(rule(model))
+    return sorted(findings)
 
 
-def lint_program_sources(
-    sources: Mapping[str, str],
-    config: LintConfig = DEFAULT_CONFIG,
-) -> List[Finding]:
-    """Run only the whole-program rules over an in-memory tree.
+def run_lint(paths: Sequence[Path]) -> LintResult:
+    """Lint ``paths`` (files or directories).
 
-    The fixture tests hand small multi-file virtual trees straight in;
-    inline suppressions in the sources are honoured.
+    Files that map to one relpath are linted once, as the last of them:
+    a file named twice, or the same ``repro/...`` file of two trees.
     """
-    parsed = [
-        (relpath, sources[relpath], ast.parse(sources[relpath]))
-        for relpath in sorted(sources)
-    ]
-    raw = _run_program_rules(parsed, config, _NoStats())
-    kept: List[Finding] = []
-    cache: Dict[str, Suppressions] = {}
-    for finding in raw:
-        if finding.path in sources:
-            if finding.path not in cache:
-                cache[finding.path] = Suppressions(sources[finding.path])
-            if cache[finding.path].suppresses(finding):
-                continue
-        kept.append(finding)
-    return sorted(kept)
+    sources: Dict[str, str] = {}
+    for path in collect_files(paths):
+        sources[source_relpath(path)] = path.read_text(encoding="utf-8")
+    return LintResult(lint_sources(sources), len(sources))

@@ -2,47 +2,34 @@
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict
+import ast
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation.
+    """One rule violation."""
 
-    ``fingerprint`` identifies the finding for baseline matching.  It
-    hashes the rule id, the file path, and the *text* of the offending
-    line (not its number), so a baselined finding survives unrelated
-    edits that renumber the file but is invalidated the moment the
-    flagged line itself changes.
-    """
-
-    path: str  #: posix path relative to the source root, e.g. ``repro/core/verifier.py``
+    path: str  #: ``repro/...`` under a ``repro`` root, else the path as given
     line: int
     column: int
     rule: str  #: rule id, e.g. ``SACHA002``
     message: str
     hint: str = ""  #: fix-it hint; empty when the rule has no mechanical fix
-    line_text: str = field(default="", compare=False)
 
-    @property
-    def fingerprint(self) -> str:
-        material = f"{self.rule}::{self.path}::{self.line_text.strip()}"
-        return hashlib.sha256(material.encode()).hexdigest()[:16]
-
-    def to_dict(self) -> Dict[str, object]:
-        record: Dict[str, object] = {
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "rule": self.rule,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
-        if self.hint:
-            record["hint"] = self.hint
-        return record
+    @classmethod
+    def at(
+        cls, path: str, node: ast.AST, rule: str, message: str, hint: str = ""
+    ) -> "Finding":
+        """A finding at ``node``'s position (1-based line and column)."""
+        return cls(
+            path=path,
+            line=getattr(node, "lineno", 1),
+            column=getattr(node, "col_offset", 0) + 1,
+            rule=rule,
+            message=message,
+            hint=hint,
+        )
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.column}: {self.rule} {self.message}"

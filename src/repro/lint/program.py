@@ -1,26 +1,19 @@
-"""The whole-program tier: project model and interprocedural rules.
+"""The file model every sachalint rule runs over.
 
-The per-file rules see one AST at a time; some properties SACHa's
-security argument rests on are *global*: a key minted in
-``core/provisioning.py`` must not reach a log call in ``fleet/``.  This
-module builds the :class:`ProjectModel` — parsed files, per-module
-import bindings, def-use function summaries, and a name-resolved call
-graph — and defines the :class:`ProgramRule` base the SACHA006 pass
-registers against.
-
-Program rules live in their own registry (``all_program_rules``) so the
-fast per-file tier (``repro lint``) stays exactly as cheap as before;
-``repro lint --program`` runs both tiers over one set of parsed ASTs.
+Each linted file is parsed once into a :class:`SourceFile`; the
+:class:`ProjectModel` holds them all and, for files under a ``repro``
+root, adds what the whole-program rule needs on top: per-module import
+bindings, class and function tables, and a name-resolved call graph.
+A rule is one function from the model to its findings (:data:`Rule`):
+the per-file rules walk ``model.files``, SACHA006 walks the call graph.
 """
 
 from __future__ import annotations
 
-import abc
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.findings import Finding
 
 
@@ -38,22 +31,18 @@ def module_for_relpath(relpath: str) -> Optional[str]:
 
 @dataclass
 class SourceFile:
-    """One parsed file plus everything the program rules derive from it."""
+    """One parsed file, as every rule sees it."""
 
-    relpath: str
-    source: str
+    relpath: str  #: ``repro/...`` under a ``repro`` root, else the path as given
     tree: ast.Module
+    #: dotted module (``repro.core.verifier``); None outside a ``repro`` root
     module: Optional[str]
+    #: top-level layer under ``repro``: ``repro/core/x.py`` -> ``core``,
+    #: ``repro/errors.py`` -> ``errors``, ``repro/__init__.py`` -> ``repro``
     layer: Optional[str]
-    lines: List[str] = field(default_factory=list)
     #: module-level names bound to a structured logger
     #: (``_log = obs_log.get_logger(__name__)``).
     logger_names: Set[str] = field(default_factory=set)
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
 
 @dataclass
@@ -87,7 +76,6 @@ class ClassInfo:
     field_nodes: Dict[str, ast.AnnAssign] = field(default_factory=dict)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     base_names: List[str] = field(default_factory=list)
-    is_dataclass: bool = False
 
 
 def _annotation_text(node: Optional[ast.AST]) -> str:
@@ -100,10 +88,9 @@ def _annotation_text(node: Optional[ast.AST]) -> str:
 
 
 class ProjectModel:
-    """Everything the interprocedural rules may inspect about the tree."""
+    """Every linted file, plus the whole-program indexes of the ``repro`` ones."""
 
-    def __init__(self, config: LintConfig = DEFAULT_CONFIG) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.files: Dict[str, SourceFile] = {}  #: by relpath
         self.by_module: Dict[str, SourceFile] = {}
         #: module -> local binding name -> absolute dotted target
@@ -117,36 +104,23 @@ class ProjectModel:
 
     @classmethod
     def from_parsed(
-        cls,
-        parsed: Sequence[Tuple[str, str, ast.Module]],
-        config: LintConfig = DEFAULT_CONFIG,
+        cls, parsed: Iterable[Tuple[str, ast.Module]]
     ) -> "ProjectModel":
-        """Build a model from already-parsed ``(relpath, source, tree)``.
-
-        The engine hands the per-file tier's parse cache straight in, so
-        ``--program`` never re-reads or re-parses the tree.
-        """
-        model = cls(config)
-        for relpath, source, tree in parsed:
-            model._add_file(relpath, source, tree)
+        """Build a model from ``(relpath, tree)`` pairs, one per file."""
+        model = cls()
+        for relpath, tree in parsed:
+            model._add_file(relpath, tree)
         for record in model.files.values():
             model._index_file(record)
         return model
 
-    def _add_file(self, relpath: str, source: str, tree: ast.Module) -> None:
+    def _add_file(self, relpath: str, tree: ast.Module) -> None:
         module = module_for_relpath(relpath)
         layer = None
         if module is not None:
             segments = module.split(".")
             layer = segments[1] if len(segments) > 1 else segments[0]
-        record = SourceFile(
-            relpath=relpath,
-            source=source,
-            tree=tree,
-            module=module,
-            layer=layer,
-            lines=source.splitlines(),
-        )
+        record = SourceFile(relpath=relpath, tree=tree, module=module, layer=layer)
         self.files[relpath] = record
         if module is not None:
             self.by_module[module] = record
@@ -163,7 +137,7 @@ class ProjectModel:
                         alias.name
                     )
             elif isinstance(node, ast.ImportFrom):
-                base = self._resolve_import_from(record, node)
+                base = resolve_import_from(record, node)
                 if base is None:
                     continue
                 for alias in node.names:
@@ -185,23 +159,6 @@ class ProjectModel:
                 self._index_function(record, node, class_name=None)
             elif isinstance(node, ast.ClassDef):
                 self._index_class(record, node)
-
-    @staticmethod
-    def _resolve_import_from(
-        record: SourceFile, node: ast.ImportFrom
-    ) -> Optional[str]:
-        if node.level == 0:
-            return node.module
-        module = record.module
-        if module is None:
-            return None
-        package = module.split(".")
-        if not record.relpath.endswith("__init__.py"):
-            package = package[:-1]
-        anchor = package[: len(package) - (node.level - 1)]
-        if not anchor:
-            return None
-        return ".".join(anchor + ([node.module] if node.module else []))
 
     def _index_function(
         self,
@@ -240,10 +197,6 @@ class ProjectModel:
             base_names=[
                 dotted_tail(base) or "" for base in node.bases
             ],
-            is_dataclass=any(
-                (dotted_tail(deco) or "").startswith("dataclass")
-                for deco in node.decorator_list
-            ),
         )
         for statement in node.body:
             if isinstance(statement, ast.AnnAssign) and isinstance(
@@ -358,27 +311,6 @@ class ProjectModel:
                 return candidates[0]
         return None
 
-    def finding(
-        self,
-        relpath: str,
-        node: ast.AST,
-        rule: str,
-        message: str,
-        hint: str = "",
-    ) -> Finding:
-        line = getattr(node, "lineno", 1)
-        column = getattr(node, "col_offset", 0) + 1
-        record = self.files.get(relpath)
-        return Finding(
-            path=relpath,
-            line=line,
-            column=column,
-            rule=rule,
-            message=message,
-            hint=hint,
-            line_text=record.line_text(line) if record else "",
-        )
-
 
 def dotted_name_of(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
@@ -403,34 +335,24 @@ def dotted_tail(node: ast.AST) -> Optional[str]:
     return None
 
 
-class ProgramRule(abc.ABC):
-    """One whole-program invariant, checked over the project model."""
+def resolve_import_from(record: SourceFile, node: ast.ImportFrom) -> Optional[str]:
+    """The absolute module a ``from ... import`` in ``record`` names.
 
-    id: str = ""
-    title: str = ""
-    rationale: str = ""
-
-    @abc.abstractmethod
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        """Yield findings over the whole project."""
-
-
-_PROGRAM_REGISTRY: Dict[str, ProgramRule] = {}
-
-
-def register_program(rule_class: type) -> type:
-    """Class decorator: instantiate and index the program rule by id."""
-    rule = rule_class()
-    if not rule.id:
-        raise ValueError(f"program rule {rule_class.__name__} has no id")
-    if rule.id in _PROGRAM_REGISTRY:
-        raise ValueError(f"duplicate program rule id {rule.id}")
-    _PROGRAM_REGISTRY[rule.id] = rule
-    return rule_class
+    None for a relative import outside a ``repro`` root or above it.
+    """
+    if node.level == 0:
+        return node.module
+    module = record.module
+    if module is None:
+        return None
+    package = module.split(".")
+    if not record.relpath.endswith("__init__.py"):
+        package = package[:-1]
+    anchor = package[: len(package) - (node.level - 1)]
+    if not anchor:
+        return None
+    return ".".join(anchor + ([node.module] if node.module else []))
 
 
-def all_program_rules() -> List[ProgramRule]:
-    """Every registered program rule, ordered by id."""
-    import repro.lint.rules  # noqa: F401  (registration side effect)
-
-    return [_PROGRAM_REGISTRY[rule_id] for rule_id in sorted(_PROGRAM_REGISTRY)]
+#: A rule: every finding it reports over the whole model.
+Rule = Callable[[ProjectModel], Iterable[Finding]]

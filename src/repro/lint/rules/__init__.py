@@ -1,22 +1,27 @@
-"""Built-in sachalint rules.  Importing this package registers them.
+"""The sachalint rules, in id order.
 
-SACHA001-005 are the per-file tier; SACHA006 is the whole-program tier
-and registers in its own registry (``all_program_rules``) so the fast
-per-file runs never pay for it.
+Each rule module exposes ``check(model)``, which yields every finding of
+that rule over a :class:`repro.lint.program.ProjectModel`; :data:`RULES`
+is the whole catalogue and the engine runs all of it on every lint.
 """
 
-from repro.lint.rules.constant_time import ConstantTimeRule
-from repro.lint.rules.determinism import DeterminismRule
-from repro.lint.rules.layering import LayeringRule
-from repro.lint.rules.mutable_defaults import MutableDefaultsRule
-from repro.lint.rules.secret_taint import SecretTaintRule
-from repro.lint.rules.threads import ThreadingRule
+from typing import Tuple
 
-__all__ = [
-    "ConstantTimeRule",
-    "DeterminismRule",
-    "LayeringRule",
-    "MutableDefaultsRule",
-    "SecretTaintRule",
-    "ThreadingRule",
-]
+from repro.lint.program import Rule
+from repro.lint.rules import (
+    constant_time,
+    determinism,
+    layering,
+    mutable_defaults,
+    secret_taint,
+    threads,
+)
+
+RULES: Tuple[Rule, ...] = (
+    determinism.check,  # SACHA001
+    constant_time.check,  # SACHA002
+    mutable_defaults.check,  # SACHA003
+    layering.check,  # SACHA004
+    threads.check,  # SACHA005
+    secret_taint.check,  # SACHA006
+)

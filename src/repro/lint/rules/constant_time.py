@@ -18,10 +18,13 @@ comparing an opcode is dispatch, not verification.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
+from repro.lint.config import CONSTANT_TIME_PATHS
 from repro.lint.findings import Finding
-from repro.lint.registry import FileContext, Rule, register
+from repro.lint.program import ProjectModel, dotted_tail
+
+RULE = "SACHA002"
 
 _TAG_WORDS = frozenset(
     {"tag", "mac", "digest", "hmac", "cmac", "sig", "signature"}
@@ -33,42 +36,19 @@ _HINT = (
 )
 
 
-def _identifier(node: ast.AST) -> Optional[str]:
-    """The identifier a comparand answers to, if any."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _is_tag_typed(node: ast.AST) -> bool:
-    identifier = _identifier(node)
+    identifier = dotted_tail(node)
     if identifier is None or identifier.isupper():
         return False
     words = identifier.lower().split("_")
     return any(word in _TAG_WORDS for word in words)
 
 
-@register
-class ConstantTimeRule(Rule):
-    id = "SACHA002"
-    title = "constant-time MAC/tag/digest comparison"
-    rationale = (
-        "== on bytes short-circuits, turning MAC rejection latency into "
-        "a byte-by-byte forgery oracle; hmac.compare_digest does not"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return any(
-            ctx.relpath.startswith(prefix)
-            for prefix in ctx.config.constant_time_paths
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+def check(model: ProjectModel) -> Iterator[Finding]:
+    for record in model.files.values():
+        if not record.relpath.startswith(CONSTANT_TIME_PATHS):
+            continue
+        for node in ast.walk(record.tree):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -82,10 +62,11 @@ class ConstantTimeRule(Rule):
                 if tagged is None:
                     continue
                 operator = "==" if isinstance(op, ast.Eq) else "!="
-                yield ctx.finding(
+                yield Finding.at(
+                    record.relpath,
                     node,
-                    self.id,
-                    f"{operator} on {_identifier(tagged)!r} leaks timing; "
+                    RULE,
+                    f"{operator} on {dotted_tail(tagged)!r} leaks timing; "
                     "MAC-typed values must be compared in constant time",
                     _HINT,
                 )

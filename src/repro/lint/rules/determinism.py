@@ -24,8 +24,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.config import DETERMINISM_EXEMPT
 from repro.lint.findings import Finding
-from repro.lint.registry import FileContext, Rule, dotted_name, register
+from repro.lint.program import ProjectModel, dotted_name_of
+
+RULE = "SACHA001"
 
 _WALL_CLOCK = frozenset(
     {
@@ -95,68 +98,56 @@ _HINT = (
 )
 
 
-@register
-class DeterminismRule(Rule):
-    id = "SACHA001"
-    title = "no wall clock, unseeded randomness, or builtin hash()"
-    rationale = (
-        "attestation runs must be bit-for-bit reproducible across "
-        "processes; wall clocks, interpreter-global RNG state, and the "
-        "per-process salted hash() all break that silently"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not any(
-            ctx.relpath.startswith(prefix)
-            for prefix in ctx.config.determinism_exempt
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+def check(model: ProjectModel) -> Iterator[Finding]:
+    for record in model.files.values():
+        if record.relpath.startswith(DETERMINISM_EXEMPT):
+            continue
+        for node in ast.walk(record.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = dotted_name(node.func)
+            name = dotted_name_of(node.func)
             if name is None:
                 continue
-            message = self._violation(name, node)
+            message = _violation(name, node)
             if message:
-                yield ctx.finding(node, self.id, message, _HINT)
+                yield Finding.at(record.relpath, node, RULE, message, _HINT)
 
-    def _violation(self, name: str, call: ast.Call) -> str:
-        parts = name.split(".")
-        if name == "hash":
+
+def _violation(name: str, call: ast.Call) -> str:
+    parts = name.split(".")
+    if name == "hash":
+        return (
+            "builtin hash() is salted per process — the same value "
+            "hashes differently in every interpreter"
+        )
+    if name in _WALL_CLOCK:
+        return f"wall-clock read {name}() is not reproducible"
+    if name in _NONDETERMINISTIC:
+        return f"{name}() is nondeterministic by design"
+    if len(parts) >= 2 and (parts[-2], parts[-1]) in _DATETIME_TAILS:
+        return f"wall-clock read {name}() is not reproducible"
+    if parts[0] == "random" and len(parts) == 2:
+        if parts[1] in ("Random", "SystemRandom"):
+            if parts[1] == "SystemRandom":
+                return "random.SystemRandom draws from the OS entropy pool"
+            if not call.args and not call.keywords:
+                return "random.Random() without a seed is process-global state"
+            return ""
+        return (
+            f"module-level random.{parts[1]}() uses the interpreter-"
+            "global, OS-seeded generator"
+        )
+    if (
+        len(parts) >= 3
+        and parts[0] in ("np", "numpy")
+        and parts[-2] == "random"
+    ):
+        function = parts[-1]
+        if function in _NP_RANDOM_BANNED:
             return (
-                "builtin hash() is salted per process — the same value "
-                "hashes differently in every interpreter"
+                f"numpy global-state RNG call {name}() is unseeded; "
+                "construct a seeded Generator instead"
             )
-        if name in _WALL_CLOCK:
-            return f"wall-clock read {name}() is not reproducible"
-        if name in _NONDETERMINISTIC:
-            return f"{name}() is nondeterministic by design"
-        if len(parts) >= 2 and (parts[-2], parts[-1]) in _DATETIME_TAILS:
-            return f"wall-clock read {name}() is not reproducible"
-        if parts[0] == "random" and len(parts) == 2:
-            if parts[1] in ("Random", "SystemRandom"):
-                if parts[1] == "SystemRandom":
-                    return "random.SystemRandom draws from the OS entropy pool"
-                if not call.args and not call.keywords:
-                    return "random.Random() without a seed is process-global state"
-                return ""
-            return (
-                f"module-level random.{parts[1]}() uses the interpreter-"
-                "global, OS-seeded generator"
-            )
-        if (
-            len(parts) >= 3
-            and parts[0] in ("np", "numpy")
-            and parts[-2] == "random"
-        ):
-            function = parts[-1]
-            if function in _NP_RANDOM_BANNED:
-                return (
-                    f"numpy global-state RNG call {name}() is unseeded; "
-                    "construct a seeded Generator instead"
-                )
-            if function == "default_rng" and not call.args and not call.keywords:
-                return "default_rng() without a seed is entropy-seeded"
-        return ""
+        if function == "default_rng" and not call.args and not call.keywords:
+            return "default_rng() without a seed is entropy-seeded"
+    return ""

@@ -14,8 +14,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Tuple
 
+from repro.lint.config import LAYER_DAG
 from repro.lint.findings import Finding
-from repro.lint.registry import FileContext, Rule, register
+from repro.lint.program import ProjectModel, SourceFile, resolve_import_from
+
+RULE = "SACHA004"
 
 
 def _repro_layer(module: str) -> Optional[str]:
@@ -26,51 +29,25 @@ def _repro_layer(module: str) -> Optional[str]:
     return parts[1]
 
 
-def _imports(
-    ctx: FileContext,
-) -> Iterator[Tuple[ast.stmt, str]]:
+def _imports(record: SourceFile) -> Iterator[Tuple[ast.stmt, str]]:
     """Every (node, absolute module) import in the file."""
-    for node in ast.walk(ctx.tree):
+    for node in ast.walk(record.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node, alias.name
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                if node.module:
-                    yield node, node.module
-                continue
-            module = ctx.module
-            if module is None:
-                continue
-            package = module.split(".")
-            if not ctx.relpath.endswith("__init__.py"):
-                package = package[:-1]
-            anchor = package[: len(package) - (node.level - 1)]
-            if not anchor:
-                continue
-            resolved = ".".join(anchor + ([node.module] if node.module else []))
-            yield node, resolved
+            resolved = resolve_import_from(record, node)
+            if resolved:
+                yield node, resolved
 
 
-@register
-class LayeringRule(Rule):
-    id = "SACHA004"
-    title = "imports follow the declared layer DAG"
-    rationale = (
-        "crypto must be auditable without the network or simulator in "
-        "scope, and the device model must stay network-free; layering "
-        "violations rot exactly these guarantees"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.layer is not None
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        layer = ctx.layer
-        allowed = ctx.config.layer_dag.get(layer, None)
+def check(model: ProjectModel) -> Iterator[Finding]:
+    for record in model.files.values():
+        layer = record.layer
+        allowed = LAYER_DAG.get(layer) if layer is not None else None
         if allowed is None:
-            return
-        for node, module in _imports(ctx):
+            continue
+        for node, module in _imports(record):
             if module.split(".")[0] != "repro":
                 continue
             target = _repro_layer(module)
@@ -78,9 +55,10 @@ class LayeringRule(Rule):
                 continue
             if target not in allowed:
                 permitted = ", ".join(sorted(allowed)) or "nothing"
-                yield ctx.finding(
+                yield Finding.at(
+                    record.relpath,
                     node,
-                    self.id,
+                    RULE,
                     f"layer {layer!r} must not import repro.{target} "
                     f"(allowed: {permitted})",
                     "invert the dependency or amend the layer DAG in "

@@ -14,7 +14,9 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.findings import Finding
-from repro.lint.registry import FileContext, Rule, dotted_name, register
+from repro.lint.program import ProjectModel, dotted_name_of
+
+RULE = "SACHA003"
 
 _MUTABLE_CONSTRUCTORS = frozenset(
     {
@@ -48,7 +50,7 @@ def _mutable_default(node: Optional[ast.AST]) -> bool:
     ):
         return True
     if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
+        name = dotted_name_of(node.func)
         return name in _MUTABLE_CONSTRUCTORS
     return False
 
@@ -56,7 +58,7 @@ def _mutable_default(node: Optional[ast.AST]) -> bool:
 def _is_dataclass(node: ast.ClassDef) -> bool:
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = dotted_name(target)
+        name = dotted_name_of(target)
         if name in ("dataclass", "dataclasses.dataclass"):
             return True
     return False
@@ -66,7 +68,7 @@ def _field_default(node: ast.AST) -> Optional[ast.AST]:
     """The ``default=`` argument of a ``field(...)`` call, if present."""
     if not isinstance(node, ast.Call):
         return None
-    name = dotted_name(node.func)
+    name = dotted_name_of(node.func)
     if name not in ("field", "dataclasses.field"):
         return None
     for keyword in node.keywords:
@@ -75,58 +77,52 @@ def _field_default(node: ast.AST) -> Optional[ast.AST]:
     return None
 
 
-@register
-class MutableDefaultsRule(Rule):
-    id = "SACHA003"
-    title = "no mutable function or dataclass-field defaults"
-    rationale = (
-        "defaults are evaluated once and shared by every call site; "
-        "mutation then bleeds between runs (the PR 2 SessionOptions bug)"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+def check(model: ProjectModel) -> Iterator[Finding]:
+    for record in model.files.values():
+        for node in ast.walk(record.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                yield from self._check_signature(ctx, node)
+                yield from _check_signature(record.relpath, node)
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                yield from self._check_dataclass(ctx, node)
+                yield from _check_dataclass(record.relpath, node)
 
-    def _check_signature(self, ctx: FileContext, node) -> Iterator[Finding]:
-        where = (
-            f"in {node.name}()"
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            else "in lambda"
-        )
-        defaults = list(node.args.defaults) + [
-            default for default in node.args.kw_defaults if default is not None
-        ]
-        for default in defaults:
-            if _mutable_default(default):
-                yield ctx.finding(
-                    default,
-                    self.id,
-                    f"mutable default {where} is shared by every call",
-                    _HINT,
-                )
 
-    def _check_dataclass(
-        self, ctx: FileContext, node: ast.ClassDef
-    ) -> Iterator[Finding]:
-        for statement in node.body:
-            if isinstance(statement, ast.AnnAssign):
-                value = statement.value
-            elif isinstance(statement, ast.Assign):
-                value = statement.value
-            else:
-                continue
-            if value is None:
-                continue
-            candidate = _field_default(value) or value
-            if _mutable_default(candidate):
-                yield ctx.finding(
-                    candidate,
-                    self.id,
-                    f"mutable default on dataclass {node.name} is shared "
-                    "by every instance",
-                    _HINT,
-                )
+def _check_signature(relpath: str, node) -> Iterator[Finding]:
+    where = (
+        f"in {node.name}()"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        else "in lambda"
+    )
+    defaults = list(node.args.defaults) + [
+        default for default in node.args.kw_defaults if default is not None
+    ]
+    for default in defaults:
+        if _mutable_default(default):
+            yield Finding.at(
+                relpath,
+                default,
+                RULE,
+                f"mutable default {where} is shared by every call",
+                _HINT,
+            )
+
+
+def _check_dataclass(relpath: str, node: ast.ClassDef) -> Iterator[Finding]:
+    for statement in node.body:
+        if isinstance(statement, ast.AnnAssign):
+            value = statement.value
+        elif isinstance(statement, ast.Assign):
+            value = statement.value
+        else:
+            continue
+        if value is None:
+            continue
+        candidate = _field_default(value) or value
+        if _mutable_default(candidate):
+            yield Finding.at(
+                relpath,
+                candidate,
+                RULE,
+                f"mutable default on dataclass {node.name} is shared "
+                "by every instance",
+                _HINT,
+            )

@@ -25,15 +25,20 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.findings import Finding
-from repro.lint.program import (
-    FunctionInfo,
-    ProgramRule,
-    ProjectModel,
-    dotted_name_of,
-    dotted_tail,
-    register_program,
+from repro.lint.config import (
+    NONCE_ATTR_NAMES,
+    NONCE_SOURCE_CALLS,
+    SECRET_ATTR_NAMES,
+    SECRET_FIELD_NAMES,
+    SECRET_SOURCE_CALLS,
+    SQLITE_SECRET_COLUMNS,
+    TAINT_REPR_EXEMPT_LAYERS,
+    TAINT_SANITIZERS,
 )
+from repro.lint.findings import Finding
+from repro.lint.program import FunctionInfo, ProjectModel, dotted_name_of, dotted_tail
+
+RULE = "SACHA006"
 
 KEY = "KEY"
 NONCE = "NONCE"
@@ -117,7 +122,6 @@ class _Scan:
     ) -> None:
         self.fn = fn
         self.model = model
-        self.config = model.config
         self.summaries = summaries
         self.tainted_attrs = tainted_attrs  #: attr name -> KEY/NONCE
         self.collect = collect
@@ -361,7 +365,7 @@ class _Scan:
         ):
             return self._sqlite_call(call)
 
-        if tail in self.config.taint_sanitizers:
+        if tail in TAINT_SANITIZERS:
             for arg in call.args:
                 self.eval(arg, hex_ok)
             for keyword in call.keywords:
@@ -397,7 +401,7 @@ class _Scan:
         elif (
             tail in ("repr", "str", "format", "hex")
             and not hex_ok
-            and self.layer not in self.config.taint_repr_exempt_layers
+            and self.layer not in TAINT_REPR_EXEMPT_LAYERS
         ):
             receiver: Set[str] = set()
             if isinstance(func, ast.Attribute):
@@ -410,9 +414,9 @@ class _Scan:
 
         # sources ---------------------------------------------------------
         result: Set[str] = set()
-        if tail in self.config.secret_source_calls:
+        if tail in SECRET_SOURCE_CALLS:
             result.add(KEY)
-        if tail in self.config.nonce_source_calls:
+        if tail in NONCE_SOURCE_CALLS:
             result.add(NONCE)
 
         # interprocedural propagation --------------------------------------
@@ -496,7 +500,7 @@ class _Scan:
                 if columns is not None and index < len(columns)
                 else None
             )
-            allowed = column in self.config.sqlite_secret_columns
+            allowed = column in SQLITE_SECRET_COLUMNS
             tokens = self.eval(expression, hex_ok=allowed)
             if tokens and not allowed:
                 where = (
@@ -543,78 +547,56 @@ class _Scan:
     def _report(self, node: ast.AST, message: str) -> None:
         if self.collect is None:
             return
-        self.collect.add(
-            self.model.finding(
-                self.fn.relpath, node, SecretTaintRule.id, message, _HINT
-            )
-        )
+        self.collect.add(Finding.at(self.fn.relpath, node, RULE, message, _HINT))
 
 
-@register_program
-class SecretTaintRule(ProgramRule):
-    id = "SACHA006"
-    title = "key/nonce material never reaches logs, telemetry, or storage"
-    rationale = (
-        "the MAC key must exist only at the prover, the verifier record, "
-        "and the MAC engines; any flow into logs, metrics, spans, "
-        "exceptions, repr/hex, or unsanctioned SQLite columns is an "
-        "exfiltration side door the protocol's security argument forbids"
-    )
+def check(model: ProjectModel) -> Iterator[Finding]:
+    findings: Set[Finding] = set()
 
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        config = model.config
-        findings: Set[Finding] = set()
-
-        # declaration check: raw secret-named dataclass fields
-        for klass in model.classes.values():
-            for name in config.secret_field_names:
-                annotation = klass.fields.get(name)
-                if annotation is not None and "Secret" not in annotation:
-                    findings.add(
-                        model.finding(
-                            klass.relpath,
-                            klass.field_nodes[name],
-                            self.id,
-                            f"field {name!r} on {klass.name} holds raw "
-                            "secret material — the default repr/str "
-                            "prints it",
-                            "type the field repro.utils.secret.SecretBytes "
-                            "(opaque repr, explicit .reveal())",
-                        )
+    # declaration check: raw secret-named dataclass fields
+    for klass in model.classes.values():
+        for name in SECRET_FIELD_NAMES:
+            annotation = klass.fields.get(name)
+            if annotation is not None and "Secret" not in annotation:
+                findings.add(
+                    Finding.at(
+                        klass.relpath,
+                        klass.field_nodes[name],
+                        RULE,
+                        f"field {name!r} on {klass.name} holds raw "
+                        "secret material — the default repr/str "
+                        "prints it",
+                        "type the field repro.utils.secret.SecretBytes "
+                        "(opaque repr, explicit .reveal())",
                     )
+                )
 
-        tainted_attrs = self._tainted_attrs(model)
-        summaries: Dict[str, _Summary] = {}
-        for _ in range(8):
-            changed = False
-            for fn in model.functions.values():
-                scan = _Scan(fn, model, summaries, tainted_attrs, collect=None)
-                summary = scan.run()
-                previous = summaries.get(fn.qualname)
-                if previous is None or previous.state_key() != summary.state_key():
-                    summaries[fn.qualname] = summary
-                    changed = True
-            if not changed:
-                break
+    tainted_attrs = _tainted_attrs(model)
+    summaries: Dict[str, _Summary] = {}
+    for _ in range(8):
+        changed = False
         for fn in model.functions.values():
-            _Scan(fn, model, summaries, tainted_attrs, collect=findings).run()
-        yield from sorted(findings)
+            scan = _Scan(fn, model, summaries, tainted_attrs, collect=None)
+            summary = scan.run()
+            previous = summaries.get(fn.qualname)
+            if previous is None or previous.state_key() != summary.state_key():
+                summaries[fn.qualname] = summary
+                changed = True
+        if not changed:
+            break
+    for fn in model.functions.values():
+        _Scan(fn, model, summaries, tainted_attrs, collect=findings).run()
+    yield from sorted(findings)
 
-    @staticmethod
-    def _tainted_attrs(model: ProjectModel) -> Dict[str, str]:
-        """Attr name -> taint kind; SecretBytes-typed fields are clean."""
-        config = model.config
-        tainted: Dict[str, str] = {}
-        for attr in config.secret_attr_names:
+
+def _tainted_attrs(model: ProjectModel) -> Dict[str, str]:
+    """Attr name -> taint kind; SecretBytes-typed fields are clean."""
+    tainted: Dict[str, str] = {}
+    for names, kind in ((SECRET_ATTR_NAMES, KEY), (NONCE_ATTR_NAMES, NONCE)):
+        for attr in names:
             annotations = model.field_annotations(attr)
             if not annotations or any(
                 "Secret" not in annotation for annotation in annotations
             ):
-                tainted[attr] = KEY
-        for attr in config.nonce_attr_names:
-            annotations = model.field_annotations(attr)
-            if not annotations or any(
-                "Secret" not in annotation for annotation in annotations
-            ):
-                tainted[attr] = NONCE
-        return tainted
+                tainted[attr] = kind
+    return tainted

@@ -13,23 +13,16 @@ import ast
 from typing import Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.registry import FileContext, Rule, register
+from repro.lint.program import ProjectModel
+
+RULE = "SACHA005"
 
 _THREAD_MODULES = frozenset({"threading", "concurrent", "multiprocessing"})
 
 
-@register
-class ThreadingRule(Rule):
-    id = "SACHA005"
-    title = "no threads: threading/concurrent/multiprocessing are not imported"
-    rationale = (
-        "sweeps, registries and the store are single-threaded and hold no "
-        "locks; a thread would reintroduce scheduling nondeterminism and "
-        "data races"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+def check(model: ProjectModel) -> Iterator[Finding]:
+    for record in model.files.values():
+        for node in ast.walk(record.tree):
             if isinstance(node, ast.Import):
                 tops = {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
@@ -38,9 +31,10 @@ class ThreadingRule(Rule):
                 continue
             hit = tops & _THREAD_MODULES
             if hit:
-                yield ctx.finding(
+                yield Finding.at(
+                    record.relpath,
                     node,
-                    self.id,
+                    RULE,
                     f"{'/'.join(sorted(hit))} import in a single-threaded "
                     "package",
                     "run the work in order on the calling thread "

@@ -126,6 +126,22 @@ class TestExitCodes:
         assert "dev-0001: inconclusive" in out
         assert "key_mismatch" in out
 
+    def test_malformed_key_row_fails_closed(self, tmp_path, capsys):
+        """A key that is not hex cannot be compared at all: the sweep
+        refuses to start, naming the device and column, not the value."""
+        db = _db(tmp_path)
+        assert _enroll(db, count=2) == 0
+        conn = sqlite3.connect(db)
+        with conn:
+            conn.execute(
+                "UPDATE devices SET key_hex = 'zz' WHERE device_id = 'dev-0001'"
+            )
+        conn.close()
+        assert main(["fleet", "attest", "--db", db, "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "'dev-0001'" in err and "'key_hex'" in err
+        assert "zz" not in err
+
     def test_attest_empty_fleet_is_an_error(self, tmp_path, capsys):
         assert main(["fleet", "attest", "--db", _db(tmp_path)]) == 1
         assert "enroll" in capsys.readouterr().err

@@ -1,33 +1,22 @@
-"""``repro lint`` end to end: exit codes, formats, baseline writing."""
+"""``repro lint [PATHS]`` end to end: exit codes and what a report names."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from tests.lint.conftest import FIXTURE_PATHS, fixture_source
-
-
-@pytest.fixture
-def violating_tree(tmp_path) -> Path:
-    """One violation of each rule, at each rule's scoped location."""
-    for rule_id, relpath in FIXTURE_PATHS.items():
-        target = tmp_path / Path(relpath).parent / f"{rule_id.lower()}.py"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(fixture_source(rule_id, "bad"))
-    return tmp_path
+from tests.lint.conftest import FIXTURE_PATHS
 
 
 def test_exits_nonzero_on_a_tree_with_every_rule_violated(
     violating_tree, capsys
 ):
-    status = main(["lint", str(violating_tree), "--no-baseline"])
+    status = main(["lint", str(violating_tree)])
     out = capsys.readouterr().out
     assert status == 1
-    for rule_id in FIXTURE_PATHS:
+    for rule_id in [*FIXTURE_PATHS, "SACHA006"]:
         assert rule_id in out, f"{rule_id} missing from the report"
 
 
@@ -39,64 +28,42 @@ def test_exits_zero_on_the_shipped_tree(capsys):
     assert "clean" in capsys.readouterr().out
 
 
-def test_json_report(violating_tree, tmp_path, capsys):
-    report_path = tmp_path / "report.json"
-    status = main(
-        [
-            "lint",
-            str(violating_tree),
-            "--no-baseline",
-            "--format",
-            "json",
-            "--output",
-            str(report_path),
-        ]
-    )
-    assert status == 1
-    payload = json.loads(report_path.read_text())
-    assert payload["version"] == 1
-    assert set(payload["summary"]) == set(FIXTURE_PATHS)
-    assert all("fingerprint" in finding for finding in payload["findings"])
-
-
-def test_select_narrows_the_run(violating_tree, capsys):
-    status = main(
-        ["lint", str(violating_tree), "--no-baseline", "--select", "SACHA003"]
-    )
-    out = capsys.readouterr().out
-    assert status == 1
-    assert "SACHA003" in out
-    assert "SACHA002" not in out
-
-
-def test_write_baseline_then_clean(violating_tree, tmp_path, capsys):
-    baseline_path = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "lint",
-                str(violating_tree),
-                "--baseline",
-                str(baseline_path),
-                "--write-baseline",
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    status = main(
-        ["lint", str(violating_tree), "--baseline", str(baseline_path)]
-    )
-    assert status == 0
-    assert "baselined" in capsys.readouterr().out
-
-
-def test_list_rules(capsys):
-    assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in FIXTURE_PATHS:
-        assert rule_id in out
-
-
 def test_missing_path_is_a_usage_error(capsys):
     assert main(["lint", "does/not/exist"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--format",
+        "--output",
+        "--baseline",
+        "--no-baseline",
+        "--write-baseline",
+        "--select",
+        "--list-rules",
+        "--program",
+        "--stats",
+    ],
+)
+def test_paths_are_the_only_setting(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint", flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_finding_outside_a_repro_root_names_its_file(tmp_path, capsys):
+    """Two ``run.py`` files outside any ``repro`` root report under the
+    paths they were collected from, not both as ``run.py``."""
+    bench = tmp_path / "benchmarks" / "e2e" / "run.py"
+    script = tmp_path / "scripts" / "run.py"
+    bench.parent.mkdir(parents=True)
+    script.parent.mkdir()
+    bench.write_text("import threading\n")
+    script.write_text("import time\n\nSTARTED = time.time()\n")
+    status = main(["lint", str(tmp_path / "benchmarks"), str(tmp_path / "scripts")])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert f"{bench.as_posix()}:1:1: SACHA005 " in out
+    assert f"{script.as_posix()}:3:11: SACHA001 " in out

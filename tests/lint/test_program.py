@@ -1,30 +1,22 @@
-"""The whole-program tier: SACHA006 over multi-file virtual trees.
+"""SACHA006, the whole-program rule, over multi-file virtual trees.
 
-Each test hands :func:`repro.lint.lint_program_sources` a small
-in-memory project — the same entry point the engine uses for real
-trees, minus the filesystem — and checks the pass sees (or correctly
-ignores) a cross-module property no single-file rule could.
-
-The final classes pin the acceptance criteria: the shipped tree is
-clean under ``--program`` with no baseline, and the CLI runs the tier
-only when asked.
+Each test hands :func:`repro.lint.lint_sources` a small in-memory
+project — the same pass ``repro lint`` runs over real trees, minus the
+filesystem — and checks the taint analysis sees (or correctly ignores)
+a cross-module property no single-file rule could.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.cli import main
-from repro.lint import lint_program_sources, run_lint
+from repro.lint import lint_sources
+from repro.lint.engine import collect_files, source_relpath
+from tests.lint.conftest import KEY_LEAK_SOURCE, LOGGER_PRELUDE
 
 SRC = Path(repro.__file__).parent
-
-LOGGER_PRELUDE = (
-    "from repro.obs.logging import get_logger\n\n_log = get_logger(__name__)\n"
-)
 
 
 def rule_ids(findings):
@@ -57,7 +49,7 @@ class TestSecretTaint:
                 "    announce(key)\n"
             ),
         }
-        findings = lint_program_sources(tree)
+        findings = lint_sources(tree)
         assert rule_ids(findings) == ["SACHA006"], messages(findings)
         assert any(
             "structured log" in finding.message for finding in findings
@@ -76,7 +68,7 @@ class TestSecretTaint:
                 '    _log.info("boot", material=redact(key))\n'
             ),
         }
-        assert lint_program_sources(tree) == []
+        assert lint_sources(tree) == []
 
     def test_nonce_in_exception_message(self):
         tree = {
@@ -86,7 +78,7 @@ class TestSecretTaint:
                 '    raise ValueError(f"stale nonce {nonce!r}")\n'
             ),
         }
-        findings = lint_program_sources(tree)
+        findings = lint_sources(tree)
         assert rule_ids(findings) == ["SACHA006"], messages(findings)
         assert any("exception" in finding.message for finding in findings)
 
@@ -100,7 +92,7 @@ class TestSecretTaint:
                 "    mac_key: bytes\n"
             ),
         }
-        findings = lint_program_sources(tree)
+        findings = lint_sources(tree)
         assert rule_ids(findings) == ["SACHA006"], messages(findings)
         assert any("mac_key" in finding.message for finding in findings)
 
@@ -115,7 +107,7 @@ class TestSecretTaint:
                 "    mac_key: SecretBytes\n"
             ),
         }
-        assert lint_program_sources(tree) == []
+        assert lint_sources(tree) == []
 
     def test_allowlisted_sqlite_column_takes_key_hex(self):
         tree = {
@@ -129,7 +121,7 @@ class TestSecretTaint:
                 "    )\n"
             ),
         }
-        assert lint_program_sources(tree) == []
+        assert lint_sources(tree) == []
 
     def test_key_into_a_non_sanctioned_sqlite_column(self):
         tree = {
@@ -143,7 +135,7 @@ class TestSecretTaint:
                 "    )\n"
             ),
         }
-        findings = lint_program_sources(tree)
+        findings = lint_sources(tree)
         assert rule_ids(findings) == ["SACHA006"], messages(findings)
 
     def test_benign_field_of_a_record_built_from_a_key_is_not_tainted(self):
@@ -165,18 +157,23 @@ class TestSecretTaint:
                 "        self.key = key\n"
             ),
         }
-        assert lint_program_sources(tree) == []
-
-
-# ---------------------------------------------------------------------------
-# Acceptance criteria: real tree clean
-# ---------------------------------------------------------------------------
+        assert lint_sources(tree) == []
 
 
 class TestShippedTree:
     def test_shipped_tree_is_clean_under_program_mode(self):
-        result = run_lint([SRC], program=True)
-        assert result.findings == [], messages(result.findings)
+        """SACHA006 over the real package is clean, and live: one key
+        leak added to the shipped tree is the only finding."""
+        sources = {
+            source_relpath(path): path.read_text(encoding="utf-8")
+            for path in collect_files([SRC])
+        }
+        assert "repro/core/leak.py" not in sources
+        sources["repro/core/leak.py"] = KEY_LEAK_SOURCE
+        findings = lint_sources(sources)
+        assert [(f.rule, f.path) for f in findings] == [
+            ("SACHA006", "repro/core/leak.py")
+        ], messages(findings)
 
 
 # ---------------------------------------------------------------------------
@@ -184,62 +181,13 @@ class TestShippedTree:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def tainted_tree(tmp_path):
-    target = tmp_path / "repro" / "core" / "leak.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(
-        LOGGER_PRELUDE
-        + "def run():\n"
-        "    key = derive_key()\n"
-        '    _log.info("boot", material=key)\n'
-    )
-    return tmp_path
-
-
 class TestCli:
-    def test_program_flag_fails_on_a_seeded_violation(
-        self, tainted_tree, capsys
-    ):
-        status = main(
-            ["lint", str(tainted_tree), "--no-baseline", "--program"]
-        )
+    def test_program_flag_fails_on_a_seeded_violation(self, tmp_path, capsys):
+        """The whole-program rule runs in every ``repro lint``: a plain
+        run over a tree with a key leak fails on SACHA006."""
+        leak = tmp_path / "repro" / "core" / "leak.py"
+        leak.parent.mkdir(parents=True)
+        leak.write_text(KEY_LEAK_SOURCE)
+        status = main(["lint", str(tmp_path)])
         assert status == 1
         assert "SACHA006" in capsys.readouterr().out
-
-    def test_plain_run_skips_the_program_tier(self, tainted_tree, capsys):
-        status = main(["lint", str(tainted_tree), "--no-baseline"])
-        assert status == 0
-        assert "SACHA006" not in capsys.readouterr().out
-
-    def test_stats_flag_reports_per_rule_timing(self, tainted_tree, capsys):
-        main(
-            [
-                "lint",
-                str(tainted_tree),
-                "--no-baseline",
-                "--program",
-                "--stats",
-            ]
-        )
-        out = capsys.readouterr().out
-        for rule_id in ("SACHA001", "SACHA006"):
-            assert f"{rule_id}:" in out
-        assert "ms" in out
-
-    def test_list_rules_includes_the_program_tier(self, capsys):
-        main(["lint", "--list-rules"])
-        out = capsys.readouterr().out
-        program_tier = [
-            line.split()[0] for line in out.splitlines() if "[--program]" in line
-        ]
-        assert program_tier == ["SACHA006"]
-
-    def test_select_can_narrow_to_one_program_rule(
-        self, tainted_tree, capsys
-    ):
-        argv = ["lint", str(tainted_tree), "--no-baseline", "--program"]
-        assert main(argv + ["--select", "SACHA006"]) == 1
-        assert "SACHA006" in capsys.readouterr().out
-        assert main(argv + ["--select", "SACHA001"]) == 0
-        assert "SACHA006" not in capsys.readouterr().out

@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lint import all_rules, lint_source
+from repro.lint import lint_sources
 from tests.lint.conftest import FIXTURE_PATHS, fixture_source
 
 RULE_IDS = sorted(FIXTURE_PATHS)
-
-
-def test_registry_ships_the_five_domain_rules():
-    assert [rule.id for rule in all_rules()] == RULE_IDS
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
@@ -37,40 +33,40 @@ class TestDeterminismRule:
 
     def test_wallclock_shim_is_exempt(self):
         source = "import time\n\ndef wall_clock_ns():\n    return time.time_ns()\n"
-        assert lint_source(source, "repro/obs/wallclock.py") == []
-        assert lint_source(source, "repro/core/protocol.py") != []
+        assert lint_sources({"repro/obs/wallclock.py": source}) == []
+        assert lint_sources({"repro/core/protocol.py": source}) != []
 
 
 class TestConstantTimeRule:
     def test_only_applies_inside_the_scoped_trees(self, lint_at):
         bad = fixture_source("SACHA002", "bad")
-        assert lint_source(bad, "repro/baselines/fixture.py") == []
-        assert lint_source(bad, "repro/analysis/fixture.py") == []
+        assert lint_sources({"repro/baselines/fixture.py": bad}) == []
+        assert lint_sources({"repro/analysis/fixture.py": bad}) == []
 
     def test_chained_comparison_is_caught(self):
         source = "def check(a, tag, b):\n    return a == tag == b\n"
-        findings = lint_source(source, "repro/crypto/fixture.py")
+        findings = lint_sources({"repro/crypto/fixture.py": source})
         assert len(findings) == 2  # both links of the chain touch the tag
 
     def test_uppercase_constants_are_dispatch_not_verification(self):
         source = "def f(op, OPCODE_MAC):\n    return op == OPCODE_MAC\n"
-        assert lint_source(source, "repro/crypto/fixture.py") == []
+        assert lint_sources({"repro/crypto/fixture.py": source}) == []
 
 
 class TestLayeringRule:
     def test_relative_imports_resolve(self):
         source = "from ..net import channel\n"
-        findings = lint_source(source, "repro/crypto/fixture.py")
+        findings = lint_sources({"repro/crypto/fixture.py": source})
         assert any(finding.rule == "SACHA004" for finding in findings)
 
     def test_sim_must_not_import_threading(self):
-        findings = lint_source("import threading\n", "repro/sim/events.py")
+        findings = lint_sources({"repro/sim/events.py": "import threading\n"})
         # one rule owns the ban: SACHA005, not a second SACHA004 report
         assert [finding.rule for finding in findings] == ["SACHA005"]
 
     def test_unknown_layer_is_unrestricted(self):
         source = "from repro.net.channel import Channel\n"
-        assert lint_source(source, "repro/newpkg/fixture.py") == []
+        assert lint_sources({"repro/newpkg/fixture.py": source}) == []
 
 
 class TestThreadingRule:
@@ -82,5 +78,5 @@ class TestThreadingRule:
         )
         for relpath in ("repro/core/swarm.py", "repro/obs/metrics.py"):
             for source in sources:
-                findings = lint_source(source, relpath)
+                findings = lint_sources({relpath: source})
                 assert [finding.rule for finding in findings] == ["SACHA005"]

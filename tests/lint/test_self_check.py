@@ -1,45 +1,40 @@
-"""The linter's own acceptance gate: the shipped tree must be clean.
+"""The linter's own acceptance gate: every tree CI lints must be clean.
 
-These tests pin the property CI enforces — ``repro lint`` exits zero on
-the repository — and the satellite claims of the PR that introduced the
-linter: the constant-time rule finds nothing left in ``core/`` even
-with no baseline, and the committed baseline is empty (nothing was
-grandfathered).
+Tier-1 runs the same pass as the CI lint step, over the same four
+trees, so a finding fails the test suite before it reaches CI.  The
+remaining checks hold the lint policy to the tree it describes.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import repro
-from repro.lint import Baseline, LintConfig, run_lint
+from repro.lint import run_lint
 
 SRC = Path(repro.__file__).parent
 REPO_ROOT = SRC.parents[1]
-BASELINE = REPO_ROOT / ".sachalint-baseline.json"
+
+#: The trees the CI lint step names: ``repro lint src/repro benchmarks
+#: scripts examples``.
+CI_TREES = [SRC] + [REPO_ROOT / name for name in ("benchmarks", "scripts", "examples")]
 
 
 def test_shipped_tree_is_clean_without_any_baseline():
-    result = run_lint([SRC])
+    """No baseline or suppression exists to absorb a finding: all six
+    rules run over every tree CI lints and find nothing."""
+    result = run_lint(CI_TREES)
     assert result.findings == [], "\n".join(
         finding.render() for finding in result.findings
     )
     assert result.files_scanned > 100
 
 
-def test_committed_baseline_exists_and_is_empty():
-    payload = json.loads(BASELINE.read_text())
-    assert payload["version"] == 1
-    assert payload["findings"] == []
-    assert Baseline.load(BASELINE).entries == []
-
-
 def test_constant_time_rule_clean_on_core_with_empty_baseline():
-    result = run_lint(
-        [SRC / "core"], config=LintConfig(select=frozenset({"SACHA002"}))
-    )
-    assert result.findings == []
+    """No baseline exists to grandfather a finding: ``core/`` compares
+    every tag in constant time outright."""
+    result = run_lint([SRC / "core"])
+    assert [f for f in result.findings if f.rule == "SACHA002"] == []
 
 
 def test_verifier_uses_compare_digest():
@@ -49,9 +44,16 @@ def test_verifier_uses_compare_digest():
 
 
 def test_every_configured_scope_exists():
-    """A scope that names a deleted module silently checks nothing:
-    every path the rules are scoped to exists under ``src/``."""
+    """A scope that names a deleted module silently checks nothing, and
+    a layer missing from the DAG is silently unrestricted: every path
+    the rules are scoped to exists under ``src/``, and the DAG names
+    exactly the top-level packages and modules under ``repro``."""
     from repro.lint import config
 
     scopes = config.DETERMINISM_EXEMPT + config.CONSTANT_TIME_PATHS
     assert [path for path in scopes if not (SRC.parent / path).exists()] == []
+
+    layers = {"repro" if child.stem == "__init__" else child.stem
+              for child in SRC.iterdir()
+              if child.suffix == ".py" or (child / "__init__.py").is_file()}
+    assert layers == set(config.LAYER_DAG)
